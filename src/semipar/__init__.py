@@ -39,7 +39,6 @@ from .graph_algos import (
     boosted_coloring,
     boosted_mis,
     extend_palettes,
-    induced_subgraph,
     luby_mis,
     mis_extend_prune,
     palette_color,
@@ -77,6 +76,7 @@ from .records import (
 )
 from .semisort import (
     KeyOutOfRange,
+    RehashExceeded,
     RestartExceeded,
     SemisortParams,
     SemisortTrace,
@@ -88,25 +88,3 @@ from .semisort import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HypothesisViolated", "bound_eval", "chernoff_lower", "chernoff_upper",
-    "geom_sum", "mcdiarmid", "weighted_geom",
-    "CulledPartition", "Graph", "GraphView", "InvariantViolation",
-    "ReorganizedGraph", "cull_partition", "edge_list", "from_edges",
-    "generate", "piece_edge_counts", "read_csr", "read_edge_list",
-    "reorganize", "write_csr", "write_edge_list",
-    "LocalGraph", "PaletteDeficit", "PaletteSet", "UncoloredCutEndpoint",
-    "boosted_coloring", "boosted_mis", "extend_palettes", "induced_subgraph",
-    "luby_mis", "mis_extend_prune", "palette_color", "verify_coloring",
-    "verify_mis",
-    "TabulationHash", "UniversalHash", "detect_collision", "tab_bucket",
-    "tab_hash", "tab_hash_array", "tab_new", "universal_hash",
-    "universal_hash_array", "universal_new",
-    "WorkMeter",
-    "InvalidInstance", "PlacementInstance", "PlacementResult",
-    "PlacementTimeout", "default_round_cap", "place",
-    "Records", "group_counts", "is_semisorted", "read_records",
-    "same_multiset", "write_records",
-    "KeyOutOfRange", "RestartExceeded", "SemisortParams", "SemisortTrace",
-    "f_alloc", "integer_sort", "local_semisort", "semisort",
-]

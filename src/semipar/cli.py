@@ -53,6 +53,8 @@ CSV_COLUMNS = [
 ]
 
 DISTRIBUTIONS = ("uniform", "zipf", "all_equal", "all_distinct")
+GRAPH_KINDS = ("gnm", "star", "path", "power_law")
+FLOAT_PARAMS = ("p_s", "alpha", "c_alloc")  # other SemisortParams fields are ints
 
 
 class ConfigError(ValueError):
@@ -86,6 +88,27 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         if self.n < 1:
             raise ConfigError("n must be positive")
+        if self.k < 0:
+            raise ConfigError("k must be >= 0 (0 means ceil(log2 n))")
+        if self.graph_kind not in GRAPH_KINDS:
+            raise ConfigError(f"graph must be one of {GRAPH_KINDS}")
+        max_m = self.n * (self.n - 1) // 2
+        if (
+            self.algorithm in ("partition", "mis", "color")
+            and self.graph_kind in ("gnm", "power_law")
+            and not 0 <= self.m <= max_m
+        ):
+            raise ConfigError(f"m must lie in [0, {max_m}] for {self.graph_kind} on n={self.n}")
+        names = {f.name for f in dataclasses.fields(SemisortParams)}
+        for key, value in self.params.items():
+            if key not in names:
+                raise ConfigError(f"unknown --param {key!r}; expected one of {sorted(names)}")
+            if key not in FLOAT_PARAMS and not value.is_integer():
+                raise ConfigError(f"--param {key} must be an integer, got {value}")
+        try:
+            _semisort_params(self, self.n)
+        except ValueError as exc:
+            raise ConfigError(f"--param: {exc}") from None
 
 
 @dataclass
@@ -102,11 +125,9 @@ class TrialRecord:
     max_bucket_size: int = 0
     max_attempts: int = 0
     verified: bool = True
-    wall_time: float = 0.0
 
     def row(self) -> dict:
         d = dataclasses.asdict(self)
-        d.pop("wall_time")
         d["verified"] = int(self.verified)
         return d
 
@@ -161,11 +182,7 @@ def tail_report(records: list[TrialRecord]) -> dict:
 
 
 def _semisort_params(cfg: ExperimentConfig, n: int) -> SemisortParams:
-    overrides = {
-        k: (int(v) if k not in ("p_s", "alpha", "c_alloc") else v)
-        for k, v in cfg.params.items()
-        if k in {f.name for f in dataclasses.fields(SemisortParams)}
-    }
+    overrides = {k: (v if k in FLOAT_PARAMS else int(v)) for k, v in cfg.params.items()}
     return SemisortParams.for_n(n, **overrides)
 
 
@@ -232,16 +249,21 @@ def _run_placement(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     )
 
 
-def _run_partition(cfg: ExperimentConfig, trial: int) -> TrialRecord:
+def _run_graph(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive(cfg.seed, trial)
     g = generate(cfg.graph_kind, cfg.n, cfg.m, seed)
     k = cfg.resolved_k()
     meter = WorkMeter()
-    part = cull_partition(g, k, seed, meter)
-    counts = piece_edge_counts(g, part)
-    max_piece = int(counts.max(initial=0))
-    lg = max(1, math.ceil(math.log2(max(cfg.n, 2))))
-    ok = len(part.culled) <= part.phases * 4 * k**4 * lg if part.phases else True
+    max_piece = 0
+    if cfg.algorithm == "partition":
+        part = cull_partition(g, k, seed, meter)
+        max_piece = int(piece_edge_counts(g, part).max(initial=0))
+        lg = max(1, math.ceil(math.log2(max(cfg.n, 2))))
+        ok = len(part.culled) <= part.phases * 4 * k**4 * lg if part.phases else True
+    elif cfg.algorithm == "mis":
+        ok = verify_mis(g, boosted_mis(g, k, seed, meter))
+    else:
+        ok = verify_coloring(g, boosted_coloring(g, k, seed, meter), g.max_degree())
     return TrialRecord(
         trial=trial, seed=seed, n=cfg.n, m=g.m, k=k, dist=cfg.graph_kind,
         charged_work=meter.total_ops, rounds=meter.rounds,
@@ -249,39 +271,13 @@ def _run_partition(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     )
 
 
-def _run_mis(cfg: ExperimentConfig, trial: int) -> TrialRecord:
-    seed = derive(cfg.seed, trial)
-    g = generate(cfg.graph_kind, cfg.n, cfg.m, seed)
-    k = cfg.resolved_k()
-    meter = WorkMeter()
-    in_set = boosted_mis(g, k, seed, meter)
-    ok = verify_mis(g, in_set)
-    return TrialRecord(
-        trial=trial, seed=seed, n=cfg.n, m=g.m, k=k, dist=cfg.graph_kind,
-        charged_work=meter.total_ops, rounds=meter.rounds, verified=ok,
-    )
-
-
-def _run_color(cfg: ExperimentConfig, trial: int) -> TrialRecord:
-    seed = derive(cfg.seed, trial)
-    g = generate(cfg.graph_kind, cfg.n, cfg.m, seed)
-    k = cfg.resolved_k()
-    meter = WorkMeter()
-    colors = boosted_coloring(g, k, seed, meter)
-    ok = verify_coloring(g, colors, g.max_degree())
-    return TrialRecord(
-        trial=trial, seed=seed, n=cfg.n, m=g.m, k=k, dist=cfg.graph_kind,
-        charged_work=meter.total_ops, rounds=meter.rounds, verified=ok,
-    )
-
-
 _RUNNERS = {
     "semisort": _run_semisort,
     "intsort": _run_intsort,
     "placement": _run_placement,
-    "partition": _run_partition,
-    "mis": _run_mis,
-    "color": _run_color,
+    "partition": _run_graph,
+    "mis": _run_graph,
+    "color": _run_graph,
 }
 
 
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=1 << 16)
         p.add_argument("--k", type=int, default=0)
         p.add_argument("--dist", default="uniform")
-        p.add_argument("--graph", default="gnm", choices=["gnm", "star", "path", "power_law"])
+        p.add_argument("--graph", default="gnm", choices=GRAPH_KINDS)
         p.add_argument("--theta", type=float, default=1.0)
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--seed", type=int, default=1)
@@ -425,14 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     runner = _RUNNERS[cfg.algorithm]
-    records: list[TrialRecord] = []
     t0 = time.perf_counter()
     try:
-        for trial in range(cfg.trials):
-            start = time.perf_counter()
-            rec = runner(cfg, trial)
-            rec.wall_time = time.perf_counter() - start
-            records.append(rec)
+        records = [runner(cfg, trial) for trial in range(cfg.trials)]
     except (AssertionError, RuntimeError) as exc:
         print(f"hard failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

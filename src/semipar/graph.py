@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .meter import WorkMeter
 from .prng import generator
 from .records import Records
-from .semisort import SemisortParams, integer_sort
+from .semisort import integer_sort
 
 CSR_MAGIC = b"PCSR"
 
@@ -121,47 +121,45 @@ def generate(kind: str, n: int, m: int = 0, seed: int = 0) -> Graph:
         leaves = np.arange(1, n)
         return from_edges(n, np.zeros(n - 1, dtype=np.int64), leaves)
     if kind == "gnm":
-        max_m = n * (n - 1) // 2
-        if m > max_m:
-            raise ValueError(f"m={m} exceeds simple-graph maximum {max_m}")
-        rng = generator(seed, 0x6E)
-        codes: np.ndarray = np.empty(0, dtype=np.uint64)
-        while len(codes) < m:
-            need = m - len(codes)
-            uu = rng.integers(0, n, size=2 * need + 16, dtype=np.int64)
-            vv = rng.integers(0, n, size=2 * need + 16, dtype=np.int64)
-            lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-            ok = lo < hi
-            new = (lo[ok].astype(np.uint64) * np.uint64(n)) + hi[ok].astype(np.uint64)
-            codes = np.unique(np.concatenate([codes, new]))
-        rng2 = generator(seed, 0x6F)
-        codes = codes[rng2.permutation(len(codes))[:m]]
-        u = (codes // np.uint64(n)).astype(np.int64)
-        v = (codes % np.uint64(n)).astype(np.int64)
-        return from_edges(n, u, v)
+        return _sample_edges(
+            n, m, seed, 0x6E, lambda rng, size: rng.integers(0, n, size=size, dtype=np.int64)
+        )
     if kind == "power_law":
         # Chung-Lu style: endpoints sampled with rank-decaying weights.
-        max_m = n * (n - 1) // 2
-        if m > max_m:
-            raise ValueError(f"m={m} exceeds simple-graph maximum {max_m}")
-        rng = generator(seed, 0x70)
         w = (np.arange(1, n + 1, dtype=np.float64)) ** -0.75
         p = w / w.sum()
-        codes = np.empty(0, dtype=np.uint64)
-        while len(codes) < m:
-            need = m - len(codes)
-            uu = rng.choice(n, size=2 * need + 16, p=p)
-            vv = rng.choice(n, size=2 * need + 16, p=p)
-            lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-            ok = lo < hi
-            new = (lo[ok].astype(np.uint64) * np.uint64(n)) + hi[ok].astype(np.uint64)
-            codes = np.unique(np.concatenate([codes, new]))
-        rng2 = generator(seed, 0x71)
-        codes = codes[rng2.permutation(len(codes))[:m]]
-        u = (codes // np.uint64(n)).astype(np.int64)
-        v = (codes % np.uint64(n)).astype(np.int64)
-        return from_edges(n, u, v)
+        return _sample_edges(n, m, seed, 0x70, lambda rng, size: rng.choice(n, size=size, p=p))
     raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
+    """m distinct edges by rejection; ``draw(rng, size)`` samples endpoints.
+
+    Each pass draws 2*need+16 u's, then as many v's, from stream ``stream``,
+    drops self-loops and duplicates, and repeats until m edges exist; stream
+    ``stream + 1`` then picks a uniform m-subset.
+    """
+    max_m = n * (n - 1) // 2
+    if m > max_m:
+        raise ValueError(f"m={m} exceeds simple-graph maximum {max_m}")
+    rng = generator(seed, stream)
+    codes = np.empty(0, dtype=np.uint64)
+    while len(codes) < m:
+        size = 2 * (m - len(codes)) + 16
+        uu = draw(rng, size)
+        vv = draw(rng, size)
+        lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
+        ok = lo < hi
+        new = (lo[ok].astype(np.uint64) * np.uint64(n)) + hi[ok].astype(np.uint64)
+        # Sorted distinct codes; np.unique would take its slower hash path.
+        codes = np.sort(np.concatenate([codes, new]))
+        fresh = np.ones(len(codes), dtype=bool)
+        fresh[1:] = codes[1:] != codes[:-1]
+        codes = codes[fresh]
+    codes = codes[generator(seed, stream + 1).permutation(len(codes))[:m]]
+    u = (codes // np.uint64(n)).astype(np.int64)
+    v = (codes % np.uint64(n)).astype(np.int64)
+    return from_edges(n, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +199,16 @@ def write_csr(path: str | Path, g: Graph) -> None:
 
 
 def read_csr(path: str | Path) -> Graph:
-    with open(path, "rb") as fh:
-        if fh.read(4) != CSR_MAGIC:
-            raise ValueError("bad CSR magic")
-        n, m = struct.unpack("<QQ", fh.read(16))
-        offsets = np.frombuffer(fh.read(8 * (n + 1)), dtype="<i8").copy()
-        neighbors = np.frombuffer(fh.read(16 * m), dtype="<i8").copy()
+    data = Path(path).read_bytes()
+    if data[:4] != CSR_MAGIC:
+        raise ValueError("bad CSR magic")
+    if len(data) < 20:
+        raise ValueError("truncated CSR file")
+    n, m = struct.unpack_from("<QQ", data, 4)
+    if len(data) < 20 + 8 * (n + 1) + 16 * m:
+        raise ValueError("truncated CSR file")
+    offsets = np.frombuffer(data, dtype="<i8", count=n + 1, offset=20).copy()
+    neighbors = np.frombuffer(data, dtype="<i8", count=2 * m, offset=20 + 8 * (n + 1)).copy()
     return Graph(n=int(n), m=int(m), offsets=offsets, neighbors=neighbors)
 
 
@@ -282,26 +284,22 @@ def cull_partition(
     lg_n0 = max(1, math.ceil(math.log2(max(n0, 2))))
     alive = np.ones(g.n, dtype=bool)
     view = GraphView(g, alive)
+    deg = view.alive_degrees()
     phases = 0
     max_phases = (max(1, (max(g.m, 2) - 1).bit_length())) + 1
     while True:
-        deg = view.alive_degrees()
         edges = int(deg.sum()) // 2
         meter.charge("cull.degree_pass", 2 * g.m + g.n)
         meter.tick(1)
-        if edges == 0:
+        if edges == 0 or deg.max() <= cull_threshold(edges, k, n0):
             break
-        tau = cull_threshold(edges, k, n0)
-        if deg.max() <= tau:
-            break
-        removed = np.flatnonzero(alive & (deg > tau / 2))
-        alive[removed] = False
+        alive[phase_cull(view, k, n0)] = False
         phases += 1
-        # Phase-progress check: degree condition met or edges halved.
-        new_deg = view.alive_degrees()
-        new_edges = int(new_deg.sum()) // 2
-        new_tau = cull_threshold(new_edges, k, n0) if new_edges else 0.0
-        cond_met = new_edges == 0 or new_deg.max() <= new_tau
+        # Phase-progress check: degree condition met or edges halved.  The
+        # next phase starts from these degrees.
+        deg = view.alive_degrees()
+        new_edges = int(deg.sum()) // 2
+        cond_met = new_edges == 0 or deg.max() <= cull_threshold(new_edges, k, n0)
         if not (cond_met or new_edges <= edges / 2):
             raise InvariantViolation(
                 f"phase {phases}: degree condition unmet and edges did not halve "
@@ -316,11 +314,6 @@ def cull_partition(
         raise InvariantViolation(
             f"|C| = {len(culled)} exceeds {phases} * 4k^4*ceil(log2 n)"
         )
-    # Post-cull degree bound on the surviving graph.
-    final_deg = view.alive_degrees()
-    final_edges = int(final_deg.sum()) // 2
-    if final_edges and final_deg.max() > cull_threshold(final_edges, k, n0):
-        raise InvariantViolation("post-cull max degree exceeds threshold")
 
     assignment = np.full(g.n, CULLED, dtype=np.int64)
     rng = generator(seed, 0xCA11)
@@ -368,11 +361,7 @@ class ReorganizedGraph:
 
 
 def reorganize(
-    g: Graph,
-    p: CulledPartition,
-    params: SemisortParams | None = None,
-    seed: int = 0,
-    meter: WorkMeter | None = None,
+    g: Graph, p: CulledPartition, seed: int = 0, meter: WorkMeter | None = None
 ) -> ReorganizedGraph:
     """Group vertices by piece id and split adjacency lists at the cut.
 
@@ -390,7 +379,7 @@ def reorganize(
 
     # Vertex permutation: integer-sort vertex ids keyed by piece.
     recs = Records(piece_of.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
-    sorted_recs = integer_sort(recs, params, seed, meter)
+    sorted_recs = integer_sort(recs, None, seed, meter)
     perm = sorted_recs.payloads.astype(np.int64)
     inv = np.empty(g.n, dtype=np.int64)
     inv[perm] = np.arange(g.n)

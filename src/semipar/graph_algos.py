@@ -10,15 +10,13 @@ finish on the culled set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CulledPartition, Graph, ReorganizedGraph, cull_partition, reorganize
+from .graph import Graph, ReorganizedGraph, cull_partition, reorganize
 from .meter import WorkMeter
 from .prng import derive, generator
-from .semisort import SemisortParams
 
 UNCOLORED = -1
 
@@ -62,20 +60,6 @@ class LocalGraph:
             LocalGraph(len(old_ids), offsets, new_nbrs[order]),
             old_ids,
         )
-
-
-def induced_subgraph(g: Graph, verts: np.ndarray) -> LocalGraph:
-    """Induced subgraph of ``g`` on global vertex ids ``verts``."""
-    verts = np.asarray(verts, dtype=np.int64)
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[verts] = np.arange(len(verts))
-    rows = g.edge_rows()
-    sel = (remap[rows] >= 0) & (remap[g.neighbors] >= 0)
-    lr, ln = remap[rows[sel]], remap[g.neighbors[sel]]
-    deg = np.bincount(lr, minlength=len(verts))
-    offsets = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
-    order = np.argsort(lr, kind="stable")
-    return LocalGraph(len(verts), offsets, ln[order])
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +319,27 @@ def _piece_local(ro: ReorganizedGraph, piece: int):
     return verts, local, row_local[~internal], nbrs[~internal]
 
 
-def _boosted_prepare(g: Graph, k: int, seed: int, meter: WorkMeter, params):
+def _boost(g: Graph, k: int, seed: int, meter: WorkMeter, stream: int, solve_piece) -> None:
+    """The boosting framework: culled partition, reorganize, then each piece.
+
+    Pieces run in order with the culled set last.  ``solve_piece(verts,
+    local, cut_rows, cut_nbrs, piece_seed)`` extends the partial solution
+    across the piece's cut, solves the piece, and returns how many cut
+    entries it read from the solved side; those total at most m.
+    """
     part = cull_partition(g, k, derive(seed, 1), meter)
-    ro = reorganize(g, part, params, derive(seed, 2), meter)
-    return part, ro
+    ro = reorganize(g, part, derive(seed, 2), meter)
+    cut_total = 0
+    for piece in range(k + 1):
+        extracted = _piece_local(ro, piece)
+        if extracted is not None:
+            cut_total += solve_piece(*extracted, derive(seed, stream, piece))
+    if cut_total > g.m:
+        raise AssertionError("cut-edge accounting exceeded m")
 
 
 def boosted_coloring(
-    g: Graph,
-    k: int,
-    seed: int,
-    meter: WorkMeter | None = None,
-    params: SemisortParams | None = None,
+    g: Graph, k: int, seed: int, meter: WorkMeter | None = None
 ) -> np.ndarray:
     """(Delta+1)-coloring via culled partition + extenders + palette sampling.
 
@@ -355,61 +348,38 @@ def boosted_coloring(
     """
     if meter is None:
         meter = WorkMeter()
-    delta = g.max_degree()
-    num_colors = delta + 1
-    part, ro = _boosted_prepare(g, k, seed, meter, params)
+    num_colors = g.max_degree() + 1
     colors = np.full(g.n, UNCOLORED, dtype=np.int64)
-    cut_colored_total = 0
-    for piece in range(k + 1):
-        extracted = _piece_local(ro, piece)
-        if extracted is None:
-            continue
-        verts, local, cut_rows, cut_nbrs = extracted
+
+    def solve_piece(verts, local, cut_rows, cut_nbrs, piece_seed) -> int:
         colored_sel = colors[cut_nbrs] != UNCOLORED
-        cut_colored_total += int(colored_sel.sum())
         palettes = extend_palettes(
-            local.n,
-            cut_rows[colored_sel],
-            colors[cut_nbrs[colored_sel]],
-            num_colors,
-            meter,
+            local.n, cut_rows[colored_sel], colors[cut_nbrs[colored_sel]], num_colors, meter
         )
-        local_colors = palette_color(local, palettes, derive(seed, 3, piece), meter)
-        colors[verts] = local_colors
-    if cut_colored_total > g.m:
-        raise AssertionError("cut-edge accounting exceeded m")
+        colors[verts] = palette_color(local, palettes, piece_seed, meter)
+        return int(colored_sel.sum())
+
+    _boost(g, k, seed, meter, 3, solve_piece)
     return colors
 
 
 def boosted_mis(
-    g: Graph,
-    k: int,
-    seed: int,
-    meter: WorkMeter | None = None,
-    params: SemisortParams | None = None,
+    g: Graph, k: int, seed: int, meter: WorkMeter | None = None
 ) -> np.ndarray:
     """MIS via culled partition + prune extender + Luby on the pieces."""
     if meter is None:
         meter = WorkMeter()
-    part, ro = _boosted_prepare(g, k, seed, meter, params)
     in_set = np.zeros(g.n, dtype=bool)
-    cut_scanned_total = 0
-    for piece in range(k + 1):
-        extracted = _piece_local(ro, piece)
-        if extracted is None:
-            continue
-        verts, local, cut_rows, cut_nbrs = extracted
+
+    def solve_piece(verts, local, cut_rows, cut_nbrs, piece_seed) -> int:
         member_sel = in_set[cut_nbrs]
-        cut_scanned_total += int(member_sel.sum())
-        if meter is not None:
-            meter.charge("mis_extend_prune", len(cut_rows))
-            meter.tick(1)
-        survivors = mis_extend_prune(local.n, cut_rows, member_sel)
+        meter.charge("mis_extend_prune", len(cut_rows))
+        meter.tick(1)
         keep = np.zeros(local.n, dtype=bool)
-        keep[survivors] = True
+        keep[mis_extend_prune(local.n, cut_rows, member_sel)] = True
         sub, old_ids = local.induced(keep)
-        sub_set = luby_mis(sub, derive(seed, 4, piece), meter)
-        in_set[verts[old_ids[sub_set]]] = True
-    if cut_scanned_total > g.m:
-        raise AssertionError("cut-edge accounting exceeded m")
+        in_set[verts[old_ids[luby_mis(sub, piece_seed, meter)]]] = True
+        return int(member_sel.sum())
+
+    _boost(g, k, seed, meter, 4, solve_piece)
     return in_set

@@ -144,6 +144,6 @@ def place(
     return PlacementResult(slot_of, rounds, probes, arena)
 
 
-def default_round_cap(n: int, factor: int = 8) -> int:
-    """factor * ceil(log2 n); the hidden constant of the Theta(log n) cap."""
-    return max(factor, factor * max(1, (max(n, 2) - 1).bit_length()))
+def default_round_cap(n: int) -> int:
+    """8 * ceil(log2 n); 8 is the hidden constant of the Theta(log n) cap."""
+    return 8 * max(1, (max(n, 2) - 1).bit_length())

@@ -31,6 +31,10 @@ from .placement import EMPTY_SLOT, PlacementInstance, PlacementTimeout, place
 from .prng import derive
 from .records import Records
 
+# Attempts of the rehash loop before it gives up: each succeeds with
+# probability >= 1/2, so a valid bucket fails all of them w.p. <= 2^-64.
+MAX_REHASH_ATTEMPTS = 64
+
 
 class RestartExceeded(RuntimeError):
     """Placement timed out more often than the configured restart budget."""
@@ -38,6 +42,10 @@ class RestartExceeded(RuntimeError):
 
 class KeyOutOfRange(ValueError):
     """Integer sort requires every key to be below the record count."""
+
+
+class RehashExceeded(RuntimeError):
+    """Every rehash attempt of a bucket found a collision."""
 
 
 @dataclass
@@ -127,7 +135,8 @@ def local_semisort(
     Each attempt samples a fresh 2-universal hash into [m_b**K], radix-sorts
     the bucket by hash value in K passes of counting sort at base m_b, and
     rescans for collisions (equal hash, distinct keys).  Success probability
-    is at least 1/2 per attempt for K >= 3, so the loop terminates quickly.
+    is at least 1/2 per attempt for K >= 3; after MAX_REHASH_ATTEMPTS
+    failures (keys equal modulo the hash prime) it raises RehashExceeded.
     """
     m_b = len(c_b)
     if m_b == 0:
@@ -142,9 +151,7 @@ def local_semisort(
     hash_range = m_b**K
     if hash_range >= 1 << 63:
         raise ValueError("bucket too large for the configured hash-range exponent")
-    attempt = 0
-    while True:
-        attempt += 1
+    for attempt in range(1, MAX_REHASH_ATTEMPTS + 1):
         g = universal_new(derive(seed, attempt), hash_range)
         h = universal_hash_array(g, c_b.keys)
         order = np.arange(m_b, dtype=np.int64)
@@ -160,6 +167,9 @@ def local_semisort(
         meter.tick(K + 2)
         if not detect_collision(h_sorted, keys_sorted):
             return Records(keys_sorted, c_b.payloads[order]), attempt
+    raise RehashExceeded(
+        f"bucket of {m_b} records collided in all {MAX_REHASH_ATTEMPTS} rehash attempts"
+    )
 
 
 def semisort(

@@ -185,8 +185,18 @@ def test_bounds_bad_params():
                     "--param", "mu=-5", "--param", "delta=0.5"]) == EXIT_CONFIG
 
 
-def test_exit_code_config_error():
-    assert run_cli(["semisort", "--trials", "0"]) == EXIT_CONFIG
+def test_exit_code_config_error(capsys):
+    for args in (
+        ["semisort", "--trials", "0"],
+        ["mis", "--n", "4", "--m", "100"],   # more edges than a simple graph holds
+        ["mis", "--k", "-3"],
+        ["semisort", "--param", "k=9"],      # not a SemisortParams field
+        ["semisort", "--param", "Kx=2"],
+        ["semisort", "--param", "K=3.9"],    # integer field
+    ):
+        assert run_cli(args) == EXIT_CONFIG, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_exit_code_io_error(tmp_path):

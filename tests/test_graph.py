@@ -1,5 +1,6 @@
 """Graphs: generators, file formats, culled partitioning, reorganization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -56,6 +57,29 @@ def test_gnm_rejects_impossible_m():
         generate("gnm", 4, 100)
 
 
+# sha256 of offsets + neighbors (little-endian int64).  The dense cases
+# (n = 5, 8, 40) run the rejection loop for more than one pass.
+PINNED_GRAPHS = [
+    ("gnm", 5, 10, 3, "de850c9cced88cb47673576ae3733d99dd5e26a8854eff4b311cc08d4237897b"),
+    ("gnm", 8, 27, 1, "35d4f2529af61f7434c7fc0c3f70f78863d597853aad1024496aebf6a62c5b0f"),
+    ("gnm", 40, 700, 4, "48e3a7af777b1ce0717fe3f796712064216c7106d4008be3b6c28f00cc7c9c01"),
+    ("gnm", 500, 1200, 3, "ef8779124c9c959e04f957bcd76108b42774f132a8514ea1f0211167aa9f2067"),
+    ("gnm", 3000, 12000, 11, "cbfd6c881570e83e1dc913c768690d6b77212b2ffb508c398f3f53b71232fceb"),
+    ("power_law", 5, 10, 3, "de850c9cced88cb47673576ae3733d99dd5e26a8854eff4b311cc08d4237897b"),
+    ("power_law", 8, 27, 1, "91e58f2ca31dd4235441421f6e4a05a41560187a6e3c15d93a580da8292a1dc9"),
+    ("power_law", 40, 700, 4, "a4db44528a601a727e8fdb0095b0ed5f00631e8aaaa1ffcb021b4eac13eadcf2"),
+    ("power_law", 500, 1200, 3, "ebcb351dd86a9f190b5a8e1660a157966f1d3914cfdf780c97e42628328bb0d8"),
+    ("power_law", 3000, 12000, 11, "df4d23efc8c409c2e28d1163450ac0c7cd72c556917db1bd884cff724a971c78"),
+]
+
+
+@pytest.mark.parametrize("kind,n,m,seed,digest", PINNED_GRAPHS)
+def test_generator_bytes_pinned(kind, n, m, seed, digest):
+    g = generate(kind, n, m, seed)
+    data = g.offsets.astype("<i8").tobytes() + g.neighbors.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_gnm_deterministic():
     g1 = generate("gnm", 300, 900, seed=5)
     g2 = generate("gnm", 300, 900, seed=5)
@@ -80,6 +104,17 @@ def test_file_roundtrips(tmp_path):
         assert h.n == g.n and h.m == g.m
         assert np.array_equal(h.offsets, g.offsets)
         assert np.array_equal(h.neighbors, g.neighbors)
+
+
+def test_read_csr_rejects_truncated_file(tmp_path):
+    g = generate("gnm", 100, 100, seed=2)
+    p = tmp_path / "g.csr"
+    write_csr(p, g)
+    data = p.read_bytes()
+    for cut in (40, len(data) - 10):
+        p.write_bytes(data[:-cut])
+        with pytest.raises(ValueError, match="truncated CSR file"):
+            read_csr(p)
 
 
 def test_read_csr_rejects_bad_magic(tmp_path):

@@ -13,7 +13,6 @@ from semipar.graph_algos import (
     boosted_coloring,
     boosted_mis,
     extend_palettes,
-    induced_subgraph,
     luby_mis,
     mis_extend_prune,
     palette_color,
@@ -30,16 +29,6 @@ def _local(g):
 
 # ---------------------------------------------------------------------------
 # Local graphs
-
-
-def test_induced_subgraph():
-    g = generate("gnm", 50, 120, seed=1)
-    verts = np.arange(0, 50, 2)
-    sub = induced_subgraph(g, verts)
-    assert sub.n == 25
-    rows, nbrs = sub.edge_pairs()
-    for r, nb in zip(rows, nbrs):
-        assert verts[nb] in g.row(verts[r])
 
 
 def test_local_induced():

@@ -1,6 +1,7 @@
 """Semisort and integer sort: correctness, parameters, restarts, traces."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from semipar.meter import WorkMeter
 from semipar.prng import generator
 from semipar.records import Records, group_counts, is_semisorted, same_multiset
 from semipar.semisort import (
+    MAX_REHASH_ATTEMPTS,
     KeyOutOfRange,
+    RehashExceeded,
     SemisortParams,
     f_alloc,
     integer_sort,
@@ -98,6 +101,17 @@ def test_local_semisort_attempts_small():
         _, attempts = local_semisort(c_b, K=3, seed=s)
         total += attempts
     assert total / 200 < 2.0
+
+
+def test_local_semisort_rehash_cap():
+    # Keys equal modulo the hash prime 2^61 - 1 collide under every hash.
+    c_b = Records.from_keys(np.array([5, 5 + (1 << 61) - 1], dtype=np.uint64))
+    meter = WorkMeter()
+    t0 = time.perf_counter()
+    with pytest.raises(RehashExceeded):
+        local_semisort(c_b, K=3, seed=1, meter=meter)
+    assert time.perf_counter() - t0 < 1.0
+    assert meter.rounds == MAX_REHASH_ATTEMPTS * (3 + 2)
 
 
 # ---------------------------------------------------------------------------
