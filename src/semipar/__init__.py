@@ -28,6 +28,7 @@ from .graph import (
     read_csr,
     read_edge_list,
     reorganize,
+    verify_partition,
     write_csr,
     write_edge_list,
 )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .graph import cull_partition, generate, piece_edge_counts
+from .graph import cull_partition, generate, piece_edge_counts, verify_partition
 from .graph_algos import boosted_coloring, boosted_mis, verify_coloring, verify_mis
 from .meter import WorkMeter
 from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
@@ -258,8 +258,7 @@ def _run_graph(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     if cfg.algorithm == "partition":
         part = cull_partition(g, k, seed, meter)
         max_piece = int(piece_edge_counts(g, part).max(initial=0))
-        lg = max(1, math.ceil(math.log2(max(cfg.n, 2))))
-        ok = len(part.culled) <= part.phases * 4 * k**4 * lg if part.phases else True
+        ok = verify_partition(g, part)
     elif cfg.algorithm == "mis":
         ok = verify_mis(g, boosted_mis(g, k, seed, meter))
     else:

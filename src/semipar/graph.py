@@ -86,14 +86,22 @@ class Graph:
 
 
 def from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """Build a Graph from undirected edge endpoint arrays (no dups, no loops)."""
+    """Build a Graph from undirected edge endpoint arrays.
+
+    Raises ValueError on a self-loop or on an edge listed twice (in either
+    orientation), since a Graph is simple.
+    """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     m = len(u)
+    if np.any(u == v):
+        raise ValueError("self-loop in edge list")
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
+    if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
+        raise ValueError("duplicate edge in edge list")
     deg = np.bincount(src, minlength=n)
     offsets = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
     return Graph(n=n, m=m, offsets=offsets, neighbors=dst)
@@ -324,6 +332,25 @@ def cull_partition(
     return CulledPartition(culled=culled, assignment=assignment, k=k, phases=phases)
 
 
+def verify_partition(g: Graph, p: CulledPartition) -> bool:
+    """Check a culled partition against its definition, not its construction.
+
+    The culled ids are exactly the vertices assigned CULLED, every survivor
+    lies in a piece of [0, k), and the survivors' subgraph has no edges or
+    max degree at most its cull threshold.
+    """
+    if len(p.assignment) != g.n:
+        return False
+    alive = p.assignment != CULLED
+    if not np.array_equal(np.sort(p.culled), np.flatnonzero(~alive)):
+        return False
+    if np.any((p.assignment[alive] < 0) | (p.assignment[alive] >= p.k)):
+        return False
+    deg = GraphView(g, alive).alive_degrees()
+    edges = int(deg.sum()) // 2
+    return edges == 0 or int(deg.max()) <= cull_threshold(edges, p.k, g.n)
+
+
 def piece_edge_counts(g: Graph, p: CulledPartition) -> np.ndarray:
     """Edges internal to each piece (culled vertices excluded)."""
     u, v = edge_list(g)
@@ -367,7 +394,7 @@ def reorganize(
 
     The vertex permutation comes from the linear-work integer sort (culled
     vertices keyed as piece k); adjacency lists are then grouped by neighbor
-    piece with a counting pass per list.
+    piece with a counting pass per list and moved to their new rows.
     """
     if meter is None:
         meter = WorkMeter()
@@ -387,18 +414,28 @@ def reorganize(
     piece_counts = np.bincount(piece_of, minlength=p.k + 1)
     piece_boundaries = np.concatenate(([0], np.cumsum(piece_counts))).astype(np.int64)
 
-    # Adjacency: stable counting order by (new row, neighbor piece).
+    # Adjacency: stable order by (row, neighbor code) within each old row,
+    # where internal neighbors code 0 and cut neighbors 1 + their piece id;
+    # then each row's block moves to its new position.
     deg = g.degrees()
     new_offsets = np.concatenate(([0], np.cumsum(deg[perm]))).astype(np.int64)
+    # Rows are contiguous, so the stable sort runs over presorted runs.
+    # Each 2m-entry temporary is freed before the next one exists.
     rows_old = g.edge_rows()
-    rows_new = inv[rows_old]
-    nbr_piece = piece_of[g.neighbors]
-    internal_mask = nbr_piece == piece_of[rows_old]
-    # Internal neighbors sort first within each list, cut neighbors after
-    # (grouped by the neighbor's piece id).
-    order = np.lexsort((np.where(internal_mask, -1, nbr_piece), rows_new))
-    new_neighbors = g.neighbors[order]
-    split = np.bincount(rows_new[internal_mask], minlength=g.n).astype(np.int64)
+    code = piece_of[g.neighbors]
+    internal_mask = code == piece_of[rows_old]
+    code += 1
+    code[internal_mask] = 0
+    code += rows_old * (p.k + 2)
+    order = np.argsort(code, kind="stable")
+    del code
+    grouped = g.neighbors[order]
+    del order
+    dest = (new_offsets[inv] - g.offsets[:-1])[rows_old]
+    dest += np.arange(2 * g.m)
+    new_neighbors = np.empty_like(grouped)
+    new_neighbors[dest] = grouped
+    split = np.bincount(rows_old[internal_mask], minlength=g.n)[perm]
     meter.charge("reorganize.adjacency", 4 * g.m)
     meter.tick(max(1, math.ceil(math.log2(max(2 * g.m, 2)))))
     return ReorganizedGraph(

@@ -2,9 +2,10 @@
 
 Tabulation hashing XORs per-character random table lookups; it backs the
 light-bucket assignment and enjoys Chernoff-type bin concentration.  The
-2-universal family ((a*x + b) mod p) mod m with p = 2^61 - 1 backs the
-rehash loop of local semisorting.  Both are immutable after construction
-and pure to evaluate.
+2-universal family ((a_hi*x_hi + a_lo*x_lo + b) mod p) mod m over the 32-bit
+halves of x, with p = 2^61 - 1, backs the rehash loop of local semisorting
+and is 2-universal over all 64-bit keys.  Both are immutable after
+construction and pure to evaluate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import generator
+from .prng import generator, mix64, mix64_array
 
 KEY_BITS = 64
 TAB_CHARS = 4
@@ -92,59 +93,95 @@ def bits_for_buckets(n_buckets: int) -> int:
 
 @dataclass(frozen=True)
 class UniversalHash:
-    """Parameters of h_{a,b}(x) = ((a*x + b) mod p) mod m."""
+    """Parameters of h(x) = ((a_hi*x_hi + a_lo*x_lo + b) mod p) mod m.
 
-    a: int
-    b: int
-    p: int
-    m: int
+    x_hi and x_lo are the 32-bit halves of a 64-bit key, so distinct keys
+    differ mod p in at least one half and collide with probability about
+    1/m.  Fields are uint64 arrays that broadcast against the keys: 0-d
+    for one function, or one entry per function of a batch.
+    """
+
+    a_hi: np.ndarray
+    a_lo: np.ndarray
+    b: np.ndarray
+    m: np.ndarray
+
+    def take(self, idx: np.ndarray) -> "UniversalHash":
+        """The functions at ``idx`` of a batch, e.g. one per hashed key."""
+        return UniversalHash(self.a_hi[idx], self.a_lo[idx], self.b[idx], self.m[idx])
 
 
-def universal_new(seed: int, m: int) -> UniversalHash:
-    if m < 1:
+def universal_new(
+    seed: int, m: int | np.ndarray, ids: int | np.ndarray = 0
+) -> UniversalHash:
+    """Draw one function per entry of ``ids`` (broadcast with ranges ``m``).
+
+    Function i depends on (seed, ids[i]) alone: its three parameters are
+    counter-based splitmix64 words of derive(seed, ids[i]), reduced into
+    [0, p) with bias 2^-61.
+    """
+    m = np.asarray(m)
+    if np.any(m < 1):
         raise ValueError(f"range must be positive, got {m}")
-    rng = generator(seed, 0x2FA)
-    a = 1 + int(rng.integers(0, PRIME - 1))
-    b = int(rng.integers(0, PRIME))
-    return UniversalHash(a=a, b=b, p=PRIME, m=m)
+    ids = np.asarray(ids, dtype=np.uint64)
+    # Mix 1-d arrays: numpy scalars would warn on the intended wraparound.
+    stream = mix64_array(mix64_array(ids.reshape(-1)) ^ _U64(mix64(seed)))  # derive(seed, id)
+    a_hi, a_lo, b = (
+        ((mix64_array(stream ^ _U64(mix64(j))) >> _U64(3)) % _U64(PRIME)).reshape(ids.shape)
+        for j in (1, 2, 3)
+    )
+    return UniversalHash(a_hi=a_hi, a_lo=a_lo, b=b, m=m.astype(np.uint64))
 
 
 def universal_hash(g: UniversalHash, key: int) -> int:
-    """Exact ((a*key + b) mod p) mod m via arbitrary-precision arithmetic."""
-    return ((g.a * int(key) + g.b) % g.p) % g.m
+    """Exact h(key) of a single function via arbitrary-precision arithmetic."""
+    x = int(key)
+    s = int(g.a_hi) * (x >> 32) + int(g.a_lo) * (x & 0xFFFFFFFF) + int(g.b)
+    return (s % PRIME) % int(g.m)
+
+
+_P61 = _U64(PRIME)
 
 
 def _fold_p61(x: np.ndarray) -> np.ndarray:
-    """Reduce uint64 values modulo 2^61 - 1 (result in [0, p))."""
-    p = _U64(PRIME)
-    x = (x & p) + (x >> _U64(61))
-    x = (x & p) + (x >> _U64(61))
-    return np.where(x >= p, x - p, x)
+    """Partly reduce uint64 values mod 2^61 - 1 in place (result <= 2^61 + 6)."""
+    hi = x >> _U64(61)
+    x &= _P61
+    x += hi
+    return x
+
+
+def _mul_p61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A value <= 2^61 + 6 congruent to a*x mod p, for a < p and x < 2^32.
+
+    With 31-bit limbs a = a1*2^31 + a0, the products a0*x < 2^63 and
+    t = a1*x < 2^62 fit in 64 bits, and t*2^31 folds through 2^61 = 1
+    (mod p) into (t >> 30) + ((t mod 2^30) << 31).
+    """
+    t = np.multiply(a >> _U64(31), x)
+    out = np.multiply(a & _U64((1 << 31) - 1), x)
+    out += t >> _U64(30)
+    t &= _U64((1 << 30) - 1)
+    t <<= _U64(31)
+    out += t  # < 2^63 + 2^61 + 2^32
+    return _fold_p61(out)
 
 
 def universal_hash_array(g: UniversalHash, keys: np.ndarray) -> np.ndarray:
-    """Vectorized universal_hash; exact mod-p arithmetic via 31-bit limbs."""
-    x = _fold_p61(keys.astype(np.uint64, copy=False))
-    lo31 = _U64((1 << 31) - 1)
-    a0 = _U64(g.a & ((1 << 31) - 1))
-    a1 = _U64(g.a >> 31)
-    x0 = x & lo31
-    x1 = x >> _U64(31)
-    hi = a1 * x1                      # < 2^60
-    mid = a1 * x0 + a0 * x1           # < 2^62
-    lo = a0 * x0                      # < 2^62
-    # a*x = hi*2^62 + mid*2^31 + lo, and 2^61 = 1 (mod p).
-    mid_lo = mid & _U64((1 << 30) - 1)
-    mid_hi = mid >> _U64(30)
-    s = (hi << _U64(1)) + mid_hi + (mid_lo << _U64(31)) + lo  # < 2^63
-    s = _fold_p61(s)
-    s = s + _U64(g.b)
-    s = _fold_p61(s)
-    return s % _U64(g.m)
+    """Vectorized universal_hash over uint64 keys; exact mod-p arithmetic."""
+    keys = keys.astype(np.uint64, copy=False)
+    half = keys >> _U64(32)
+    s = _mul_p61(g.a_hi, half)
+    np.bitwise_and(keys, _U64(0xFFFFFFFF), out=half)
+    s += _mul_p61(g.a_lo, half)
+    del half
+    s += g.b  # < 2^63
+    _fold_p61(s)  # <= p + 3
+    np.subtract(s, _P61, out=s, where=s >= _P61)
+    s %= g.m
+    return s
 
 
-def detect_collision(hashes: np.ndarray, keys: np.ndarray) -> bool:
-    """True iff some adjacent pair (sorted by hash) shares a hash but not a key."""
-    if len(hashes) < 2:
-        return False
-    return bool(np.any((hashes[1:] == hashes[:-1]) & (keys[1:] != keys[:-1])))
+def detect_collision(hashes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions i where entries i and i+1 (sorted by hash) share a hash but not a key."""
+    return np.flatnonzero((hashes[1:] == hashes[:-1]) & (keys[1:] != keys[:-1]))

@@ -3,11 +3,12 @@
 The pipeline samples records to estimate key multiplicities, gives each
 heavy key a dedicated destination array and light records shared hashed
 buckets (sized by the allocation function ``f_alloc``), distributes records
-by randomized placement, then semisorts each packed light bucket by
-rehashing with a fresh 2-universal function until the radix sort of hash
-values is collision-free.  A placement timeout triggers a full restart with
-a fresh derived seed.  Integer sorting for keys in [n] follows as a
-boundary-scan + prefix-sum pass over the semisorted array.
+by randomized placement, then semisorts all packed light buckets in one
+segmented pass, rehashing a bucket with a fresh 2-universal function until
+the sort of its hash values is collision-free.  A placement timeout
+triggers a full restart with a fresh derived seed.  Integer sorting for
+keys in [n] follows as a boundary-scan + prefix-sum pass over the
+semisorted array.
 """
 
 from __future__ import annotations
@@ -111,17 +112,18 @@ class SemisortTrace:
     rounds: int = 0
 
 
-def f_alloc(s: float, params: SemisortParams, n: int) -> float:
-    """Destination size estimate from a sample count of s.
+def f_alloc(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np.ndarray:
+    """Destination size estimate from a sample count of s (scalar or array).
 
     Inverts the Chernoff lower tail so that a key (or bucket) with true
     multiplicity above f(s) would have produced a sample count above s
     except with polynomially small probability.  Non-decreasing in s.
     """
-    if s < 0:
+    s = np.asarray(s, dtype=np.float64)
+    if np.any(s < 0):
         raise ValueError("sample count must be non-negative")
     cl = params.c_alloc * math.log2(max(n, 2))
-    return (s + cl + math.sqrt(cl * cl + 2.0 * s * cl)) / params.p_s
+    return (s + cl + np.sqrt(cl * cl + 2.0 * s * cl)) / params.p_s
 
 
 def local_semisort(
@@ -132,43 +134,98 @@ def local_semisort(
 ) -> tuple[Records, int]:
     """Semisort one packed bucket by rehash + radix sort; returns attempts.
 
-    Each attempt samples a fresh 2-universal hash into [m_b**K], radix-sorts
-    the bucket by hash value in K passes of counting sort at base m_b, and
-    rescans for collisions (equal hash, distinct keys).  Success probability
-    is at least 1/2 per attempt for K >= 3; after MAX_REHASH_ATTEMPTS
-    failures (keys equal modulo the hash prime) it raises RehashExceeded.
+    The one-bucket call of ``rehash_buckets``, with the same cost model.
     """
-    m_b = len(c_b)
-    if m_b == 0:
+    if len(c_b) == 0:
         raise ValueError("bucket must be non-empty")
     if meter is None:
         meter = WorkMeter()
-    if m_b == 1:
-        meter.charge("local_semisort", 1)
-        meter.tick(1)
-        return c_b, 1
-    base = np.uint64(m_b)
-    hash_range = m_b**K
-    if hash_range >= 1 << 63:
+    order, attempts = rehash_buckets(c_b.keys, np.array([len(c_b)]), K, seed, meter)
+    return c_b.take(order), int(attempts[0])
+
+
+def rehash_buckets(
+    keys: np.ndarray, sizes: np.ndarray, K: int, seed: int, meter: WorkMeter
+) -> tuple[np.ndarray, np.ndarray]:
+    """Semisort consecutive buckets of ``keys`` in one segmented pass.
+
+    Bucket b holds the next ``sizes[b]`` keys.  Each attempt draws a fresh
+    2-universal hash into [m_b**K] for every pending bucket, sorts all their
+    records by (bucket, hash value), and retries only the buckets where two
+    distinct keys share a hash value.  Returns the permutation of ``keys``
+    that semisorts every bucket within its own range, and the attempts per
+    bucket (1 for an empty or singleton bucket).
+
+    Cost model per bucket, as if each ran alone: an attempt on m_b >= 2
+    records charges (2K+2)*m_b (hash, K counting-sort passes at base m_b,
+    collision scan) and K+2 rounds; a singleton charges 1 op and 1 round.
+    Rounds advance by the maximum over buckets.  Success probability is at
+    least 1/2 per attempt for K >= 3; a bucket that fails
+    MAX_REHASH_ATTEMPTS attempts raises RehashExceeded.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    attempts = np.ones(len(sizes), dtype=np.int64)
+    order = np.arange(len(keys), dtype=np.int64)
+    singles = int(np.count_nonzero(sizes == 1))
+    if singles:
+        meter.charge("local_semisort", singles)
+    pending = np.flatnonzero(sizes >= 2)
+    if len(pending) == 0:
+        meter.tick(1 if singles else 0)
+        return order, attempts
+    if int(sizes[pending].max()) ** K >= 1 << 63:
         raise ValueError("bucket too large for the configured hash-range exponent")
-    for attempt in range(1, MAX_REHASH_ATTEMPTS + 1):
-        g = universal_new(derive(seed, attempt), hash_range)
-        h = universal_hash_array(g, c_b.keys)
-        order = np.arange(m_b, dtype=np.int64)
-        scaled = h.copy()
-        for _ in range(K):
-            digits = scaled % base
-            idx = np.argsort(digits, kind="stable")
-            order = order[idx]
-            scaled = (scaled[idx]) // base
-        h_sorted = h[order]
-        keys_sorted = c_b.keys[order]
-        meter.charge("local_semisort", (2 * K + 2) * m_b)
-        meter.tick(K + 2)
-        if not detect_collision(h_sorted, keys_sorted):
-            return Records(keys_sorted, c_b.payloads[order]), attempt
-    raise RehashExceeded(
-        f"bucket of {m_b} records collided in all {MAX_REHASH_ATTEMPTS} rehash attempts"
+    starts = np.cumsum(sizes) - sizes
+    attempt = 0
+    while len(pending):
+        if attempt == MAX_REHASH_ATTEMPTS:
+            meter.tick((K + 2) * attempt)
+            raise RehashExceeded(
+                f"{len(pending)} bucket(s) collided in all {attempt} rehash attempts"
+            )
+        attempt += 1
+        attempts[pending] = attempt
+        m_b = sizes[pending]
+        seg = np.repeat(np.arange(len(pending)), m_b)
+        pos = np.repeat(starts[pending] - (np.cumsum(m_b) - m_b), m_b)
+        pos += np.arange(len(pos))
+        ranges = m_b.astype(np.uint64) ** np.uint64(K)
+        g = universal_new(derive(seed, attempt), ranges, pending)
+        kp = keys[pos]
+        key = universal_hash_array(g.take(seg), kp)
+        idx = _sort_by_bucket_and_hash(key, ranges, seg)
+        hit = detect_collision(key[idx], kp[idx])
+        order[pos] = pos[idx]
+        meter.charge("local_semisort", (2 * K + 2) * len(pos))
+        pending = pending[np.unique(seg[hit])]
+    meter.tick((K + 2) * attempt)
+    return order, attempts
+
+
+def _sort_by_bucket_and_hash(
+    h: np.ndarray, ranges: np.ndarray, seg: np.ndarray
+) -> np.ndarray:
+    """Stable argsort of records by (bucket ``seg``, hash ``h`` < ranges[seg]).
+
+    Offsets bucket b's hash values by the sum of the ranges before it and
+    sorts the uint64 sums.  Where the ranges total 2^64 or more, consecutive
+    buckets are grouped into runs whose totals fit and each run is sorted on
+    its own.  Adds the offsets into ``h`` in place.
+    """
+    # Run r holds the buckets whose inclusive range sum lies in
+    # [r*2^62, (r+1)*2^62); each range is < 2^63, so a run totals less
+    # than 2^62 + 2^63 and the float error is far below the slack.
+    run = (np.cumsum(ranges, dtype=np.float64) / 2.0**62).astype(np.int64)
+    # Exclusive range sums wrap mod 2^64; differences within a run are exact.
+    base = np.cumsum(ranges) - ranges
+    run_start = np.flatnonzero(np.diff(run, prepend=-1))
+    base -= np.repeat(base[run_start], np.diff(run_start, append=len(run)))
+    h += base[seg]
+    if len(run_start) == 1:
+        return np.argsort(h, kind="stable")
+    bounds = np.searchsorted(seg, run_start).tolist() + [len(h)]
+    return np.concatenate(
+        [lo + np.argsort(h[lo:hi], kind="stable") for lo, hi in zip(bounds, bounds[1:])]
     )
 
 
@@ -276,10 +333,7 @@ def _semisort_once(
         heavy_out = _sort_segment(heavy, meter, "heavy_sort")
     else:
         target = np.searchsorted(heavy_keys, heavy.keys)
-        caps = np.ceil(
-            params.alpha
-            * np.array([f_alloc(s, params, n) for s in sigma_heavy])
-        ).astype(np.int64)
+        caps = np.ceil(params.alpha * f_alloc(sigma_heavy, params, n)).astype(np.int64)
         inst = PlacementInstance(
             targets=target, capacities=caps, alpha=params.alpha, d=params.d
         )
@@ -305,9 +359,7 @@ def _semisort_once(
         sigma_b = np.bincount(
             tab_bucket(th, light_sample_keys, B), minlength=B
         )
-        caps = np.ceil(
-            params.alpha * np.array([f_alloc(s, params, n) for s in sigma_b])
-        ).astype(np.int64)
+        caps = np.ceil(params.alpha * f_alloc(sigma_b, params, n)).astype(np.int64)
         inst = PlacementInstance(
             targets=buckets, capacities=caps, alpha=params.alpha, d=params.d
         )
@@ -316,36 +368,18 @@ def _semisort_once(
         meter.charge("light_pack", inst.arena_size)
         meter.tick(max(1, math.ceil(math.log2(max(inst.arena_size, 2)))))
 
-        # Step 6: per-bucket local semisort (buckets independent in parallel).
-        out_chunks = []
-        attempts = np.ones(B, dtype=np.int64)
-        max_bucket_rounds = 0
-        for b in range(B):
-            lo, hi = inst.offsets[b], inst.offsets[b + 1]
-            seg = res.arena[lo:hi]
-            rec_idx = seg[seg != EMPTY_SLOT].astype(np.int64)
-            if len(rec_idx) == 0:
-                continue
-            c_b = light.take(rec_idx)
-            max_bucket = max(max_bucket, len(c_b))
-            bucket_meter = WorkMeter()
-            sorted_b, att = local_semisort(
-                c_b, params.K, derive(run_seed, 5, b), bucket_meter
-            )
-            attempts[b] = att
-            for lbl, ops in bucket_meter.phase_breakdown.items():
-                meter.charge(lbl, ops)
-            max_bucket_rounds = max(max_bucket_rounds, bucket_meter.rounds)
-            out_chunks.append(sorted_b)
-        meter.tick(max_bucket_rounds)
-        bucket_attempts = attempts
-        if out_chunks:
-            light_out = Records(
-                np.concatenate([c.keys for c in out_chunks]),
-                np.concatenate([c.payloads for c in out_chunks]),
-            )
-        else:
-            light_out = Records.empty()
+        # The packed light array lists each bucket's records in arena order;
+        # drop the arena before the hash temporaries exist.
+        rec_idx = res.arena[res.arena != EMPTY_SLOT].astype(np.int64)
+        del res, inst
+        sizes = np.bincount(buckets, minlength=B)
+        max_bucket = int(sizes.max())
+
+        # Step 6: local semisort of every bucket (independent in parallel).
+        order, bucket_attempts = rehash_buckets(
+            light.keys[rec_idx], sizes, params.K, derive(run_seed, 5), meter
+        )
+        light_out = light.take(rec_idx[order])
 
     # Step 7: pack heavy segments then light buckets.
     out = Records(

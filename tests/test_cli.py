@@ -1,5 +1,6 @@
 """Benchmark CLI: subcommands, formats, reproducibility, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from semipar import cli
 from semipar.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -130,6 +132,40 @@ def test_json_format(tmp_path):
 def test_all_subcommands_pass(cmd, extra, tmp_path):
     out = tmp_path / "o.csv"
     assert run_cli([cmd, *extra, "--trials", "1", "--out", str(out)]) == EXIT_OK
+
+
+def _uncull(part):
+    assignment = part.assignment.copy()
+    assignment[part.culled] = 0
+    return dataclasses.replace(part, culled=part.culled[:0], assignment=assignment)
+
+
+def _piece_out_of_range(part):
+    assignment = part.assignment.copy()
+    assignment[assignment == 0] = part.k
+    return dataclasses.replace(part, assignment=assignment)
+
+
+def _drop_culled_id(part):
+    return dataclasses.replace(part, culled=part.culled[1:])
+
+
+@pytest.mark.parametrize("tamper", [None, _uncull, _piece_out_of_range, _drop_culled_id])
+def test_partition_rows_check_the_partition(tamper, tmp_path, monkeypatch):
+    # The verified column re-checks the returned partition, so a partition
+    # that breaks its definition reads 0.  At k = 2 this graph has culled
+    # vertices and survivors in both pieces.
+    real = cli.cull_partition
+    if tamper is not None:
+        monkeypatch.setattr(cli, "cull_partition", lambda *a: tamper(real(*a)))
+    out = tmp_path / "p.json"
+    code = run_cli(
+        ["partition", "--n", "600", "--m", "2400", "--k", "2", "--format", "json",
+         "--out", str(out)]
+    )
+    doc = json.loads(out.read_text())
+    assert doc["trials"][0]["verified"] == (tamper is None)
+    assert code == (EXIT_OK if tamper is None else cli.EXIT_VERIFY)
 
 
 def test_param_overrides_reach_semisort(tmp_path):

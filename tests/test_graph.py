@@ -36,6 +36,23 @@ def test_from_edges_and_validate():
     assert np.array_equal(g.row(1), [0, 2])
 
 
+@pytest.mark.parametrize(
+    "u, v, what",
+    [
+        ([0, 1, 2], [1, 2, 2], "self-loop"),
+        ([0, 1, 0], [1, 2, 1], "duplicate edge"),
+        ([0, 1, 1], [1, 2, 0], "duplicate edge"),  # same edge, other orientation
+    ],
+)
+def test_from_edges_rejects_loops_and_duplicates(tmp_path, u, v, what):
+    with pytest.raises(ValueError, match=what):
+        from_edges(3, np.array(u), np.array(v))
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in zip(u, v)))
+    with pytest.raises(ValueError, match=what):
+        read_edge_list(path)
+
+
 def test_validate_rejects_asymmetry_and_loops():
     g = Graph(n=2, m=1, offsets=np.array([0, 1, 2]), neighbors=np.array([1, 1]))
     with pytest.raises(ValueError):
@@ -225,6 +242,32 @@ def test_reorganize_small():
     part = cull_partition(g, 2, seed=5)
     ro = reorganize(g, part, seed=6)
     _check_reorganized(g, part, ro)
+
+
+def test_reorganize_matches_lexsort_oracle():
+    # Culled vertices and an empty piece (2 of k = 4) included.
+    g = generate("power_law", 400, 3000, seed=8)
+    rng = np.random.default_rng(3)
+    assignment = rng.choice(np.array([0, 1, 3, CULLED]), size=g.n)
+    part = CulledPartition(
+        culled=np.flatnonzero(assignment == CULLED), assignment=assignment, k=4, phases=1
+    )
+    ro = reorganize(g, part, seed=2)
+    _check_reorganized(g, part, ro)
+
+    # Oracle: one lexsort of all 2m entries by (new row, internal first,
+    # then neighbor piece).
+    piece_of = np.where(assignment == CULLED, 4, assignment)
+    rows_new = ro.inv[g.edge_rows()]
+    nbr_piece = piece_of[g.neighbors]
+    internal = nbr_piece == piece_of[g.edge_rows()]
+    order = np.lexsort((np.where(internal, -1, nbr_piece), rows_new))
+    expected_offsets = np.concatenate(([0], np.cumsum(g.degrees()[ro.perm])))
+    assert ro.neighbors.dtype == ro.offsets.dtype == ro.split.dtype == np.int64
+    assert np.array_equal(ro.neighbors, g.neighbors[order])
+    assert np.array_equal(ro.offsets, expected_offsets)
+    assert np.array_equal(ro.split, np.bincount(rows_new[internal], minlength=g.n))
+    assert ro.piece_boundaries[3] - ro.piece_boundaries[2] == 0
 
 
 def test_reorganize_rejects_mismatched_partition():

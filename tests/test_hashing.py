@@ -73,38 +73,64 @@ def test_bits_for_buckets():
     assert bits_for_buckets(1024) == 10
 
 
-@given(st.lists(U64, min_size=1, max_size=64), st.integers(1, 1 << 40))
+@st.composite
+def _keys_with_congruent_pairs(draw):
+    """uint64 keys, each x below 2^64 - p followed by x + p (x = x + p mod p)."""
+    keys = draw(st.lists(U64, min_size=1, max_size=32))
+    return [k for x in keys for k in ([x, x + PRIME] if x + PRIME < 1 << 64 else [x])]
+
+
+@given(_keys_with_congruent_pairs(), st.integers(1, 1 << 40))
 @settings(max_examples=100, deadline=None)
 def test_universal_vectorized_matches_scalar(keys, m):
     g = universal_new(7, m)
     arr = np.array(keys, dtype=np.uint64)
     vec = universal_hash_array(g, arr)
     for k, v in zip(keys, vec):
-        # Fold the key mod p first: (a*x+b) mod p is invariant under x -> x mod p.
-        assert universal_hash(g, k % PRIME) == int(v)
+        assert universal_hash(g, k) == int(v)
+
+
+def test_universal_batch_matches_single_draws():
+    # Function i of a batch depends on (seed, ids[i]) alone, and per-key
+    # parameter arrays hash each key with its own function.
+    ids = np.array([0, 5, 2**40, 2**64 - 1], dtype=np.uint64)
+    ranges = np.array([1, 10, 1 << 33, (1 << 63) - 1], dtype=np.uint64)
+    batch = universal_new(11, ranges, ids)
+    keys = np.array([3, (1 << 64) - 1, 12345 + PRIME, 1 << 32], dtype=np.uint64)
+    hashed = universal_hash_array(batch.take(np.arange(4)), keys)
+    for i in range(4):
+        g = universal_new(11, int(ranges[i]), int(ids[i]))
+        assert (int(g.a_hi), int(g.a_lo), int(g.b)) == (
+            int(batch.a_hi[i]), int(batch.a_lo[i]), int(batch.b[i])
+        )
+        assert universal_hash(g, int(keys[i])) == int(hashed[i])
 
 
 def test_universal_parameters_in_range():
     for seed in range(20):
         g = universal_new(seed, 100)
-        assert 1 <= g.a < PRIME and 0 <= g.b < PRIME and g.m == 100
+        assert 0 <= g.a_hi < PRIME and 0 <= g.a_lo < PRIME and 0 <= g.b < PRIME
+        assert g.m == 100
+    with pytest.raises(ValueError):
+        universal_new(0, 0)
 
 
 def test_universal_pairwise_collision_rate():
-    # Empirical collision probability across fresh functions stays near 1/m.
+    # Empirical collision probability across fresh functions stays near 1/m,
+    # also for keys congruent mod p, which a family over x mod p merges.
     m = 64
-    x, y = 123456789, 987654321
-    hits = sum(
-        universal_hash(universal_new(s, m), x) == universal_hash(universal_new(s, m), y)
-        for s in range(2000)
-    )
-    assert hits / 2000 < 3.0 / m
+    for x, y in ((123456789, 987654321), (5, 5 + PRIME)):
+        hits = sum(
+            universal_hash(universal_new(s, m), x) == universal_hash(universal_new(s, m), y)
+            for s in range(2000)
+        )
+        assert hits / 2000 < 3.0 / m
 
 
 def test_detect_collision():
     h = np.array([1, 1, 2, 3], dtype=np.uint64)
     k_same = np.array([9, 9, 8, 7], dtype=np.uint64)
     k_diff = np.array([9, 5, 8, 7], dtype=np.uint64)
-    assert not detect_collision(h, k_same)
-    assert detect_collision(h, k_diff)
-    assert not detect_collision(h[:1], k_same[:1])
+    assert detect_collision(h, k_same).tolist() == []
+    assert detect_collision(h, k_diff).tolist() == [0]
+    assert detect_collision(h[:1], k_same[:1]).tolist() == []

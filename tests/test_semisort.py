@@ -1,5 +1,6 @@
 """Semisort and integer sort: correctness, parameters, restarts, traces."""
 
+import importlib
 import math
 import time
 
@@ -17,10 +18,14 @@ from semipar.semisort import (
     RehashExceeded,
     SemisortParams,
     f_alloc,
+    _sort_by_bucket_and_hash,
     integer_sort,
     local_semisort,
+    rehash_buckets,
     semisort,
 )
+
+semisort_mod = importlib.import_module("semipar.semisort")
 
 
 def _random_records(n, key_range, seed):
@@ -103,15 +108,58 @@ def test_local_semisort_attempts_small():
     assert total / 200 < 2.0
 
 
-def test_local_semisort_rehash_cap():
-    # Keys equal modulo the hash prime 2^61 - 1 collide under every hash.
-    c_b = Records.from_keys(np.array([5, 5 + (1 << 61) - 1], dtype=np.uint64))
+def test_local_semisort_rehash_cap(monkeypatch):
+    # A hash that sends every key to 0 makes every attempt collide.
+    monkeypatch.setattr(
+        semisort_mod, "universal_hash_array", lambda g, keys: np.zeros(len(keys), np.uint64)
+    )
+    c_b = Records.from_keys(np.array([5, 6], dtype=np.uint64))
     meter = WorkMeter()
     t0 = time.perf_counter()
     with pytest.raises(RehashExceeded):
         local_semisort(c_b, K=3, seed=1, meter=meter)
     assert time.perf_counter() - t0 < 1.0
     assert meter.rounds == MAX_REHASH_ATTEMPTS * (3 + 2)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_rehash_buckets_accounting_identity(K):
+    # Hand-built buckets, empty and singleton ones included; K = 2 makes
+    # retries common, so the retry path runs.
+    sizes = np.array([0, 1, 2, 300, 0, 1, 2, 150, 3, 400, 257, 0])
+    rng = generator(K, 9)
+    keys = rng.integers(0, 120, size=int(sizes.sum()), dtype=np.uint64)
+    keys[:50] += np.uint64((1 << 61) - 1)  # congruent to other keys mod p
+    meter = WorkMeter()
+    order, attempts = rehash_buckets(keys, sizes, K, 17, meter)
+
+    multi = sizes >= 2
+    assert np.all(attempts[~multi] == 1) and np.all(attempts >= 1)
+    if K == 2:
+        assert attempts.max() > 1
+    expected_work = int(((2 * K + 2) * sizes * attempts)[multi].sum()) + int((sizes == 1).sum())
+    assert meter.phase_breakdown == {"local_semisort": expected_work}
+    bucket_rounds = np.where(multi, (K + 2) * attempts, (sizes == 1).astype(np.int64))
+    assert meter.rounds == bucket_rounds.max()
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        seg = order[lo:hi]
+        assert sorted(seg.tolist()) == list(range(lo, hi))
+        assert is_semisorted(Records.from_keys(keys[seg]))
+
+
+def test_sort_by_bucket_and_hash_splits_overflowing_ranges():
+    # Ranges near 2^62..2^63 total far beyond 2^64, so the sort runs per
+    # group of buckets; the order must equal a lexsort by (bucket, hash).
+    rng = generator(4, 4)
+    ranges = rng.integers(1 << 62, 1 << 63, size=40, dtype=np.uint64)
+    ranges[::7] = 5
+    sizes = rng.integers(0, 30, size=40)
+    seg = np.repeat(np.arange(40), sizes)
+    h = (rng.integers(0, 1 << 63, size=len(seg), dtype=np.uint64) % ranges[seg])
+    h[::3] = 0  # ties keep their input order
+    expected = np.lexsort((h, seg))
+    assert np.array_equal(_sort_by_bucket_and_hash(h.copy(), ranges, seg), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +184,15 @@ def test_semisort_all_distinct_keys():
     rng = generator(8, 0)
     data = Records.from_keys(rng.permutation(1 << 20)[: 20_000].astype(np.uint64))
     out, _ = semisort(data, seed=2)
+    _assert_valid(data, out)
+
+
+def test_semisort_keys_congruent_mod_hash_prime():
+    # Keys i and i + 2^61 - 1 are distinct uint64 keys equal modulo the prime
+    # of the rehash family; every pair must still be grouped.
+    i = np.arange(2048, dtype=np.uint64)
+    data = Records.from_keys(np.concatenate([i, i + np.uint64((1 << 61) - 1)]))
+    out, _ = semisort(data, seed=1)
     _assert_valid(data, out)
 
 
