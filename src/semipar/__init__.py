@@ -17,9 +17,9 @@ from .bounds import (
 from .graph import (
     CulledPartition,
     Graph,
-    GraphView,
     InvariantViolation,
     ReorganizedGraph,
+    alive_degrees,
     cull_partition,
     edge_list,
     from_edges,
@@ -33,7 +33,6 @@ from .graph import (
     write_edge_list,
 )
 from .graph_algos import (
-    LocalGraph,
     PaletteDeficit,
     PaletteSet,
     UncoloredCutEndpoint,

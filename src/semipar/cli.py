@@ -55,10 +55,30 @@ CSV_COLUMNS = [
 DISTRIBUTIONS = ("uniform", "zipf", "all_equal", "all_distinct")
 GRAPH_KINDS = ("gnm", "star", "path", "power_law")
 FLOAT_PARAMS = ("p_s", "alpha", "c_alloc")  # other SemisortParams fields are ints
+# Settings a flag or a config-file line may give: key -> (config field, type).
+SETTINGS = {
+    "n": ("n", int),
+    "m": ("m", int),
+    "k": ("k", int),
+    "dist": ("dist", str),
+    "graph": ("graph_kind", str),
+    "theta": ("theta", float),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+    "out": ("out", str),
+    "format": ("fmt", str),
+}
 
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a misuse as ConfigError (one line, exit 2) instead of printing usage."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -326,37 +346,39 @@ def _parse_param(text: str) -> tuple[str, float]:
         raise ConfigError(f"--param value must be numeric: {text!r}")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    out = {}
+def _load_config_file(path: str) -> dict:
+    """Config fields set by a file of flat ``key = value`` lines."""
     try:
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    out = {}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SETTINGS:
+            raise ConfigError(f"unknown config key {key!r}; expected one of {sorted(SETTINGS)}")
+        name, cast = SETTINGS[key]
+        try:
+            out[name] = cast(value)
+        except ValueError:
+            raise ConfigError(f"config key {key} takes a {cast.__name__}, got {value!r}") from None
     return out
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="semipar-bench", description=__doc__)
+    parser = _Parser(prog="semipar-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*_RUNNERS, "bounds"):
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=1 << 14)
-        p.add_argument("--m", type=int, default=1 << 16)
-        p.add_argument("--k", type=int, default=0)
-        p.add_argument("--dist", default="uniform")
-        p.add_argument("--graph", default="gnm", choices=GRAPH_KINDS)
-        p.add_argument("--theta", type=float, default=1.0)
-        p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
+        # No defaults here: an unset flag leaves the config file's value or
+        # the ExperimentConfig default in place.
+        for key, (dest, cast) in SETTINGS.items():
+            p.add_argument(f"--{key}", dest=dest, type=cast)
         p.add_argument("--param", action="append", default=[])
         p.add_argument("--config", default=None)
         if name == "bounds":
@@ -366,54 +388,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = dict(_parse_param(p) for p in args.param)
-    file_vals = _load_config_file(args.config) if args.config else {}
-    def pick(name, cast, current, default):
-        if current != default:
-            return current
-        if name in file_vals:
-            return cast(file_vals[name])
-        return current
-    cfg = ExperimentConfig(
-        algorithm=args.command,
-        n=pick("n", int, args.n, 1 << 14),
-        m=pick("m", int, args.m, 1 << 16),
-        k=pick("k", int, args.k, 0),
-        dist=pick("dist", str, args.dist, "uniform"),
-        theta=pick("theta", float, args.theta, 1.0),
-        trials=pick("trials", int, args.trials, 1),
-        seed=pick("seed", int, args.seed, 1),
-        out=args.out or file_vals.get("out"),
-        fmt=pick("format", str, args.fmt, "csv"),
-        graph_kind=pick("graph", str, args.graph, "gnm"),
-        params=overrides,
-    )
+    """Flags given on the command line, over the config file, over defaults."""
+    fields = _load_config_file(args.config) if args.config else {}
+    for name, _ in SETTINGS.values():
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
+    params = dict(_parse_param(p) for p in args.param)
+    cfg = ExperimentConfig(algorithm=args.command, params=params, **fields)
     cfg.validate()
     return cfg
 
 
 def _run_bounds(args: argparse.Namespace) -> int:
     params = dict(_parse_param(p) for p in args.param)
-    if args.weights is not None:
-        wl = [float(x) for x in args.weights.split(",") if x.strip()]
-        key = "weights" if args.bound == "weighted_geom" else "lipschitz"
-        params[key] = wl
-    if args.bound == "geom_sum" and "r" in params:
-        params["r"] = int(params["r"])
     try:
+        if args.weights is not None:
+            key = "weights" if args.bound == "weighted_geom" else "lipschitz"
+            params[key] = [float(x) for x in args.weights.split(",") if x.strip()]
+        if args.bound == "geom_sum" and "r" in params:
+            params["r"] = int(params["r"])
         value = bounds_mod.bound_eval(args.bound, **params)
     except (bounds_mod.HypothesisViolated, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from None
     print(f"{value:.12g}")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "bounds":
-        return _run_bounds(args)
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "bounds":
+            return _run_bounds(args)
         cfg = _config_from_args(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

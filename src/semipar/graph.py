@@ -20,7 +20,7 @@ import numpy as np
 from .meter import WorkMeter
 from .prng import generator
 from .records import Records
-from .semisort import integer_sort
+from .semisort import integer_sort, sorted_distinct
 
 CSR_MAGIC = b"PCSR"
 
@@ -83,6 +83,19 @@ class Graph:
 
     def max_degree(self) -> int:
         return int(self.degrees().max()) if self.n else 0
+
+    def induced(self, keep: np.ndarray) -> tuple["Graph", np.ndarray]:
+        """Subgraph on the vertices where ``keep``; returns (sub, old ids)."""
+        old_ids = np.flatnonzero(keep)
+        remap = np.full(self.n, -1, dtype=np.int64)
+        remap[old_ids] = np.arange(len(old_ids))
+        rows = self.edge_rows()
+        sel = keep[rows] & keep[self.neighbors]
+        # Kept rows stay non-decreasing, so the entries are already in CSR order.
+        deg = np.bincount(remap[rows[sel]], minlength=len(old_ids))
+        offsets = np.concatenate(([0], np.cumsum(deg)))
+        sub = Graph(len(old_ids), int(deg.sum()) // 2, offsets, remap[self.neighbors[sel]])
+        return sub, old_ids
 
 
 def from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -159,11 +172,7 @@ def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
         lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
         ok = lo < hi
         new = (lo[ok].astype(np.uint64) * np.uint64(n)) + hi[ok].astype(np.uint64)
-        # Sorted distinct codes; np.unique would take its slower hash path.
-        codes = np.sort(np.concatenate([codes, new]))
-        fresh = np.ones(len(codes), dtype=bool)
-        fresh[1:] = codes[1:] != codes[:-1]
-        codes = codes[fresh]
+        codes = sorted_distinct(np.concatenate([codes, new]))
     codes = codes[generator(seed, stream + 1).permutation(len(codes))[:m]]
     u = (codes // np.uint64(n)).astype(np.int64)
     v = (codes % np.uint64(n)).astype(np.int64)
@@ -226,23 +235,12 @@ def read_csr(path: str | Path) -> Graph:
 CULLED = -1
 
 
-@dataclass
-class GraphView:
-    """A graph restricted to the vertices where ``alive`` holds."""
-
-    graph: Graph
-    alive: np.ndarray
-
-    def alive_degrees(self) -> np.ndarray:
-        """Degree into the surviving subgraph, zero for removed vertices."""
-        flags = self.alive[self.graph.neighbors].astype(np.int64)
-        cs = np.concatenate(([0], np.cumsum(flags)))
-        deg = cs[self.graph.offsets[1:]] - cs[self.graph.offsets[:-1]]
-        deg[~self.alive] = 0
-        return deg
-
-    def edge_count(self) -> int:
-        return int(self.alive_degrees().sum()) // 2
+def alive_degrees(g: Graph, alive: np.ndarray) -> np.ndarray:
+    """Degree into the subgraph induced by ``alive``, zero for removed vertices."""
+    cs = np.concatenate(([0], np.cumsum(alive[g.neighbors], dtype=np.int64)))
+    deg = cs[g.offsets[1:]] - cs[g.offsets[:-1]]
+    deg[~alive] = 0
+    return deg
 
 
 @dataclass
@@ -261,18 +259,17 @@ def cull_threshold(edges: int, k: int, n0: int) -> float:
     return edges / (k**4 * lg)
 
 
-def phase_cull(view: GraphView, k: int, n0: int) -> np.ndarray:
+def phase_cull(deg: np.ndarray, k: int, n0: int) -> np.ndarray:
     """One culling phase: vertices with phase-entry degree > tau/2.
 
-    All removals are computed against the degrees at phase entry (a single
-    parallel pass, not sequential peeling).  Requires e(view) >= 1.
+    ``deg`` holds the phase-entry degrees into the surviving subgraph (zero
+    for removed vertices).  All removals are computed against them (a single
+    parallel pass, not sequential peeling).  Requires at least one edge.
     """
-    deg = view.alive_degrees()
     edges = int(deg.sum()) // 2
     if edges < 1:
         raise ValueError("phase_cull requires at least one edge")
-    tau = cull_threshold(edges, k, n0)
-    return np.flatnonzero(view.alive & (deg > tau / 2))
+    return np.flatnonzero(deg > cull_threshold(edges, k, n0) / 2)
 
 
 def cull_partition(
@@ -291,8 +288,7 @@ def cull_partition(
     n0 = g.n
     lg_n0 = max(1, math.ceil(math.log2(max(n0, 2))))
     alive = np.ones(g.n, dtype=bool)
-    view = GraphView(g, alive)
-    deg = view.alive_degrees()
+    deg = g.degrees()
     phases = 0
     max_phases = (max(1, (max(g.m, 2) - 1).bit_length())) + 1
     while True:
@@ -301,11 +297,11 @@ def cull_partition(
         meter.tick(1)
         if edges == 0 or deg.max() <= cull_threshold(edges, k, n0):
             break
-        alive[phase_cull(view, k, n0)] = False
+        alive[phase_cull(deg, k, n0)] = False
         phases += 1
         # Phase-progress check: degree condition met or edges halved.  The
         # next phase starts from these degrees.
-        deg = view.alive_degrees()
+        deg = alive_degrees(g, alive)
         new_edges = int(deg.sum()) // 2
         cond_met = new_edges == 0 or deg.max() <= cull_threshold(new_edges, k, n0)
         if not (cond_met or new_edges <= edges / 2):
@@ -346,7 +342,7 @@ def verify_partition(g: Graph, p: CulledPartition) -> bool:
         return False
     if np.any((p.assignment[alive] < 0) | (p.assignment[alive] >= p.k)):
         return False
-    deg = GraphView(g, alive).alive_degrees()
+    deg = alive_degrees(g, alive)
     edges = int(deg.sum()) // 2
     return edges == 0 or int(deg.max()) <= cull_threshold(edges, p.k, g.n)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import Graph, ReorganizedGraph, cull_partition, reorganize
 from .meter import WorkMeter
 from .prng import derive, generator
+from .semisort import sorted_distinct
 
 UNCOLORED = -1
 
@@ -27,39 +28,6 @@ class PaletteDeficit(RuntimeError):
 
 class UncoloredCutEndpoint(ValueError):
     """A cut edge's supposedly-colored endpoint carries no color."""
-
-
-@dataclass
-class LocalGraph:
-    """A small graph over local vertex ids 0..n-1 (CSR, both directions)."""
-
-    n: int
-    offsets: np.ndarray
-    neighbors: np.ndarray
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        return rows, self.neighbors
-
-    def induced(self, keep: np.ndarray) -> tuple["LocalGraph", np.ndarray]:
-        """Subgraph on the vertices where ``keep``; returns (sub, old ids)."""
-        old_ids = np.flatnonzero(keep)
-        remap = np.full(self.n, -1, dtype=np.int64)
-        remap[old_ids] = np.arange(len(old_ids))
-        rows, nbrs = self.edge_pairs()
-        sel = keep[rows] & keep[nbrs]
-        new_rows = remap[rows[sel]]
-        new_nbrs = remap[nbrs[sel]]
-        deg = np.bincount(new_rows, minlength=len(old_ids))
-        offsets = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
-        order = np.argsort(new_rows, kind="stable")
-        return (
-            LocalGraph(len(old_ids), offsets, new_nbrs[order]),
-            old_ids,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +90,7 @@ def extend_palettes(
         meter.charge("extend_palettes", len(cut_targets))
         meter.tick(1)
     span = np.int64(num_colors + 1)
-    pairs = np.unique(cut_targets * span + cut_colors)
+    pairs = sorted_distinct(cut_targets * span + cut_colors)
     rows = (pairs // span).astype(np.int64)
     colors = (pairs % span).astype(np.int64)
     counts = np.bincount(rows, minlength=n_vertices)
@@ -151,10 +119,8 @@ def mis_extend_prune(
 # Round-based subroutines
 
 
-def luby_mis(
-    local: LocalGraph, seed: int, meter: WorkMeter | None = None
-) -> np.ndarray:
-    """Random-priority MIS on a local graph; returns a membership mask.
+def luby_mis(g: Graph, seed: int, meter: WorkMeter | None = None) -> np.ndarray:
+    """Random-priority MIS; returns a membership mask.
 
     Per round every live vertex draws a 64-bit priority and joins when it
     strictly beats all live neighbors (ties break toward the smaller vertex
@@ -162,10 +128,10 @@ def luby_mis(
     """
     if meter is None:
         meter = WorkMeter()
-    n = local.n
+    n = g.n
     in_set = np.zeros(n, dtype=bool)
     live = np.ones(n, dtype=bool)
-    rows, nbrs = local.edge_pairs()
+    rows, nbrs = g.edge_rows(), g.neighbors
     rng = generator(seed, 0x10BE)
     while live.any():
         r = rng.integers(0, 1 << 63, size=n, dtype=np.int64)
@@ -185,33 +151,8 @@ def luby_mis(
     return in_set
 
 
-def _sample_from_complement(
-    num_colors: int,
-    seg_offsets: np.ndarray,
-    removed_flat: np.ndarray,
-    live: np.ndarray,
-    unif: np.ndarray,
-) -> np.ndarray:
-    """Uniform color per live vertex from [0,P) minus its removed segment.
-
-    Exact (no rejection): draws an index j into the allowed set, then maps
-    it back via a segmented rank query over the sorted removed colors.
-    """
-    sizes = num_colors - np.diff(seg_offsets)
-    j = np.minimum((unif * sizes[live]).astype(np.int64), sizes[live] - 1)
-    span = np.int64(num_colors + 2)
-    seg_of_entry = np.repeat(
-        np.arange(len(seg_offsets) - 1, dtype=np.int64), np.diff(seg_offsets)
-    )
-    rank = np.arange(len(removed_flat), dtype=np.int64) - seg_offsets[seg_of_entry]
-    compound = seg_of_entry * span + (removed_flat - rank)
-    query = live.astype(np.int64) * span + j
-    t = np.searchsorted(compound, query, side="right") - seg_offsets[live]
-    return j + t
-
-
 def palette_color(
-    local: LocalGraph,
+    g: Graph,
     palettes: PaletteSet,
     seed: int,
     meter: WorkMeter | None = None,
@@ -221,16 +162,18 @@ def palette_color(
     Per round each uncolored vertex samples uniformly from its residual
     palette (base palette minus colors taken by already-colored neighbors);
     when two uncolored neighbors sample the same color, both discard.
+    Sampling is exact: a vertex draws an index j into its allowed colors and
+    maps it back with a segmented rank query over its sorted removed colors.
     Raises PaletteDeficit if a palette drops below remaining degree + 1.
     """
     if meter is None:
         meter = WorkMeter()
-    n = local.n
+    n = g.n
     if palettes.n != n:
         raise ValueError("palette set does not match the graph")
     P = palettes.num_colors
     colors = np.full(n, UNCOLORED, dtype=np.int64)
-    rows, nbrs = local.edge_pairs()
+    rows, nbrs = g.edge_rows(), g.neighbors
     base_rows = np.repeat(
         np.arange(n, dtype=np.int64), np.diff(palettes.removed_offsets)
     )
@@ -246,7 +189,7 @@ def palette_color(
         edge_live = live_mask[rows]
         taken_sel = edge_live & (colors[nbrs] >= 0)
         taken_pairs = rows[taken_sel] * span + colors[nbrs[taken_sel]]
-        pairs = np.unique(np.concatenate([base_pairs, taken_pairs]))
+        pairs = sorted_distinct(np.concatenate([base_pairs, taken_pairs]))
         seg = (pairs // span).astype(np.int64)
         counts = np.bincount(seg, minlength=n)
         seg_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
@@ -256,11 +199,13 @@ def palette_color(
             raise PaletteDeficit("palette smaller than remaining degree + 1")
         meter.charge("palette_color", int(edge_live.sum()) + len(live) + len(pairs))
         meter.tick(1)
-        unif = rng.random(len(live))
+        j = np.minimum((rng.random(len(live)) * sizes[live]).astype(np.int64), sizes[live] - 1)
+        # Allowed color j of v is j plus the number of v's removed colors c
+        # with c - rank(c) <= j; pairs - rank keeps that key sorted.
+        rank = np.arange(len(pairs), dtype=np.int64) - seg_offsets[seg]
+        t = np.searchsorted(pairs - rank, live * span + j, side="right") - seg_offsets[live]
         proposal = np.full(n, -2, dtype=np.int64)
-        proposal[live] = _sample_from_complement(
-            P, seg_offsets, (pairs % span).astype(np.int64), live, unif
-        )
+        proposal[live] = j + t
         both_live = edge_live & live_mask[nbrs]
         clash = both_live & (proposal[rows] == proposal[nbrs])
         conflicted = np.zeros(n, dtype=bool)
@@ -314,8 +259,8 @@ def _piece_local(ro: ReorganizedGraph, piece: int):
         np.arange(len(nbrs), dtype=np.int64) - (ro.offsets[lo:hi][row_local] - flat_lo)
     )
     internal = entry_rank < ro.split[lo:hi][row_local]
-    loc_offsets = np.concatenate(([0], np.cumsum(ro.split[lo:hi]))).astype(np.int64)
-    local = LocalGraph(hi - lo, loc_offsets, ro.inv[nbrs[internal]] - lo)
+    loc_offsets = np.concatenate(([0], np.cumsum(ro.split[lo:hi])))
+    local = Graph(hi - lo, int(loc_offsets[-1]) // 2, loc_offsets, ro.inv[nbrs[internal]] - lo)
     return verts, local, row_local[~internal], nbrs[~internal]
 
 

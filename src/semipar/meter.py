@@ -36,11 +36,6 @@ class WorkMeter:
             raise ValueError("rounds must be non-negative")
         self.rounds += int(rounds)
 
-    def merge(self, other: "WorkMeter") -> None:
-        for label, ops in other.phase_breakdown.items():
-            self.charge(label, ops)
-        self.rounds += other.rounds
-
     def snapshot(self) -> dict[str, int]:
         return dict(self.phase_breakdown)
 

@@ -38,11 +38,6 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """One uint64 per counter value, determined by (seed, counter) alone."""
-    return mix64_array(counters.astype(np.uint64) ^ np.uint64(mix64(seed)))
-
-
 def generator(seed: int, *ids: int) -> np.random.Generator:
     """A numpy Generator keyed to (seed, *ids); Philox is counter-based."""
     return np.random.Generator(np.random.Philox(key=derive(seed, *ids)))

@@ -13,7 +13,7 @@ import pytest
 
 from semipar.bounds import bound_eval
 from semipar.cli import gen_keys
-from semipar.graph import GraphView, cull_partition, cull_threshold, generate, piece_edge_counts
+from semipar.graph import cull_partition, cull_threshold, generate, piece_edge_counts
 from semipar.graph_algos import boosted_coloring, boosted_mis, extend_palettes, verify_coloring, verify_mis
 from semipar.meter import WorkMeter
 from semipar.placement import PlacementInstance, default_round_cap, place

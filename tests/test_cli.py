@@ -192,12 +192,14 @@ def test_config_file(tmp_path):
 
 def test_cli_flag_beats_config_file(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n = 2048\n")
+    cfgfile.write_text("n = 2048\ntrials = 0\n")
     out = tmp_path / "o.csv"
-    assert run_cli(["semisort", "--config", str(cfgfile), "--n", "1024",
-                    "--out", str(out)]) == EXIT_OK
-    header = json.loads(out.read_text().splitlines()[0][2:])
-    assert header["n"] == 1024
+    # A flag wins even when it equals the built-in default (n = 16384, trials = 1).
+    for n in ("1024", "16384"):
+        assert run_cli(["semisort", "--config", str(cfgfile), "--n", n, "--trials", "1",
+                        "--out", str(out)]) == EXIT_OK
+        header = json.loads(out.read_text().splitlines()[0][2:])
+        assert header["n"] == int(n) and header["trials"] == 1
 
 
 def test_bounds_subcommand(capsys):
@@ -221,8 +223,16 @@ def test_bounds_bad_params():
                     "--param", "mu=-5", "--param", "delta=0.5"]) == EXIT_CONFIG
 
 
-def test_exit_code_config_error(capsys):
+def test_exit_code_config_error(capsys, tmp_path):
+    bad_value, bad_key = tmp_path / "value.cfg", tmp_path / "key.cfg"
+    bad_value.write_text("n = abc\n")
+    bad_key.write_text("nn = 5\n")
     for args in (
+        ["semisort", "--config", str(bad_value)],   # not an integer
+        ["semisort", "--config", str(bad_key)],     # unknown key
+        ["semisort", "--n", "x"],                   # parser-level misuse
+        ["color", "--graph", "bogus"],
+        ["bounds", "--bound", "weighted_geom", "--weights", "1,x"],
         ["semisort", "--trials", "0"],
         ["mis", "--n", "4", "--m", "100"],   # more edges than a simple graph holds
         ["mis", "--k", "-3"],

@@ -1,12 +1,14 @@
 """MIS, coloring, palettes, extenders, and the boosted pipelines."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from semipar.graph import from_edges, generate
 from semipar.graph_algos import (
     UNCOLORED,
-    LocalGraph,
     PaletteDeficit,
     PaletteSet,
     UncoloredCutEndpoint,
@@ -23,22 +25,19 @@ from semipar.meter import WorkMeter
 from semipar.prng import generator
 
 
-def _local(g):
-    return LocalGraph(g.n, g.offsets, g.neighbors)
-
-
 # ---------------------------------------------------------------------------
-# Local graphs
+# Induced subgraphs
 
 
 def test_local_induced():
-    g = _local(generate("path", 6, 0, 0))
+    g = generate("path", 6, 0, 0)
     keep = np.array([True, True, False, True, True, True])
     sub, old = g.induced(keep)
     assert np.array_equal(old, [0, 1, 3, 4, 5])
     assert sub.n == 5
     # Edge 1-2 and 2-3 vanish with vertex 2.
-    assert sub.degrees().sum() == 2 * 3
+    assert sub.m == 3 and sub.degrees().sum() == 2 * 3
+    sub.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +92,20 @@ def test_mis_extend_prune():
 @pytest.mark.parametrize("kind,n,m", [("path", 40, 0), ("star", 60, 0), ("gnm", 200, 800)])
 def test_luby_mis_valid(kind, n, m):
     g = generate(kind, n, m, seed=2)
-    in_set = luby_mis(_local(g), seed=3)
+    in_set = luby_mis(g, seed=3)
     assert verify_mis(g, in_set)
 
 
 def test_luby_mis_isolated_vertices_join():
     g = from_edges(5, np.array([0]), np.array([1]))
-    in_set = luby_mis(_local(g), seed=0)
+    in_set = luby_mis(g, seed=0)
     assert in_set[2] and in_set[3] and in_set[4]
 
 
 def test_luby_mis_rounds_logarithmic():
     g = generate("gnm", 5000, 40_000, seed=4)
     meter = WorkMeter()
-    in_set = luby_mis(_local(g), seed=5, meter=meter)
+    in_set = luby_mis(g, seed=5, meter=meter)
     assert verify_mis(g, in_set)
     assert meter.rounds <= 4 * 13  # O(log n) whp, generous constant
 
@@ -118,13 +117,13 @@ def test_luby_mis_rounds_logarithmic():
 def test_palette_color_full_palettes():
     g = generate("gnm", 300, 1500, seed=6)
     delta = g.max_degree()
-    colors = palette_color(_local(g), PaletteSet.full(g.n, delta + 1), seed=7)
+    colors = palette_color(g, PaletteSet.full(g.n, delta + 1), seed=7)
     assert verify_coloring(g, colors, delta)
 
 
 def test_palette_color_star():
     g = generate("star", 2000, 0, 0)
-    colors = palette_color(_local(g), PaletteSet.full(g.n, g.max_degree() + 1), seed=8)
+    colors = palette_color(g, PaletteSet.full(g.n, g.max_degree() + 1), seed=8)
     assert verify_coloring(g, colors, g.max_degree())
 
 
@@ -132,7 +131,7 @@ def test_palette_color_respects_removed_colors():
     # Triangle with color 0 removed everywhere: proper coloring in {1, 2, 3}.
     g = from_edges(3, np.array([0, 1, 2]), np.array([1, 2, 0]))
     p = PaletteSet(4, np.array([0, 1, 2, 3]), np.array([0, 0, 0]))
-    colors = palette_color(_local(g), p, seed=9)
+    colors = palette_color(g, p, seed=9)
     assert (colors > 0).all()
     assert verify_coloring(g, colors, 3)
 
@@ -142,7 +141,7 @@ def test_palette_color_deficit_raises():
     g = from_edges(2, np.array([0]), np.array([1]))
     p = PaletteSet(2, np.array([0, 1, 2]), np.array([1, 1]))
     with pytest.raises(PaletteDeficit):
-        palette_color(_local(g), p, seed=10)
+        palette_color(g, p, seed=10)
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +199,37 @@ def test_boosted_work_linear_in_edges():
         assert verify_coloring(g, colors, g.max_degree())
         per_m.append(meter.total_ops / m)
     assert per_m[1] <= 2.0 * per_m[0]
+
+
+# Graph seed 21, solver seed 22.  Output digest: sha256 of the little-endian
+# int64 output; work digest: sha256 of the sorted-key JSON of the meter's
+# per-label work.
+PINNED_BOOSTED = [
+    ("gnm", 2000, 16000, 2, "color", "b05b7b4348a42a1ccbd325d49413c6844117a4d403ea98c9bcb5a964d59149f7", 189994, 105, "b3f0e4fed42b9d804800bcaf5f143e5877f51057b572647d903134721c52edfe"),
+    ("gnm", 2000, 16000, 2, "mis", "48f2e324cf253abb9f7dfd2e1bb339b82e722c470d7a5bc59f22e83b1030195e", 156273, 104, "1efcf281b6ddd1316ab97378600fe8f0e439bffb8cff3d62ef4ddbbdada5e99e"),
+    ("gnm", 2000, 16000, 4, "color", "03660af8abe05db5abd62f78df78304ae341e4892d3b357089aed28fa0bc766e", 219455, 100, "b49ef9d48ad31ba85b253ca974eea2c015b42e5b23c5c547db71625966a93cdc"),
+    ("gnm", 2000, 16000, 4, "mis", "7b377879edc8e82e8a76dc0ef898f3e288635e1055e9fd08237e197027b7a8b7", 199691, 100, "46db8d64045026fc659e8cb52c726fc0f9f19cad9bbc8a912a49050e5280eb1f"),
+    ("power_law", 2000, 12000, 2, "color", "16f279451a95a31264d08f53f6714597e4c644bf2ec92da808ad457d3a6b84b7", 162485, 115, "886cd41815823c0b6d0eb052b0fa6963dbca7780ab16ca44892ef88303c68b46"),
+    ("power_law", 2000, 12000, 2, "mis", "538644b234e103d8d62216d8f92b85776d4c2f990207e885698fac64bf3bba4a", 152680, 115, "b165a6d70cab6495fe3cf78b7e521f69e294c44e59431c80c09f73ce75fc12cc"),
+    ("power_law", 2000, 12000, 4, "color", "8e8d8d3845afdf4695ac1b007b9cbd6f74fe9ee97386afa543c54aed27be1662", 185802, 110, "e09380b256aea27183c13dc9487f04921776e96a07ba49e81bbe0262b1c074f2"),
+    ("power_law", 2000, 12000, 4, "mis", "6871f8da44a3638efcea97adbf04419d43f8ca2d84695ff6b982f45319238a12", 169756, 112, "500367bdbed984e9e0600d924cf052f2483276d7fb7043e59cb72d30a25934cb"),
+    ("star", 500, 0, 2, "color", "c4d38b6f6513b4caf3af3ce49c8b9b29355a0285110d0cf0f54e87983a0ee14b", 13301, 37, "04b0cf9a451f58c26cac625ef350fae491ecf990979bb3d328c18e7297961a9c"),
+    ("star", 500, 0, 2, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 13489, 36, "59917984e372afaa8ea84b9c3bce4dd037cd1203885a1db442261cf52d4065c7"),
+    ("star", 500, 0, 4, "color", "f2bb6073b06e5d5eec6cd70807a3bcf9677748a19b4e5cfe6bbcb3b11a5c854b", 13490, 33, "4bdbfc2ef70a3a1dbaae63b7b358fb4b34598617fd324f57279cc5956fb98662"),
+    ("star", 500, 0, 4, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 13689, 34, "f9be8cc1b781ba594f34a54d88399661eb7e03d6dad0eededcf48352772f643d"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,m,k,algo,out_digest,total_ops,rounds,work_digest",
+    PINNED_BOOSTED,
+    ids=[f"{c[0]}-k{c[3]}-{c[4]}" for c in PINNED_BOOSTED],
+)
+def test_boosted_outputs_pinned(kind, n, m, k, algo, out_digest, total_ops, rounds, work_digest):
+    g = generate(kind, n, m, seed=21)
+    meter = WorkMeter()
+    out = (boosted_coloring if algo == "color" else boosted_mis)(g, k, 22, meter)
+    assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest() == out_digest
+    assert (meter.total_ops, meter.rounds) == (total_ops, rounds)
+    work = json.dumps(meter.phase_breakdown, sort_keys=True).encode()
+    assert hashlib.sha256(work).hexdigest() == work_digest

@@ -23,6 +23,7 @@ from semipar.semisort import (
     local_semisort,
     rehash_buckets,
     semisort,
+    sorted_distinct,
 )
 
 semisort_mod = importlib.import_module("semipar.semisort")
@@ -266,3 +267,12 @@ def test_integer_sort_charges_linear():
         integer_sort(data, seed=n, meter=meter)
         work_per_n.append(meter.total_ops / n)
     assert work_per_n[1] <= 1.5 * work_per_n[0]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=60), st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sorted_distinct_matches_unique(values, mod):
+    x = np.array([v % (mod + 1) for v in values], dtype=np.uint64)
+    assert np.array_equal(sorted_distinct(x), np.unique(x))
+    signed = x.astype(np.int64)
+    assert np.array_equal(sorted_distinct(signed), np.unique(signed))
