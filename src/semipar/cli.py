@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .graph import cull_partition, generate, piece_edge_counts, verify_partition
 from .graph_algos import boosted_coloring, boosted_mis, verify_coloring, verify_mis
-from .meter import WorkMeter
+from .meter import WorkMeter, ceil_log2
 from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
 from .prng import derive, generator
 from .records import Records, group_counts, is_semisorted, same_multiset
@@ -36,21 +36,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-CSV_COLUMNS = [
-    "trial",
-    "seed",
-    "n",
-    "m",
-    "k",
-    "dist",
-    "charged_work",
-    "rounds",
-    "restarts",
-    "max_bucket_size",
-    "max_attempts",
-    "verified",
-]
 
 DISTRIBUTIONS = ("uniform", "zipf", "all_equal", "all_distinct")
 GRAPH_KINDS = ("gnm", "star", "path", "power_law")
@@ -68,6 +53,17 @@ SETTINGS = {
     "out": ("out", str),
     "format": ("fmt", str),
 }
+# The settings each experiment reads; any other flag or file key is an error.
+_RUN = ("n", "trials", "seed", "out", "format")
+READS = {
+    "semisort": (*_RUN, "dist", "theta"),
+    "intsort": (*_RUN, "dist", "theta"),
+    "placement": _RUN,
+    "partition": (*_RUN, "m", "k", "graph"),
+    "mis": (*_RUN, "m", "k", "graph"),
+    "color": (*_RUN, "m", "k", "graph"),
+}
+SORTS = ("semisort", "intsort")  # the experiments that also take --param
 
 
 class ConfigError(ValueError):
@@ -97,7 +93,7 @@ class ExperimentConfig:
     params: dict[str, float] = field(default_factory=dict)
 
     def resolved_k(self) -> int:
-        return self.k if self.k > 0 else max(1, math.ceil(math.log2(max(self.n, 2))))
+        return self.k if self.k > 0 else ceil_log2(self.n)
 
     def validate(self) -> None:
         if self.trials < 1:
@@ -150,6 +146,9 @@ class TrialRecord:
         d = dataclasses.asdict(self)
         d["verified"] = int(self.verified)
         return d
+
+
+CSV_COLUMNS = [f.name for f in dataclasses.fields(TrialRecord)]
 
 
 def gen_keys(dist: str, n: int, seed: int, theta: float = 1.0) -> Records:
@@ -242,7 +241,7 @@ def _run_intsort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 def _run_placement(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive(cfg.seed, trial)
     n = cfg.n
-    d = max(1, math.ceil(math.log2(max(n, 2))))
+    d = ceil_log2(n)
     n_targets = max(1, n // 64)
     rng = generator(seed, 0x11)
     targets = rng.integers(0, n_targets, size=n, dtype=np.int64)
@@ -310,7 +309,7 @@ def _config_header(cfg: ExperimentConfig) -> dict:
     # must produce byte-identical files regardless of where they land.
     d.pop("out")
     d["resolved_k"] = cfg.resolved_k()
-    if cfg.algorithm in ("semisort", "intsort"):
+    if cfg.algorithm in SORTS:
         d["semisort_params"] = dataclasses.asdict(_semisort_params(cfg, cfg.n))
     return d
 
@@ -346,7 +345,7 @@ def _parse_param(text: str) -> tuple[str, float]:
         raise ConfigError(f"--param value must be numeric: {text!r}")
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     """Config fields set by a file of flat ``key = value`` lines."""
     try:
         lines = Path(path).read_text().splitlines()
@@ -360,8 +359,11 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"bad config line: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SETTINGS:
-            raise ConfigError(f"unknown config key {key!r}; expected one of {sorted(SETTINGS)}")
+        if key not in READS[command]:
+            raise ConfigError(
+                f"config key {key!r} is not read by {command}; "
+                f"expected one of {sorted(READS[command])}"
+            )
         name, cast = SETTINGS[key]
         try:
             out[name] = cast(value)
@@ -373,27 +375,31 @@ def _load_config_file(path: str) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="semipar-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_RUNNERS, "bounds"):
+    for name, keys in READS.items():
         p = sub.add_parser(name)
         # No defaults here: an unset flag leaves the config file's value or
         # the ExperimentConfig default in place.
-        for key, (dest, cast) in SETTINGS.items():
+        for key in keys:
+            dest, cast = SETTINGS[key]
             p.add_argument(f"--{key}", dest=dest, type=cast)
-        p.add_argument("--param", action="append", default=[])
+        if name in SORTS:
+            p.add_argument("--param", action="append", default=[])
         p.add_argument("--config", default=None)
-        if name == "bounds":
-            p.add_argument("--bound", required=True, choices=sorted(bounds_mod._EVALUATORS))
-            p.add_argument("--weights", default=None, help="comma-separated list")
+    p = sub.add_parser("bounds")
+    p.add_argument("--bound", required=True, choices=sorted(bounds_mod._EVALUATORS))
+    p.add_argument("--param", action="append", default=[])
+    p.add_argument("--weights", default=None, help="comma-separated list")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Flags given on the command line, over the config file, over defaults."""
-    fields = _load_config_file(args.config) if args.config else {}
-    for name, _ in SETTINGS.values():
+    fields = _load_config_file(args.config, args.command) if args.config else {}
+    for key in READS[args.command]:
+        name = SETTINGS[key][0]
         if getattr(args, name) is not None:
             fields[name] = getattr(args, name)
-    params = dict(_parse_param(p) for p in args.param)
+    params = dict(_parse_param(p) for p in getattr(args, "param", []))
     cfg = ExperimentConfig(algorithm=args.command, params=params, **fields)
     cfg.validate()
     return cfg

@@ -10,14 +10,13 @@ every adjacency list into internal and cut neighbors.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .meter import WorkMeter
+from .meter import WorkMeter, ceil_log2
 from .prng import generator
 from .records import Records
 from .semisort import integer_sort, sorted_distinct
@@ -255,8 +254,7 @@ class CulledPartition:
 
 def cull_threshold(edges: int, k: int, n0: int) -> float:
     """Removal threshold e(H) / (k^4 * ceil(log2 n0))."""
-    lg = max(1, math.ceil(math.log2(max(n0, 2))))
-    return edges / (k**4 * lg)
+    return edges / (k**4 * ceil_log2(n0))
 
 
 def phase_cull(deg: np.ndarray, k: int, n0: int) -> np.ndarray:
@@ -286,11 +284,11 @@ def cull_partition(
     if meter is None:
         meter = WorkMeter()
     n0 = g.n
-    lg_n0 = max(1, math.ceil(math.log2(max(n0, 2))))
+    lg_n0 = ceil_log2(n0)
     alive = np.ones(g.n, dtype=bool)
     deg = g.degrees()
     phases = 0
-    max_phases = (max(1, (max(g.m, 2) - 1).bit_length())) + 1
+    max_phases = ceil_log2(g.m) + 1
     while True:
         edges = int(deg.sum()) // 2
         meter.charge("cull.degree_pass", 2 * g.m + g.n)
@@ -400,8 +398,15 @@ def reorganize(
     if piece_of.max(initial=0) > p.k:
         raise InconsistentPartition("bucket id out of range")
 
-    # Vertex permutation: integer-sort vertex ids keyed by piece.
-    recs = Records(piece_of.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
+    # Vertex permutation: integer-sort vertex ids keyed by piece.  Integer
+    # sort needs keys below n; when piece ids can reach n, key each vertex by
+    # its piece id's rank among the ids present, which keeps the order.
+    keys = piece_of
+    if p.k >= g.n:
+        keys = np.searchsorted(sorted_distinct(piece_of), piece_of)
+        meter.charge("reorganize.rank", g.n * ceil_log2(g.n))
+        meter.tick(ceil_log2(g.n))
+    recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
     sorted_recs = integer_sort(recs, None, seed, meter)
     perm = sorted_recs.payloads.astype(np.int64)
     inv = np.empty(g.n, dtype=np.int64)
@@ -433,7 +438,7 @@ def reorganize(
     new_neighbors[dest] = grouped
     split = np.bincount(rows_old[internal_mask], minlength=g.n)[perm]
     meter.charge("reorganize.adjacency", 4 * g.m)
-    meter.tick(max(1, math.ceil(math.log2(max(2 * g.m, 2)))))
+    meter.tick(ceil_log2(2 * g.m))
     return ReorganizedGraph(
         graph=g,
         partition=p,

@@ -87,10 +87,6 @@ def tab_bucket(h: TabulationHash, keys: np.ndarray, n_buckets: int) -> np.ndarra
     return ((hv * _U64(n_buckets)) >> _U64(h.w)).astype(np.int64)
 
 
-def bits_for_buckets(n_buckets: int) -> int:
-    return max(1, (n_buckets - 1).bit_length())
-
-
 @dataclass(frozen=True)
 class UniversalHash:
     """Parameters of h(x) = ((a_hi*x_hi + a_lo*x_lo + b) mod p) mod m.

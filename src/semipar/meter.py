@@ -9,6 +9,11 @@ a primitive of logarithmic depth charges logarithmically many rounds.
 from __future__ import annotations
 
 
+def ceil_log2(x: int) -> int:
+    """ceil(log2(max(x, 2))) in exact integer arithmetic, so always >= 1."""
+    return (max(int(x), 2) - 1).bit_length()
+
+
 class WorkMeter:
     """Monotone counters of charged operations, split by phase label.
 

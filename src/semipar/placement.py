@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meter import WorkMeter
+from .meter import WorkMeter, ceil_log2
 from .prng import derive, mix64_array
 
 EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -146,4 +146,4 @@ def place(
 
 def default_round_cap(n: int) -> int:
     """8 * ceil(log2 n); 8 is the hidden constant of the Theta(log n) cap."""
-    return 8 * max(1, (max(n, 2) - 1).bit_length())
+    return 8 * ceil_log2(n)

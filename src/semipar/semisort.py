@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hashing import (
-    bits_for_buckets,
     detect_collision,
     tab_bucket,
     tab_hash_array,
@@ -27,7 +26,7 @@ from .hashing import (
     universal_hash_array,
     universal_new,
 )
-from .meter import WorkMeter
+from .meter import WorkMeter, ceil_log2
 from .placement import EMPTY_SLOT, PlacementInstance, PlacementTimeout, place
 from .prng import derive
 from .records import Records
@@ -76,7 +75,7 @@ class SemisortParams:
 
     @classmethod
     def for_n(cls, n: int, **overrides) -> "SemisortParams":
-        lg = max(1, math.ceil(math.log2(max(n, 2))))
+        lg = ceil_log2(n)
         defaults = dict(
             p_s=1.0 / lg,
             tau=2 * lg,
@@ -95,7 +94,11 @@ class SemisortParams:
 
 @dataclass
 class SemisortTrace:
-    """Phase statistics of one successful semisort run."""
+    """Phase statistics of one successful semisort run.
+
+    Work and rounds are counted only in the caller's WorkMeter, which may
+    also hold work done before the call.
+    """
 
     n: int
     seed: int
@@ -106,8 +109,6 @@ class SemisortTrace:
     max_bucket_size: int = 0
     bucket_attempts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     allocated_space: int = 0
-    total_work: int = 0
-    rounds: int = 0
 
 
 def sorted_distinct(x: np.ndarray) -> np.ndarray:
@@ -267,19 +268,30 @@ def semisort(
                 ) from None
 
 
-def _finish_trace(trace: SemisortTrace, meter: WorkMeter) -> None:
-    trace.total_work = meter.total_ops
-    trace.rounds = meter.rounds
-
-
-def _sort_segment(recs: Records, meter: WorkMeter, label: str) -> Records:
-    """Comparison-sort a segment by key (mergesort cost model)."""
-    k = len(recs)
-    lg = max(1, (max(k, 2) - 1).bit_length())
-    meter.charge(label, k * lg)
+def _sort_segment(pos: np.ndarray, keys: np.ndarray, meter: WorkMeter, label: str) -> np.ndarray:
+    """Comparison-sort record positions by key (mergesort cost model)."""
+    lg = ceil_log2(len(pos))
+    meter.charge(label, len(pos) * lg)
     meter.tick(lg)
-    order = np.argsort(recs.keys, kind="stable")
-    return recs.take(order)
+    return pos[np.argsort(keys[pos], kind="stable")]
+
+
+def _place_and_pack(
+    targets: np.ndarray, sigma: np.ndarray, params: SemisortParams, n: int,
+    seed: int, meter: WorkMeter, label: str,
+) -> tuple[np.ndarray, int]:
+    """Place records at random into targets sized from their sample counts.
+
+    Target t gets ceil(alpha * f_alloc(sigma[t])) slots.  Returns the record
+    indices (into ``targets``) in arena order, so each target's records are
+    contiguous and the targets appear in id order, and the arena size.
+    """
+    caps = np.ceil(params.alpha * f_alloc(sigma, params, n)).astype(np.int64)
+    inst = PlacementInstance(targets=targets, capacities=caps, alpha=params.alpha, d=params.d)
+    arena = place(inst, params.round_cap, seed, meter, validate=False).arena
+    meter.charge(label, inst.arena_size)
+    meter.tick(ceil_log2(inst.arena_size))
+    return arena[arena != EMPTY_SLOT].astype(np.int64), inst.arena_size
 
 
 def _semisort_once(
@@ -288,9 +300,8 @@ def _semisort_once(
     n = len(a)
     trace = SemisortTrace(n=n, seed=run_seed, params=params)
     if n == 0:
-        _finish_trace(trace, meter)
         return a.copy(), trace
-    lg = max(1, math.ceil(math.log2(max(n, 2))))
+    lg = ceil_log2(n)
 
     if n < params.small_n_cutoff:
         # Theta-notation is vacuous at tiny n: sort by (key hash, key) so the
@@ -300,9 +311,7 @@ def _semisort_once(
         order = np.lexsort((a.keys, hv))
         meter.charge("small_sort", n * lg)
         meter.tick(lg)
-        out = a.take(order)
-        _finish_trace(trace, meter)
-        return out, trace
+        return a.take(order), trace
 
     # Step 1: independent sampling.
     rng = np.random.Generator(np.random.Philox(key=derive(run_seed, 1)))
@@ -312,96 +321,68 @@ def _semisort_once(
     sample_keys = a.keys[sample_mask]
 
     # Step 2: sort the sample, derive per-key sample counts.
-    s_lg = max(1, (max(len(sample_keys), 2) - 1).bit_length())
+    s_lg = ceil_log2(len(sample_keys))
     meter.charge("sample_sort", len(sample_keys) * s_lg)
     meter.tick(s_lg)
     sample_keys = np.sort(sample_keys)
     sampled_keys = sorted_distinct(sample_keys)
     sigma = np.diff(np.searchsorted(sample_keys, sampled_keys), append=len(sample_keys))
 
-    # Step 3: heavy/light partition.
+    # Step 3: heavy/light partition; target[i] is record i's heavy-key rank.
     heavy_keys = sampled_keys[sigma >= params.tau]
     sigma_heavy = sigma[sigma >= params.tau]
     if len(heavy_keys):
-        pos = np.searchsorted(heavy_keys, a.keys)
-        pos_c = np.minimum(pos, len(heavy_keys) - 1)
-        is_heavy = heavy_keys[pos_c] == a.keys
+        target = np.searchsorted(heavy_keys, a.keys)
+        is_heavy = heavy_keys[np.minimum(target, len(heavy_keys) - 1)] == a.keys
     else:
         is_heavy = np.zeros(n, dtype=bool)
     meter.charge("classify", 2 * n)
-    meter.tick(max(1, s_lg))
-    heavy = a.take(is_heavy)
-    light = a.take(~is_heavy)
+    meter.tick(s_lg)
+    # From here on the two sides are arrays of record positions in ``a``.
+    heavy = np.flatnonzero(is_heavy)
+    light = np.flatnonzero(~is_heavy)
     trace.heavy_count = len(heavy)
     trace.light_count = len(light)
-
-    allocated = 0
     cutoff = n / lg
 
-    # Step 4: heavy side.
+    # Step 4: heavy side, one target per heavy key.
     if len(heavy) < cutoff:
-        heavy_out = _sort_segment(heavy, meter, "heavy_sort")
+        heavy = _sort_segment(heavy, a.keys, meter, "heavy_sort")
     else:
-        target = np.searchsorted(heavy_keys, heavy.keys)
-        caps = np.ceil(params.alpha * f_alloc(sigma_heavy, params, n)).astype(np.int64)
-        inst = PlacementInstance(
-            targets=target, capacities=caps, alpha=params.alpha, d=params.d
+        packed, arena_size = _place_and_pack(
+            target[heavy], sigma_heavy, params, n, derive(run_seed, 2), meter, "heavy_pack"
         )
-        res = place(inst, params.round_cap, derive(run_seed, 2), meter, validate=False)
-        allocated += inst.arena_size
-        occupied = res.arena != EMPTY_SLOT
-        heavy_out = heavy.take(res.arena[occupied].astype(np.int64))
-        meter.charge("heavy_pack", inst.arena_size)
-        meter.tick(max(1, math.ceil(math.log2(max(inst.arena_size, 2)))))
+        trace.allocated_space += arena_size
+        heavy = heavy[packed]
 
-    # Step 5: light side.
-    bucket_attempts = np.empty(0, dtype=np.int64)
-    max_bucket = 0
+    # Step 5: light side, one target per hashed bucket.
     if len(light) < cutoff:
-        light_out = _sort_segment(light, meter, "light_sort")
+        light = _sort_segment(light, a.keys, meter, "light_sort")
     else:
         B = params.B
-        th = tab_new(derive(run_seed, 3), bits_for_buckets(B))
-        buckets = tab_bucket(th, light.keys, B)
+        th = tab_new(derive(run_seed, 3), ceil_log2(B))
+        buckets = tab_bucket(th, a.keys[light], B)
         meter.charge("light_hash", len(light))
         meter.tick(1)
-        light_sample_keys = a.keys[sample_mask & ~is_heavy]
-        sigma_b = np.bincount(
-            tab_bucket(th, light_sample_keys, B), minlength=B
+        sigma_b = np.bincount(buckets[sample_mask[light]], minlength=B)
+        packed, arena_size = _place_and_pack(
+            buckets, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
         )
-        caps = np.ceil(params.alpha * f_alloc(sigma_b, params, n)).astype(np.int64)
-        inst = PlacementInstance(
-            targets=buckets, capacities=caps, alpha=params.alpha, d=params.d
-        )
-        res = place(inst, params.round_cap, derive(run_seed, 4), meter, validate=False)
-        allocated += inst.arena_size
-        meter.charge("light_pack", inst.arena_size)
-        meter.tick(max(1, math.ceil(math.log2(max(inst.arena_size, 2)))))
-
-        # The packed light array lists each bucket's records in arena order;
-        # drop the arena before the hash temporaries exist.
-        rec_idx = res.arena[res.arena != EMPTY_SLOT].astype(np.int64)
-        del res, inst
+        trace.allocated_space += arena_size
+        light = light[packed]
         sizes = np.bincount(buckets, minlength=B)
-        max_bucket = int(sizes.max())
+        trace.max_bucket_size = int(sizes.max())
 
         # Step 6: local semisort of every bucket (independent in parallel).
-        order, bucket_attempts = rehash_buckets(
-            light.keys[rec_idx], sizes, params.K, derive(run_seed, 5), meter
+        order, trace.bucket_attempts = rehash_buckets(
+            a.keys[light], sizes, params.K, derive(run_seed, 5), meter
         )
-        light_out = light.take(rec_idx[order])
+        light = light[order]
 
     # Step 7: pack heavy segments then light buckets.
-    out = Records(
-        np.concatenate([heavy_out.keys, light_out.keys]),
-        np.concatenate([heavy_out.payloads, light_out.payloads]),
-    )
+    out = a.take(np.concatenate([heavy, light]))
     meter.charge("final_pack", n)
-    meter.tick(max(1, lg))
-    trace.allocated_space = allocated
-    trace.max_bucket_size = max_bucket
-    trace.bucket_attempts = bucket_attempts
-    _finish_trace(trace, meter)
+    meter.tick(lg)
     return out, trace
 
 
@@ -444,5 +425,5 @@ def integer_sort(
     out_keys[dest] = keys
     out_payloads[dest] = semi.payloads
     meter.charge("integer_sort_pass", 4 * n)
-    meter.tick(max(1, math.ceil(math.log2(max(n, 2)))))
+    meter.tick(ceil_log2(n))
     return Records(out_keys, out_payloads)

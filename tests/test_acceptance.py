@@ -47,9 +47,10 @@ def semisort_sweep():
         for s in range(SWEEP_SEEDS):
             seed = derive(0xACCE, n, s)
             data = gen_keys("uniform", n, seed)
-            result, trace = semisort(data, None, seed)
+            meter = WorkMeter()
+            result, trace = semisort(data, None, seed, meter)
             assert is_semisorted(result)
-            work_per_n.append(trace.total_work / n)
+            work_per_n.append(meter.total_ops / n)
             max_bucket = max(max_bucket, trace.max_bucket_size)
             attempts.append(trace.bucket_attempts)
         out[n] = {
@@ -133,7 +134,7 @@ def test_criterion_5_rehash_dominance(capsys, semisort_sweep):
     worst = ""
     for j in range(1, 6):
         frac = float((attempts > j).mean())
-        limit = 2.0 ** (1 - j) + 0.01
+        limit = 2.0 ** -j
         if frac > limit:
             ok = False
         worst += f" j={j}:{frac:.4f}<={limit:.4f}"

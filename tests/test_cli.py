@@ -127,6 +127,7 @@ def test_json_format(tmp_path):
         ("placement", ["--n", "4096"]),
         ("partition", ["--n", "600", "--m", "2400", "--k", "3"]),
         ("color", ["--n", "500", "--m", "1500", "--k", "3"]),
+        ("color", ["--n", "3", "--graph", "star", "--k", "3"]),  # piece ids reach n
     ],
 )
 def test_all_subcommands_pass(cmd, extra, tmp_path):
@@ -225,11 +226,19 @@ def test_bounds_bad_params():
 
 def test_exit_code_config_error(capsys, tmp_path):
     bad_value, bad_key = tmp_path / "value.cfg", tmp_path / "key.cfg"
+    ignored_key = tmp_path / "ignored.cfg"
     bad_value.write_text("n = abc\n")
     bad_key.write_text("nn = 5\n")
+    ignored_key.write_text("k = 3\n")
     for args in (
         ["semisort", "--config", str(bad_value)],   # not an integer
         ["semisort", "--config", str(bad_key)],     # unknown key
+        ["semisort", "--config", str(ignored_key)], # a key semisort does not read
+        # Flags the subcommand does not read.
+        ["bounds", "--bound", "chernoff_upper", "--param", "mu=100",
+         "--param", "delta=0.5", "--trials", "0", "--n", "7"],
+        ["semisort", "--n", "2048", "--graph", "star", "--m", "5", "--k", "3"],
+        ["placement", "--param", "K=5"],
         ["semisort", "--n", "x"],                   # parser-level misuse
         ["color", "--graph", "bogus"],
         ["bounds", "--bound", "weighted_geom", "--weights", "1,x"],

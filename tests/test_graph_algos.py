@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semipar.graph import from_edges, generate
 from semipar.graph_algos import (
@@ -199,6 +201,21 @@ def test_boosted_work_linear_in_edges():
         assert verify_coloring(g, colors, g.max_degree())
         per_m.append(meter.total_ops / m)
     assert per_m[1] <= 2.0 * per_m[0]
+
+
+@given(
+    st.sampled_from(["gnm", "star", "path", "power_law"]),
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.floats(0, 1),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_boosted_small_graphs(kind, n, k, density, seed):
+    # k can reach n here, so piece ids reach n in the vertex integer sort.
+    g = generate(kind, n, int(density * (n * (n - 1) // 2)), seed)
+    assert verify_mis(g, boosted_mis(g, k, seed))
+    assert verify_coloring(g, boosted_coloring(g, k, seed), g.max_degree())
 
 
 # Graph seed 21, solver seed 22.  Output digest: sha256 of the little-endian

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from semipar.hashing import (
     PRIME,
     TabulationHash,
-    bits_for_buckets,
     detect_collision,
     tab_bucket,
     tab_hash,
@@ -18,6 +17,7 @@ from semipar.hashing import (
     universal_hash_array,
     universal_new,
 )
+from semipar.meter import ceil_log2
 
 U64 = st.integers(0, (1 << 64) - 1)
 
@@ -57,20 +57,13 @@ def test_tab_xor_structure():
 
 def test_tab_bucket_range_and_balance():
     n_buckets = 37
-    h = tab_new(2, bits_for_buckets(n_buckets))
+    h = tab_new(2, ceil_log2(n_buckets))
     keys = np.arange(100_000, dtype=np.uint64)
     b = tab_bucket(h, keys, n_buckets)
     assert b.min() >= 0 and b.max() < n_buckets
     counts = np.bincount(b, minlength=n_buckets)
     mean = len(keys) / n_buckets
     assert counts.max() < 2 * mean  # concentration at this load
-
-
-def test_bits_for_buckets():
-    assert bits_for_buckets(1) == 1
-    assert bits_for_buckets(2) == 1
-    assert bits_for_buckets(3) == 2
-    assert bits_for_buckets(1024) == 10
 
 
 @st.composite

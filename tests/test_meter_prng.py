@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from semipar.meter import WorkMeter
+from semipar.meter import WorkMeter, ceil_log2
 from semipar.prng import derive, generator, mix64, mix64_array
+
+
+def test_ceil_log2():
+    assert ceil_log2(1) == 1
+    assert ceil_log2(2) == 1
+    assert ceil_log2(3) == 2
+    assert ceil_log2(1024) == 10
+    # The float form math.ceil(math.log2(x)) returns 53 here: 2^53 + 1 rounds to 2^53.
+    assert ceil_log2((1 << 53) + 1) == 54
 
 
 def test_meter_charges_and_rounds():

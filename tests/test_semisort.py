@@ -1,6 +1,8 @@
 """Semisort and integer sort: correctness, parameters, restarts, traces."""
 
+import hashlib
 import importlib
+import json
 import math
 import time
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semipar.cli import gen_keys
 from semipar.meter import WorkMeter
 from semipar.prng import generator
 from semipar.records import Records, group_counts, is_semisorted, same_multiset
@@ -210,8 +213,6 @@ def test_semisort_trace_accounting():
     meter = WorkMeter()
     out, trace = semisort(data, seed=6, meter=meter)
     _assert_valid(data, out)
-    assert trace.total_work == meter.total_ops
-    assert trace.rounds == meter.rounds
     assert trace.heavy_count + trace.light_count == len(data)
     assert trace.allocated_space <= 60 * len(data)  # linear space, generous constant
     assert trace.restarts == 0
@@ -276,3 +277,67 @@ def test_sorted_distinct_matches_unique(values, mod):
     assert np.array_equal(sorted_distinct(x), np.unique(x))
     signed = x.astype(np.int64)
     assert np.array_equal(sorted_distinct(signed), np.unique(signed))
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+
+# Key seed 31 (zipf theta 1.2), semisort seed 32.  Output digest: sha256 of
+# the little-endian keys then payloads; work digest: sha256 of the sorted-key
+# JSON of the meter's per-label work; trace digest: sha256 of the JSON of
+# [n, restarts, heavy_count, max_bucket_size, allocated_space,
+# bucket_attempts].  "heavy_below_cutoff" has 512 heavy records, under the
+# n / lg n cutoff, so its heavy side is sorted rather than placed; the
+# integer-sort case has no trace.
+PINNED_SEMISORT = [
+    ("uniform", 4096, "aff58cc591bb8e8a1dc444c0542b4f9604444a1617652355c164b0378b23f283", 124871, 70, "7095780926078bd6d90fbd7724b8c3ac0ccaef919ace52e9c4989e00840bcba0", "a3ba96d4c2bbc10825fad767da72e6d4aa55d075215e6710e5c613ff88bf7c0a"),
+    ("zipf", 4096, "8e34f62a98b14312aaeacd9b83ffdd1a4764d828e73a7a298bb9f51cc8fe887b", 116373, 110, "7e9b4c4bd34ba45666bf5cbc1e7bb7d423326712734979672c6a8bee302fd416", "e41d2c9e6d40a2f874628424081207464f4f1ca2206a026406487c9dba54a73f"),
+    ("all_equal", 4096, "f58f596f446250e08dc32f0b30362f7ffea5d43cd3300779ac9149b7a0f5e22f", 36528, 68, "94c5cfe8af384ea47fbe387a392d4f2c342df75d1da72c750b8452c4f603c4c5", "459f576b6d60ff60609be229bf5f2f08d9f90d1b3038f591369f9463bcbc1078"),
+    ("all_distinct", 4096, "f040e98b69d717a3309f8b1ff38238738f8a74541c29f848d3e62d88773f6e6a", 124879, 70, "3c5476689530be0b81d8930957c250e54e20a8c4c99c93832359efe744b33e01", "59e9c60d6a1a04dead77e0468c16946f6ace93dbb962e569d52bfd42a8ca49c4"),
+    ("uniform", 16384, "416b27be0aee2c78b66b696e4d4fea5ecb37a4f32bd05ea95b734d1445124b0a", 500030, 80, "be224efbbb5add9b58bf1d0a41eb0315e399acf0153e874c918e9de9b7807dcf", "2af646efb5278c45af49f1319abe6a8418f95a15574f794afdaf9983e0c409dd"),
+    ("zipf", 16384, "a5ac207ea2162044f5c626c665161fe9e1ba34b7c52e835089095f1bade1adaf", 447697, 127, "95cc8b288aaeae3fe45f5d7bd6a78d92c265dd7602752675a8f0700e4bacaa4f", "b5826900a8ed4676fa9f50bdc42a2421fae74bd80e481260de136bfebc81a9c8"),
+    ("all_equal", 16384, "6ddb58425123e570e3eab71faf5a583666380190670cd1c112e96e2c83009527", 140999, 83, "a5652d98bca4bcf0abb2b14339e885593f27c70a3d23b62c660678417cf8a2ec", "8606c17d69ed0270665a344d0ff7eadc44191cd33bce15a24c731fcc5660b023"),
+    ("all_distinct", 16384, "628a820b9688a312e3c7d835bd1f0980431f6792d66f632b2406f25982c366e0", 500126, 81, "206a5543a481be81487d5c3d7763016403a18279c2cd06bf5b2432aef3fa724f", "9bbdd9d07c90a309de86c00219fafa9c68ca21545bf36eaf13fa13beba37a865"),
+    ("heavy_below_cutoff", 16384, "3ede93586d04c2f7d980100540ba923f60f2507839f7277384be1b8bbb737aed", 497810, 95, "bc68c2b0e94b679c0f96d96f303e18c25fbbc62e05bf2ef56136542908fb19e3", "d428891feac8a2f9162ec51d9c7d508756ccfe230b2b46bb22f12598a3823e7d"),
+    ("intsort", 16384, "d1d9892332585822521155ecfba7e3ccac92bad5a922dd46b2d0694b8f149546", 565566, 94, "dda0cd9bca6f85e9ed36c148fda783f5fd6b43f41cbef0302c3eb934056d46b9", None),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _records_digest(r):
+    return _sha(r.keys.astype("<u8").tobytes() + r.payloads.astype("<u8").tobytes())
+
+
+def _trace_digest(t):
+    fields = [t.n, t.restarts, t.heavy_count, t.max_bucket_size, t.allocated_space,
+              t.bucket_attempts.tolist()]
+    return _sha(json.dumps(fields).encode())
+
+
+def _pinned_input(case, n):
+    if case == "heavy_below_cutoff":
+        data = gen_keys("uniform", n, 31)
+        data.keys[: n // 32] = 7
+        return data
+    return gen_keys("uniform" if case == "intsort" else case, n, 31, 1.2)
+
+
+@pytest.mark.parametrize(
+    "case,n,out_digest,total_ops,rounds,work_digest,trace_digest",
+    PINNED_SEMISORT,
+    ids=[f"{c[0]}-{c[1]}" for c in PINNED_SEMISORT],
+)
+def test_semisort_outputs_pinned(case, n, out_digest, total_ops, rounds, work_digest, trace_digest):
+    data = _pinned_input(case, n)
+    meter = WorkMeter()
+    if case == "intsort":
+        out = integer_sort(data, None, 32, meter)
+    else:
+        out, trace = semisort(data, None, 32, meter)
+        assert _trace_digest(trace) == trace_digest
+    assert _records_digest(out) == out_digest
+    assert (meter.total_ops, meter.rounds) == (total_ops, rounds)
+    assert _sha(json.dumps(meter.phase_breakdown, sort_keys=True).encode()) == work_digest
