@@ -256,14 +256,16 @@ def _run_placement(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         res = place(inst, default_round_cap(n), seed, meter)
         rounds = res.rounds_used
         placed = res.slot_of
-        ok = len(np.unique(placed)) == n and bool(
-            (placed >= inst.offsets[targets]).all()
+        ordered = np.sort(placed)
+        ok = len(placed) == n and bool(
+            (ordered[1:] != ordered[:-1]).all()
+            and (placed >= inst.offsets[targets]).all()
             and (placed < inst.offsets[targets + 1]).all()
         )
     except PlacementTimeout:
         ok = False
     return TrialRecord(
-        trial=trial, seed=seed, n=n, dist=cfg.dist,
+        trial=trial, seed=seed, n=n,
         charged_work=meter.total_ops, rounds=rounds, verified=ok,
     )
 
@@ -304,13 +306,22 @@ _RUNNERS = {
 
 
 def _config_header(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    # Output destination is not part of the experiment: identical configs
-    # must produce byte-identical files regardless of where they land.
-    d.pop("out")
-    d["resolved_k"] = cfg.resolved_k()
+    """The settings this subcommand reads, and what it resolves them to.
+
+    The output destination is left out: identical configs must produce
+    byte-identical files regardless of where they land.
+    """
+    reads = READS[cfg.algorithm]
+    d = {"algorithm": cfg.algorithm}
+    for key in reads:
+        if key != "out":
+            name = SETTINGS[key][0]
+            d[name] = getattr(cfg, name)
     if cfg.algorithm in SORTS:
+        d["params"] = cfg.params
         d["semisort_params"] = dataclasses.asdict(_semisort_params(cfg, cfg.n))
+    if "k" in reads:
+        d["resolved_k"] = cfg.resolved_k()
     return d
 
 

@@ -6,6 +6,12 @@ record array is split into size-d blocks; every round, each block with an
 unplaced record probes one uniformly random slot of that record's target
 and claims it if empty.  Claims are linearizable: when several blocks probe
 the same slot in a round, exactly one wins.
+
+The arena is ``uint32``: each slot holds a record index, or ``EMPTY_SLOT``
+(2^32 - 1) if vacant, so an instance holds fewer than ``RECORD_LIMIT``
+(2^32 - 1) records and ``PlacementInstance`` raises ``InvalidInstance``
+beyond that.  ``PlacementResult.slot_of`` is computed from the arena on
+access; the round loop itself only writes the arena.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ import numpy as np
 from .meter import WorkMeter, ceil_log2
 from .prng import derive, mix64_array
 
-EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
+EMPTY_SLOT = np.uint32(0xFFFFFFFF)
+# Arena entries are uint32 record indices, which must stay below EMPTY_SLOT.
+RECORD_LIMIT = int(EMPTY_SLOT)
 
 
 class InvalidInstance(ValueError):
-    """A target's capacity falls short of alpha times its record count."""
+    """An instance is malformed or a capacity falls short of alpha * count."""
 
 
 class PlacementTimeout(RuntimeError):
@@ -47,6 +55,12 @@ class PlacementInstance:
     def __post_init__(self) -> None:
         self.targets = np.ascontiguousarray(self.targets, dtype=np.int64)
         self.capacities = np.ascontiguousarray(self.capacities, dtype=np.int64)
+        if self.targets.ndim != 1 or self.capacities.ndim != 1:
+            raise InvalidInstance("targets and capacities must be 1-d arrays")
+        if len(self.targets) >= RECORD_LIMIT:
+            raise InvalidInstance(
+                f"{len(self.targets)} records; placement holds at most {RECORD_LIMIT - 1}"
+            )
         if self.d < 1:
             raise ValueError("block size d must be >= 1")
         if self.alpha < 2:
@@ -77,10 +91,20 @@ class PlacementInstance:
 
 @dataclass
 class PlacementResult:
-    slot_of: np.ndarray   # record index -> arena slot (injective)
     rounds_used: int
     probes: int
     arena: np.ndarray     # arena slot -> record index, EMPTY_SLOT if vacant
+
+    @property
+    def slot_of(self) -> np.ndarray:
+        """Record index -> arena slot (injective), derived by one arena scan.
+
+        Every record holds exactly one slot, so the occupied slots number n.
+        """
+        slots = np.flatnonzero(self.arena != EMPTY_SLOT)
+        slot_of = np.empty_like(slots)
+        slot_of[self.arena[slots]] = slots
+        return slot_of
 
 
 def place(
@@ -101,47 +125,48 @@ def place(
     if validate:
         inst.validate()
     n = len(inst.targets)
-    arena = np.full(inst.arena_size, EMPTY_SLOT, dtype=np.uint64)
-    slot_of = np.full(n, -1, dtype=np.int64)
+    arena = np.full(inst.arena_size, EMPTY_SLOT, dtype=np.uint32)
     if n == 0:
-        return PlacementResult(slot_of, 0, 0, arena)
+        return PlacementResult(0, 0, arena)
 
     d = inst.d
     n_blocks = max(1, n // d)                 # final block absorbs the remainder
-    block_start = np.arange(n_blocks, dtype=np.int64) * d
-    block_end = np.concatenate((block_start[1:], [n]))
-    ptr = block_start.copy()                  # next unplaced record per block
-    base = inst.offsets[inst.targets]
-    cap = inst.capacities[inst.targets]
-    block_seed = np.uint64(derive(seed, 0x9A5E))
+    # Live blocks only, compacted as blocks finish: next unplaced record,
+    # block end, and the block's stream key.
+    ptr = np.arange(n_blocks, dtype=np.int64) * d
+    end = ptr + d
+    end[-1] = n
+    key = np.uint64(derive(seed, 0x9A5E)) ^ (
+        np.arange(n_blocks, dtype=np.uint64) << np.uint64(20)
+    )
+    caps = inst.capacities.astype(np.uint64)
 
     probes = 0
     rounds = 0
-    while rounds < round_cap:
-        active = np.flatnonzero(ptr < block_end)
-        if len(active) == 0:
-            break
+    while len(ptr) and rounds < round_cap:
         rounds += 1
-        cur = ptr[active]
         # Per-block counter-based stream: value depends only on
         # (seed, block id, round), so trials replay exactly.
-        raw = mix64_array(
-            block_seed ^ np.uint64(rounds) ^ (active.astype(np.uint64) << np.uint64(20))
-        )
-        slots = base[cur] + (raw % cap[cur].astype(np.uint64)).astype(np.int64)
+        raw = mix64_array(key ^ np.uint64(rounds))
+        t = inst.targets[ptr]
+        raw %= caps[t]
+        slots = inst.offsets[t] + raw.view(np.int64)
+        # A probe of an empty slot writes; of several in one round, the last
+        # writer wins and the others retry.
         empty = arena[slots] == EMPTY_SLOT
-        arena[slots[empty]] = cur[empty].astype(np.uint64)
-        won = arena[slots] == cur.astype(np.uint64)
-        slot_of[cur[won]] = slots[won]
-        ptr[active[won]] += 1
-        probes += len(active)
+        arena[slots[empty]] = ptr[empty]
+        ptr += arena[slots] == ptr
+        probes += len(ptr)
         if meter is not None:
-            meter.charge("placement.probe", len(active))
+            meter.charge("placement.probe", len(ptr))
             meter.tick(1)
+        live = ptr < end
+        if not live.all():
+            ptr, end, key = ptr[live], end[live], key[live]
 
-    if (ptr < block_end).any():
-        raise PlacementTimeout(rounds, int((slot_of >= 0).sum()), n)
-    return PlacementResult(slot_of, rounds, probes, arena)
+    if len(ptr):
+        raise PlacementTimeout(rounds, n - int((end - ptr).sum()), n)
+    return PlacementResult(rounds, probes, arena)
 
 
 def default_round_cap(n: int) -> int:

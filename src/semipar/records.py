@@ -66,8 +66,12 @@ def same_multiset(a: Records, b: Records) -> bool:
 
 def group_counts(a: Records) -> dict[int, int]:
     """Sequential per-key multiplicity oracle."""
-    keys, counts = np.unique(a.keys, return_counts=True)
-    return {int(k): int(c) for k, c in zip(keys, counts)}
+    keys = np.sort(a.keys)
+    if len(keys) == 0:
+        return {}
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = np.diff(starts, append=len(keys))
+    return dict(zip(keys[starts].tolist(), counts.tolist()))
 
 
 def is_semisorted(a: Records) -> bool:
@@ -76,8 +80,8 @@ def is_semisorted(a: Records) -> bool:
         return True
     keys = a.keys
     boundary = keys[1:] != keys[:-1]
-    run_heads = np.concatenate(([keys[0]], keys[1:][boundary]))
-    return len(np.unique(run_heads)) == len(run_heads)
+    run_heads = np.sort(np.concatenate(([keys[0]], keys[1:][boundary])))
+    return bool((run_heads[1:] != run_heads[:-1]).all())
 
 
 def write_records(path: str | Path, a: Records) -> None:

@@ -291,7 +291,8 @@ def _place_and_pack(
     arena = place(inst, params.round_cap, seed, meter, validate=False).arena
     meter.charge(label, inst.arena_size)
     meter.tick(ceil_log2(inst.arena_size))
-    return arena[arena != EMPTY_SLOT].astype(np.int64), inst.arena_size
+    # Gathering at flatnonzero's positions beats a boolean-mask index here.
+    return arena[np.flatnonzero(arena != EMPTY_SLOT)].astype(np.int64), inst.arena_size
 
 
 def _semisort_once(

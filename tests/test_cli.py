@@ -169,6 +169,26 @@ def test_partition_rows_check_the_partition(tamper, tmp_path, monkeypatch):
     assert code == (EXIT_OK if tamper is None else cli.EXIT_VERIFY)
 
 
+@pytest.mark.parametrize(
+    "cmd,extra,header_keys",
+    [
+        ("placement", [], {"algorithm", "n", "trials", "seed", "fmt"}),
+        ("semisort", [], {"algorithm", "n", "trials", "seed", "fmt", "dist", "theta",
+                          "params", "semisort_params"}),
+        ("mis", ["--m", "1500"], {"algorithm", "n", "trials", "seed", "fmt", "m", "k",
+                                  "graph_kind", "resolved_k"}),
+    ],
+)
+def test_header_lists_only_what_the_subcommand_reads(cmd, extra, header_keys, tmp_path):
+    out = tmp_path / "h.json"
+    args = [cmd, "--n", "2048", *extra, "--format", "json", "--out", str(out)]
+    assert run_cli(args) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert set(doc["config"]) == header_keys
+    if cmd == "placement":
+        assert doc["trials"][0]["dist"] == ""
+
+
 def test_param_overrides_reach_semisort(tmp_path):
     out = tmp_path / "o.csv"
     code = run_cli(

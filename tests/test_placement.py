@@ -1,8 +1,12 @@
 """Randomized placement: injectivity, target ranges, caps, determinism."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from semipar import placement
 from semipar.meter import WorkMeter
 from semipar.placement import (
     EMPTY_SLOT,
@@ -15,11 +19,12 @@ from semipar.placement import (
 from semipar.prng import generator
 
 
-def _random_instance(n, n_targets, seed, alpha=2.0, d=1):
+def _random_instance(n, n_targets, seed, alpha=2.0, d=1, slack=None):
+    # Capacity ceil(slack * count), at least 1; slack defaults to alpha.
     rng = generator(seed, 1)
     targets = rng.integers(0, n_targets, size=n, dtype=np.int64)
     counts = np.bincount(targets, minlength=n_targets)
-    caps = np.maximum(1, np.ceil(alpha * counts).astype(np.int64))
+    caps = np.maximum(1, np.ceil((slack or alpha) * counts).astype(np.int64))
     return PlacementInstance(targets=targets, capacities=caps, alpha=alpha, d=d)
 
 
@@ -77,6 +82,22 @@ def test_validation_rejects_bad_target_id():
         inst.validate()
 
 
+def test_record_limit_rejected(monkeypatch):
+    # The uint32 arena holds record indices below EMPTY_SLOT; a lowered
+    # limit stands in for the 2^32 - 1 records that would not fit in memory.
+    monkeypatch.setattr(placement, "RECORD_LIMIT", 8)
+    PlacementInstance(np.zeros(7, np.int64), np.array([14]))
+    with pytest.raises(InvalidInstance, match="records"):
+        PlacementInstance(np.zeros(8, np.int64), np.array([16]))
+
+
+def test_non_1d_arrays_rejected():
+    with pytest.raises(InvalidInstance):
+        PlacementInstance(np.zeros((2, 3), np.int64), np.array([12]))
+    with pytest.raises(InvalidInstance):
+        PlacementInstance(np.zeros(3, np.int64), np.array([[6]]))
+
+
 def test_alpha_below_two_rejected():
     with pytest.raises(ValueError):
         PlacementInstance(np.array([0]), np.array([4]), alpha=1.5)
@@ -110,3 +131,62 @@ def test_probe_charges_match_meter():
 def test_default_round_cap():
     assert default_round_cap(2) == 8
     assert default_round_cap(1 << 16) == 8 * 16
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+
+# _random_instance arguments per case, all drawn with seed 41.  The last
+# case has capacity 1.25 * count < alpha * count, so it runs unvalidated.
+PIN_INSTANCES = {
+    "d1": dict(n=3000, n_targets=50),
+    "d_lg": dict(n=4096, n_targets=64, d=12),
+    "d_above_n": dict(n=40, n_targets=4, d=100),
+    "one_target": dict(n=1000, n_targets=1, d=10),
+    "alpha3": dict(n=2000, n_targets=40, alpha=3.0, d=11),
+    "tight_unvalidated": dict(n=1500, n_targets=30, d=11, slack=1.25),
+}
+
+# Placement seed 42, round cap 4 * default_round_cap(n).  Digests: sha256 of
+# slot_of as little-endian int64; of the arena as little-endian int64 with
+# EMPTY_SLOT read as -1; of the sorted-key JSON of the meter's per-label work.
+PINNED_PLACEMENT = [
+    ("d1", "afee3be3d0dd6faf04432830477d3a698e9084557a9c9e6c77783da9f3b5047e", "9ecd60e8d4e9f32a8e5e391f2b9f2b8465f1549958e3ba2399a43c8f3210b3fb", 9, 4129, "943885875055082590efbce888fc332eec539eca33297658f2da453a3fa003dc"),
+    ("d_lg", "a127d217d12316a264e572cfae8c2cc046cab4b1b72232626cbbcbda8d3650bb", "4fd57f7e988b48e400d0d7bcf73ace034f61878b01f25c0b7c0fc18c70f2d20a", 30, 5631, "dab60b0488d8f28a0fc6a2fa924afc52a7b33204b4993a8b6ada0a586a15c6c0"),
+    ("d_above_n", "3b4ffb58182a9aaceb7e096e0818211569160f0b5c3aa3bb33cd307f30151218", "a93cb049a8f49529c3fdc1b7638c0a54860ec12a0a1c0006fa4b02b159f2ce4b", 54, 54, "c6924c4ac50326b32988b6a33ac948bec0affb080927addda1bf31e9a936abd8"),
+    ("one_target", "442717e650f9c94fa72835550c94e2859c1f564349d4361e209805f828c58ece", "5acca9bed428f4ba718ee9bd9f8c531d4879fbd3ff963325e27c5540e9b0da8b", 26, 1415, "eaed18f0c624265bc39a265960e33a86f23bfcffb99120dc634b4ea4b740bb25"),
+    ("alpha3", "17669c69f217b5a5b9238038816e8c37f0e5f5ffd023a0680446f614d410f2b6", "622fbf8c309d789d5ed6cd9551395f459b242ac5360ef97ac07c6fae161dccf7", 25, 2438, "6a34e7b53028c995708070729f4906ba95e1bef9f461e1486de75a6357faacf0"),
+    ("tight_unvalidated", "27b759a98174f0b6a394f80ba455a877c489c9b487828dbf28eeb7cc79473ae3", "f30cdb67a612466e11caf37dfd5a66a744e82f330a556330100f7ba3d2751753", 47, 2875, "09e3c5a21a60b2270d8ffe8f63d659f535737ed4a46de5bedc095c313a46c911"),
+]
+
+# case, round cap -> records placed when PlacementTimeout is raised.
+PINNED_TIMEOUTS = [("d1", 3, 2880), ("d_lg", 10, 2795), ("d_above_n", 5, 5)]
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(a.astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case,slot_digest,arena_digest,rounds,probes,work_digest",
+    PINNED_PLACEMENT,
+    ids=[c[0] for c in PINNED_PLACEMENT],
+)
+def test_place_outputs_pinned(case, slot_digest, arena_digest, rounds, probes, work_digest):
+    inst = _random_instance(seed=41, **PIN_INSTANCES[case])
+    meter = WorkMeter()
+    res = place(inst, 4 * default_round_cap(len(inst.targets)), seed=42, meter=meter,
+                validate=case != "tight_unvalidated")
+    arena = np.where(res.arena == EMPTY_SLOT, -1, res.arena.astype(np.int64))
+    assert _sha(res.slot_of) == slot_digest
+    assert _sha(arena) == arena_digest
+    assert (res.rounds_used, res.probes) == (rounds, probes)
+    work = json.dumps(meter.phase_breakdown, sort_keys=True).encode()
+    assert hashlib.sha256(work).hexdigest() == work_digest
+
+
+@pytest.mark.parametrize("case,round_cap,placed", PINNED_TIMEOUTS)
+def test_place_timeout_reports_placed_count(case, round_cap, placed):
+    inst = _random_instance(seed=41, **PIN_INSTANCES[case])
+    with pytest.raises(PlacementTimeout, match=rf"\({placed}/{len(inst.targets)} placed\)"):
+        place(inst, round_cap, seed=42)

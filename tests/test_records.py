@@ -1,7 +1,11 @@
 """Record containers, oracles, and the binary record file format."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semipar.records import (
     Records,
@@ -44,6 +48,20 @@ def test_is_semisorted():
     assert not is_semisorted(bad)
     assert is_semisorted(Records.empty())
     assert is_semisorted(Records.from_keys(np.array([7], np.uint64)))
+
+
+@given(st.lists(st.sampled_from([0, 1, 5, 2**63, 2**64 - 1]), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_oracles_match_counter_reference(keys):
+    a = Records.from_keys(np.array(keys, dtype=np.uint64))
+    assert group_counts(a) == dict(Counter(keys))
+    # Reference: a key is semisorted iff no run of it starts after one ended.
+    closed, semisorted = set(), True
+    for i, k in enumerate(keys):
+        if i and keys[i - 1] != k:
+            closed.add(keys[i - 1])
+            semisorted &= k not in closed
+    assert is_semisorted(a) == semisorted
 
 
 def test_file_roundtrip(tmp_path):
