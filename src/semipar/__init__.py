@@ -33,6 +33,7 @@ from .graph import (
     write_edge_list,
 )
 from .graph_algos import (
+    ColoringRoundsExceeded,
     PaletteDeficit,
     PaletteSet,
     UncoloredCutEndpoint,

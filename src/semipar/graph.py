@@ -5,7 +5,9 @@ directions stored).  The culled balanced partition removes high-degree
 vertices in barrier-separated phases until the max degree drops below
 e(H)/(k^4 * ceil(log2 n)), then assigns survivors independently and
 uniformly to k pieces.  Reorganization groups vertices by piece and splits
-every adjacency list into internal and cut neighbors.
+every adjacency list into internal and cut neighbors: the internal edges form
+a graph on the new vertex positions, block-diagonal by piece, and the cut
+entries keep original ids, so each piece is a slice of both.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .records import Records
 from .semisort import integer_sort, sorted_distinct
 
 CSR_MAGIC = b"PCSR"
+ID_LIMIT = 1 << 32  # vertex ids must fit in 32 bits to pack a pair in a uint64
 
 
 class InvariantViolation(RuntimeError):
@@ -52,18 +55,13 @@ class Graph:
             raise ValueError("offsets must be non-decreasing and end at 2m")
         if len(self.neighbors) != 2 * self.m:
             raise ValueError("neighbor array length must be 2m")
-        if self.m:
-            if self.neighbors.min() < 0 or self.neighbors.max() >= self.n:
-                raise ValueError("neighbor id out of range")
+        if self.m and (self.neighbors.min() < 0 or self.neighbors.max() >= self.n):
+            raise ValueError("neighbor id out of range")
         rows = np.repeat(np.arange(self.n), self.degrees())
         if np.any(rows == self.neighbors):
             raise ValueError("self-loop present")
-        fwd = np.lexsort((self.neighbors, rows))
-        rev = np.lexsort((rows, self.neighbors))
-        if not (
-            np.array_equal(rows[fwd], self.neighbors[rev])
-            and np.array_equal(self.neighbors[fwd], rows[rev])
-        ):
+        fwd = sorted_pair_codes(self.n, rows, self.neighbors)
+        if not np.array_equal(fwd, sorted_pair_codes(self.n, self.neighbors, rows)):
             raise ValueError("adjacency not symmetric")
 
     def degrees(self) -> np.ndarray:
@@ -97,25 +95,35 @@ class Graph:
         return sub, old_ids
 
 
+def sorted_pair_codes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Directed pairs (src, dst) of ids in [0, n), each packed as the uint64
+    src * 2^32 + dst, in ascending (src, dst) order."""
+    if n >= ID_LIMIT:
+        raise ValueError(f"vertex count {n} does not fit below 2^32")
+    codes = src.astype(np.uint64) << np.uint64(32)
+    codes |= dst.astype(np.uint64)
+    codes.sort()
+    return codes
+
+
 def from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """Build a Graph from undirected edge endpoint arrays.
 
-    Raises ValueError on a self-loop or on an edge listed twice (in either
-    orientation), since a Graph is simple.
+    Raises ValueError on an endpoint outside [0, n), on n >= 2^32, or on a
+    self-loop or repeated edge (in either orientation), since a Graph is simple.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     m = len(u)
+    if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        raise ValueError(f"edge endpoint outside [0, {n})")
     if np.any(u == v):
         raise ValueError("self-loop in edge list")
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
+    codes = sorted_pair_codes(n, np.concatenate([u, v]), np.concatenate([v, u]))
+    if np.any(codes[1:] == codes[:-1]):
         raise ValueError("duplicate edge in edge list")
-    deg = np.bincount(src, minlength=n)
-    offsets = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
+    row_starts = np.arange(n + 1, dtype=np.uint64) << np.uint64(32)
+    offsets = np.searchsorted(codes, row_starts).astype(np.int64)
+    dst = (codes & np.uint64(ID_LIMIT - 1)).astype(np.int64)
     return Graph(n=n, m=m, offsets=offsets, neighbors=dst)
 
 
@@ -183,10 +191,7 @@ def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
 
 
 def write_edge_list(path: str | Path, g: Graph) -> None:
-    u, v = edge_list(g)
-    with open(path, "w") as fh:
-        for a, b in zip(u.tolist(), v.tolist()):
-            fh.write(f"{a} {b}\n")
+    np.savetxt(path, np.column_stack(edge_list(g)), fmt="%d")
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
@@ -199,11 +204,9 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
             a, b = line.split()
             u.append(int(a))
             v.append(int(b))
-    u_arr = np.asarray(u, dtype=np.int64)
-    v_arr = np.asarray(v, dtype=np.int64)
     if n is None:
-        n = int(max(u_arr.max(initial=-1), v_arr.max(initial=-1)) + 1)
-    return from_edges(n, u_arr, v_arr)
+        n = max(u + v, default=-1) + 1
+    return from_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
 
 
 def write_csr(path: str | Path, g: Graph) -> None:
@@ -234,10 +237,15 @@ def read_csr(path: str | Path) -> Graph:
 CULLED = -1
 
 
+def row_counts(g: Graph, entry_mask: np.ndarray) -> np.ndarray:
+    """Per vertex, how many of its adjacency entries ``entry_mask`` marks."""
+    cs = np.concatenate(([0], np.cumsum(entry_mask, dtype=np.int64)))
+    return cs[g.offsets[1:]] - cs[g.offsets[:-1]]
+
+
 def alive_degrees(g: Graph, alive: np.ndarray) -> np.ndarray:
     """Degree into the subgraph induced by ``alive``, zero for removed vertices."""
-    cs = np.concatenate(([0], np.cumsum(alive[g.neighbors], dtype=np.int64)))
-    deg = cs[g.offsets[1:]] - cs[g.offsets[:-1]]
+    deg = row_counts(g, alive[g.neighbors])
     deg[~alive] = 0
     return deg
 
@@ -357,28 +365,53 @@ def piece_edge_counts(g: Graph, p: CulledPartition) -> np.ndarray:
 # Reorganization
 
 
+def _rows_in_order(
+    values: np.ndarray, counts: np.ndarray, perm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move the rows of a flat array (row i holds counts[i] entries) into the
+    order ``perm`` with one segmented gather; returns (offsets, values)."""
+    new_counts = counts[perm]
+    offsets = np.concatenate(([0], np.cumsum(new_counts)))
+    idx = np.repeat((np.cumsum(counts) - counts)[perm] - offsets[:-1], new_counts)
+    idx += np.arange(len(idx))
+    return offsets, values[idx]
+
+
 @dataclass
 class ReorganizedGraph:
-    """Vertices grouped by piece; adjacency split into internal/cut blocks.
+    """Vertices grouped by piece; adjacency split into internal and cut parts.
 
     Vertex position i (new order) holds original vertex perm[i].  Culled
-    vertices form piece k.  For position i, neighbors[offsets[i] :
-    offsets[i] + split[i]] lie in the same piece; the rest lie elsewhere.
-    Neighbor entries use original vertex ids.
+    vertices form piece k.  ``internal`` is the graph of the edges inside a
+    piece on the new positions, so it is block-diagonal by piece.  The cut
+    neighbors of position i are cut[cut_offsets[i] : cut_offsets[i + 1]], as
+    original ids.  Both keep each row's entries in original adjacency order.
     """
 
-    graph: Graph
-    partition: CulledPartition
     perm: np.ndarray            # new position -> original vertex id
     inv: np.ndarray             # original vertex id -> new position
-    offsets: np.ndarray         # n+1, adjacency offsets in new order
-    neighbors: np.ndarray       # 2m original ids, grouped by neighbor piece
-    split: np.ndarray           # internal-neighbor count per new position
+    internal: Graph             # internal edges on new positions
+    cut_offsets: np.ndarray     # n+1, cut-entry offsets in new order
+    cut: np.ndarray             # original ids of the cut neighbors
     piece_boundaries: np.ndarray  # k+2 offsets into the new vertex order
 
     def piece_vertices(self, i: int) -> np.ndarray:
         lo, hi = self.piece_boundaries[i], self.piece_boundaries[i + 1]
         return self.perm[lo:hi]
+
+    def piece(self, i: int) -> tuple[np.ndarray, Graph, np.ndarray, np.ndarray]:
+        """Piece i as (original ids, local graph, cut rows, cut neighbors).
+
+        The local graph is ``internal`` restricted to the piece, with vertex
+        j standing for original vertex perm[lo + j]; cut entry t joins local
+        vertex cut_rows[t] to original vertex cut_nbrs[t].
+        """
+        lo, hi = int(self.piece_boundaries[i]), int(self.piece_boundaries[i + 1])
+        off, cut_off = self.internal.offsets[lo : hi + 1], self.cut_offsets[lo : hi + 1]
+        nbrs = self.internal.neighbors[off[0] : off[-1]] - lo
+        local = Graph(hi - lo, len(nbrs) // 2, off - off[0], nbrs)
+        cut_rows = np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(cut_off))
+        return self.perm[lo:hi], local, cut_rows, self.cut[cut_off[0] : cut_off[-1]]
 
 
 def reorganize(
@@ -387,8 +420,10 @@ def reorganize(
     """Group vertices by piece id and split adjacency lists at the cut.
 
     The vertex permutation comes from the linear-work integer sort (culled
-    vertices keyed as piece k); adjacency lists are then grouped by neighbor
-    piece with a counting pass per list and moved to their new rows.
+    vertices keyed as piece k).  One mask marks the internal entries; the
+    internal entries (as new positions) and the cut entries (original ids)
+    are each compacted in entry order, then moved to their new rows with one
+    segmented gather.  Nothing sorts the adjacency entries.
     """
     if meter is None:
         meter = WorkMeter()
@@ -407,45 +442,18 @@ def reorganize(
         meter.charge("reorganize.rank", g.n * ceil_log2(g.n))
         meter.tick(ceil_log2(g.n))
     recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
-    sorted_recs = integer_sort(recs, None, seed, meter)
-    perm = sorted_recs.payloads.astype(np.int64)
+    perm = integer_sort(recs, None, seed, meter).payloads.astype(np.int64)
     inv = np.empty(g.n, dtype=np.int64)
     inv[perm] = np.arange(g.n)
 
-    piece_counts = np.bincount(piece_of, minlength=p.k + 1)
-    piece_boundaries = np.concatenate(([0], np.cumsum(piece_counts))).astype(np.int64)
+    piece_boundaries = np.concatenate(([0], np.cumsum(np.bincount(piece_of, minlength=p.k + 1))))
 
-    # Adjacency: stable order by (row, neighbor code) within each old row,
-    # where internal neighbors code 0 and cut neighbors 1 + their piece id;
-    # then each row's block moves to its new position.
     deg = g.degrees()
-    new_offsets = np.concatenate(([0], np.cumsum(deg[perm]))).astype(np.int64)
-    # Rows are contiguous, so the stable sort runs over presorted runs.
-    # Each 2m-entry temporary is freed before the next one exists.
-    rows_old = g.edge_rows()
-    code = piece_of[g.neighbors]
-    internal_mask = code == piece_of[rows_old]
-    code += 1
-    code[internal_mask] = 0
-    code += rows_old * (p.k + 2)
-    order = np.argsort(code, kind="stable")
-    del code
-    grouped = g.neighbors[order]
-    del order
-    dest = (new_offsets[inv] - g.offsets[:-1])[rows_old]
-    dest += np.arange(2 * g.m)
-    new_neighbors = np.empty_like(grouped)
-    new_neighbors[dest] = grouped
-    split = np.bincount(rows_old[internal_mask], minlength=g.n)[perm]
+    internal = piece_of[g.neighbors] == np.repeat(piece_of, deg)
+    internal_deg = row_counts(g, internal)
+    offsets, nbrs = _rows_in_order(inv[g.neighbors[internal]], internal_deg, perm)
+    cut_offsets, cut = _rows_in_order(g.neighbors[~internal], deg - internal_deg, perm)
     meter.charge("reorganize.adjacency", 4 * g.m)
     meter.tick(ceil_log2(2 * g.m))
-    return ReorganizedGraph(
-        graph=g,
-        partition=p,
-        perm=perm,
-        inv=inv,
-        offsets=new_offsets,
-        neighbors=new_neighbors,
-        split=split,
-        piece_boundaries=piece_boundaries,
-    )
+    internal_graph = Graph(g.n, len(nbrs) // 2, offsets, nbrs)
+    return ReorganizedGraph(perm, inv, internal_graph, cut_offsets, cut, piece_boundaries)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, ReorganizedGraph, cull_partition, reorganize
-from .meter import WorkMeter
+from .graph import Graph, cull_partition, reorganize
+from .meter import WorkMeter, ceil_log2
 from .prng import derive, generator
 from .semisort import sorted_distinct
 
 UNCOLORED = -1
+COLOR_ROUND_FACTOR = 64  # palette_color gives up after this many * ceil(lg n) rounds
 
 
 class PaletteDeficit(RuntimeError):
@@ -28,6 +29,10 @@ class PaletteDeficit(RuntimeError):
 
 class UncoloredCutEndpoint(ValueError):
     """A cut edge's supposedly-colored endpoint carries no color."""
+
+
+class ColoringRoundsExceeded(RuntimeError):
+    """palette_color left vertices uncolored after its round cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +169,9 @@ def palette_color(
     when two uncolored neighbors sample the same color, both discard.
     Sampling is exact: a vertex draws an index j into its allowed colors and
     maps it back with a segmented rank query over its sorted removed colors.
-    Raises PaletteDeficit if a palette drops below remaining degree + 1.
+    Raises PaletteDeficit if a palette drops below remaining degree + 1, and
+    ColoringRoundsExceeded if vertices are still uncolored after
+    COLOR_ROUND_FACTOR * ceil(lg n) rounds.
     """
     if meter is None:
         meter = WorkMeter()
@@ -180,11 +187,14 @@ def palette_color(
     span = np.int64(P + 2)
     base_pairs = base_rows * span + palettes.removed
     rng = generator(seed, 0xC010)
-    while True:
+    max_rounds = COLOR_ROUND_FACTOR * ceil_log2(n)
+    for rounds in range(max_rounds + 1):
         live_mask = colors == UNCOLORED
         live = np.flatnonzero(live_mask)
         if len(live) == 0:
             return colors
+        if rounds == max_rounds:
+            raise ColoringRoundsExceeded(f"{len(live)} vertices uncolored after {rounds} rounds")
         # Forbidden = base removals plus colors of colored neighbors.
         edge_live = live_mask[rows]
         taken_sel = edge_live & (colors[nbrs] >= 0)
@@ -244,26 +254,6 @@ def verify_coloring(g: Graph, colors: np.ndarray, delta: int) -> bool:
 # Boosted pipelines
 
 
-def _piece_local(ro: ReorganizedGraph, piece: int):
-    """Extract one piece: global ids, internal CSR, and its cut entries."""
-    lo = int(ro.piece_boundaries[piece])
-    hi = int(ro.piece_boundaries[piece + 1])
-    if hi == lo:
-        return None
-    verts = ro.perm[lo:hi]
-    flat_lo, flat_hi = int(ro.offsets[lo]), int(ro.offsets[hi])
-    nbrs = ro.neighbors[flat_lo:flat_hi]
-    deg = np.diff(ro.offsets[lo : hi + 1])
-    row_local = np.repeat(np.arange(hi - lo, dtype=np.int64), deg)
-    entry_rank = (
-        np.arange(len(nbrs), dtype=np.int64) - (ro.offsets[lo:hi][row_local] - flat_lo)
-    )
-    internal = entry_rank < ro.split[lo:hi][row_local]
-    loc_offsets = np.concatenate(([0], np.cumsum(ro.split[lo:hi])))
-    local = Graph(hi - lo, int(loc_offsets[-1]) // 2, loc_offsets, ro.inv[nbrs[internal]] - lo)
-    return verts, local, row_local[~internal], nbrs[~internal]
-
-
 def _boost(g: Graph, k: int, seed: int, meter: WorkMeter, stream: int, solve_piece) -> None:
     """The boosting framework: culled partition, reorganize, then each piece.
 
@@ -276,9 +266,8 @@ def _boost(g: Graph, k: int, seed: int, meter: WorkMeter, stream: int, solve_pie
     ro = reorganize(g, part, derive(seed, 2), meter)
     cut_total = 0
     for piece in range(k + 1):
-        extracted = _piece_local(ro, piece)
-        if extracted is not None:
-            cut_total += solve_piece(*extracted, derive(seed, stream, piece))
+        if ro.piece_boundaries[piece] < ro.piece_boundaries[piece + 1]:
+            cut_total += solve_piece(*ro.piece(piece), derive(seed, stream, piece))
     if cut_total > g.m:
         raise AssertionError("cut-edge accounting exceeded m")
 

@@ -10,6 +10,7 @@ from semipar.graph import (
     CULLED,
     CulledPartition,
     Graph,
+    ID_LIMIT,
     InconsistentPartition,
     alive_degrees,
     cull_partition,
@@ -57,6 +58,32 @@ def test_validate_rejects_asymmetry_and_loops():
     g = Graph(n=2, m=1, offsets=np.array([0, 1, 2]), neighbors=np.array([1, 1]))
     with pytest.raises(ValueError):
         g.validate()
+
+
+def test_validate_rejects_one_way_entry():
+    # 0 lists 1 and 2 lists 0, but neither reverse entry exists.
+    g = Graph(n=3, m=1, offsets=np.array([0, 1, 1, 2]), neighbors=np.array([1, 0]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        g.validate()
+
+
+@pytest.mark.parametrize("u, v", [([0], [5]), ([3], [0]), ([-1], [1]), ([0, 1], [1, -2])])
+def test_from_edges_rejects_out_of_range_ids(u, v):
+    with pytest.raises(ValueError, match="outside"):
+        from_edges(3, np.array(u), np.array(v))
+
+
+def test_read_edge_list_rejects_id_beyond_n(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n0 5\n")
+    with pytest.raises(ValueError, match="outside"):
+        read_edge_list(path, n=3)
+
+
+def test_from_edges_rejects_vertex_count_beyond_32_bits():
+    # Raised before anything of size n is allocated.
+    with pytest.raises(ValueError, match="2\\^32"):
+        from_edges(ID_LIMIT, np.array([0]), np.array([1]))
 
 
 @pytest.mark.parametrize("kind", ["path", "star", "gnm", "power_law"])
@@ -219,20 +246,49 @@ def _check_reorganized(g, part, ro):
     k = part.k
     # perm is a permutation grouped by piece.
     assert np.array_equal(np.sort(ro.perm), np.arange(g.n))
+    assert np.array_equal(ro.inv[ro.perm], np.arange(g.n))
     piece_of = np.where(part.assignment == CULLED, k, part.assignment)
     pieces_in_order = piece_of[ro.perm]
     assert (np.diff(pieces_in_order) >= 0).all()
-    # Adjacency lists hold the same neighbor multisets as the original.
+    ro.internal.validate()
+    # Each row's internal neighbors (new positions) and cut neighbors
+    # (original ids) together hold the original neighbor multiset.
     for pos in range(g.n):
         v = ro.perm[pos]
-        mine = ro.neighbors[ro.offsets[pos] : ro.offsets[pos + 1]]
-        assert np.array_equal(np.sort(mine), np.sort(g.row(v)))
-        # Internal prefix, then cut neighbors.
-        s = ro.split[pos]
-        assert (piece_of[mine[:s]] == piece_of[v]).all()
-        assert (piece_of[mine[s:]] != piece_of[v]).all()
+        inside = ro.perm[ro.internal.row(pos)]
+        cut = ro.cut[ro.cut_offsets[pos] : ro.cut_offsets[pos + 1]]
+        assert np.array_equal(np.sort(np.concatenate([inside, cut])), np.sort(g.row(v)))
+        assert (piece_of[inside] == piece_of[v]).all()
+        assert (piece_of[cut] != piece_of[v]).all()
     # Piece boundaries partition the new order.
     assert ro.piece_boundaries[0] == 0 and ro.piece_boundaries[-1] == g.n
+
+
+def _lexsort_oracle(g, piece_of, inv):
+    """Expected (internal offsets, internal neighbors, cut offsets, cut):
+    all 2m entries in one lexsort by (new row, cut after internal, entry)."""
+    rows = g.edge_rows()
+    rows_new = inv[rows]
+    is_cut = piece_of[g.neighbors] != piece_of[rows]
+    order = np.lexsort((np.arange(2 * g.m), is_cut, rows_new))
+    nbrs, cut_sorted = g.neighbors[order], is_cut[order]
+
+    def offsets(sel):
+        return np.concatenate(([0], np.cumsum(np.bincount(rows_new[sel], minlength=g.n))))
+
+    return offsets(~is_cut), inv[nbrs[~cut_sorted]], offsets(is_cut), nbrs[cut_sorted]
+
+
+def _assert_matches_oracle(g, part, ro):
+    piece_of = np.where(part.assignment == CULLED, part.k, part.assignment)
+    int_off, int_nbrs, cut_off, cut = _lexsort_oracle(g, piece_of, ro.inv)
+    for got in (ro.internal.offsets, ro.internal.neighbors, ro.cut_offsets, ro.cut):
+        assert got.dtype == np.int64
+    assert np.array_equal(ro.internal.offsets, int_off)
+    assert np.array_equal(ro.internal.neighbors, int_nbrs)
+    assert np.array_equal(ro.cut_offsets, cut_off)
+    assert np.array_equal(ro.cut, cut)
+    assert ro.internal.n == g.n and 2 * ro.internal.m == len(int_nbrs)
 
 
 def test_reorganize_small():
@@ -240,32 +296,49 @@ def test_reorganize_small():
     part = cull_partition(g, 2, seed=5)
     ro = reorganize(g, part, seed=6)
     _check_reorganized(g, part, ro)
+    _assert_matches_oracle(g, part, ro)
+
+
+def _random_partition(g, seed):
+    # Culled vertices and an empty piece (2 of k = 4) included.
+    rng = np.random.default_rng(seed)
+    assignment = rng.choice(np.array([0, 1, 3, CULLED]), size=g.n)
+    return CulledPartition(
+        culled=np.flatnonzero(assignment == CULLED), assignment=assignment, k=4, phases=1
+    )
 
 
 def test_reorganize_matches_lexsort_oracle():
-    # Culled vertices and an empty piece (2 of k = 4) included.
     g = generate("power_law", 400, 3000, seed=8)
-    rng = np.random.default_rng(3)
-    assignment = rng.choice(np.array([0, 1, 3, CULLED]), size=g.n)
-    part = CulledPartition(
-        culled=np.flatnonzero(assignment == CULLED), assignment=assignment, k=4, phases=1
-    )
+    part = _random_partition(g, 3)
     ro = reorganize(g, part, seed=2)
     _check_reorganized(g, part, ro)
-
-    # Oracle: one lexsort of all 2m entries by (new row, internal first,
-    # then neighbor piece).
-    piece_of = np.where(assignment == CULLED, 4, assignment)
-    rows_new = ro.inv[g.edge_rows()]
-    nbr_piece = piece_of[g.neighbors]
-    internal = nbr_piece == piece_of[g.edge_rows()]
-    order = np.lexsort((np.where(internal, -1, nbr_piece), rows_new))
-    expected_offsets = np.concatenate(([0], np.cumsum(g.degrees()[ro.perm])))
-    assert ro.neighbors.dtype == ro.offsets.dtype == ro.split.dtype == np.int64
-    assert np.array_equal(ro.neighbors, g.neighbors[order])
-    assert np.array_equal(ro.offsets, expected_offsets)
-    assert np.array_equal(ro.split, np.bincount(rows_new[internal], minlength=g.n))
+    _assert_matches_oracle(g, part, ro)
     assert ro.piece_boundaries[3] - ro.piece_boundaries[2] == 0
+
+
+def test_piece_is_induced_subgraph_plus_its_cut():
+    g = generate("gnm", 300, 2000, seed=12)
+    part = _random_partition(g, 4)
+    ro = reorganize(g, part, seed=13)
+    piece_of = np.where(part.assignment == CULLED, part.k, part.assignment)
+    rows = g.edge_rows()
+    for i in range(part.k + 1):
+        lo = ro.piece_boundaries[i]
+        verts, local, cut_rows, cut_nbrs = ro.piece(i)
+        assert np.array_equal(verts, ro.perm[lo : ro.piece_boundaries[i + 1]])
+        local.validate()
+        # Local graph: the induced subgraph, relabeled to positions in perm.
+        sub, old_ids = g.induced(piece_of == i)
+        pos = ro.inv[old_ids] - lo
+        got = sorted(zip(local.edge_rows().tolist(), local.neighbors.tolist()))
+        want = sorted(zip(pos[sub.edge_rows()].tolist(), pos[sub.neighbors].tolist()))
+        assert local.n == len(old_ids) and got == want
+        # Cut entries: every entry from a piece-i row to another piece.
+        sel = (piece_of[rows] == i) & (piece_of[g.neighbors] != i)
+        got = sorted(zip(cut_rows.tolist(), cut_nbrs.tolist()))
+        want = sorted(zip((ro.inv[rows[sel]] - lo).tolist(), g.neighbors[sel].tolist()))
+        assert got == want
 
 
 def test_reorganize_rejects_mismatched_partition():

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semipar.graph import from_edges, generate
+from semipar.graph import cull_partition, from_edges, generate
+import semipar.graph_algos as graph_algos
 from semipar.graph_algos import (
     UNCOLORED,
+    ColoringRoundsExceeded,
     PaletteDeficit,
     PaletteSet,
     UncoloredCutEndpoint,
@@ -24,7 +26,7 @@ from semipar.graph_algos import (
     verify_mis,
 )
 from semipar.meter import WorkMeter
-from semipar.prng import generator
+from semipar.prng import derive, generator
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,18 @@ def test_palette_color_deficit_raises():
         palette_color(g, p, seed=10)
 
 
+def test_palette_color_round_cap(monkeypatch):
+    # K5 with 5 colors: seed 0 needs 6 rounds, over the cap of 1 * ceil(lg 5).
+    g = generate("gnm", 5, 10, 0)
+    monkeypatch.setattr(graph_algos, "COLOR_ROUND_FACTOR", 1)
+    meter = WorkMeter()
+    with pytest.raises(ColoringRoundsExceeded, match="after 3 rounds"):
+        palette_color(g, PaletteSet.full(5, 5), seed=0, meter=meter)
+    assert meter.rounds == 3
+    # Seed 3 finishes in one round, under the same cap.
+    assert verify_coloring(g, palette_color(g, PaletteSet.full(5, 5), seed=3), 4)
+
+
 # ---------------------------------------------------------------------------
 # Verifiers
 
@@ -237,10 +251,23 @@ PINNED_BOOSTED = [
 ]
 
 
+# Edge cases, pinned the same way: k >= n (the vertex sort keys each vertex
+# by its piece id's rank), a cull phase that removes vertices
+# (test_pinned_cull_case_culls), and an edgeless graph.
+PINNED_BOOSTED_EDGE_CASES = {
+    "rank-color": ("gnm", 40, 300, 64, "color", "41595f0ff8394a82d85eec4e2f3340c65086327a9d3e2317e365492799f11e62", 4468, 35, "e115e3d07f45d6f5ef4efc7002066b292f312a5e82ae9ec392ab17cbdcaf3870"),
+    "rank-mis": ("gnm", 40, 300, 64, "mis", "d5080b6c0dd601f837ab5e97b30c834b8eed2b899f395ad67eca32015fd7a24b", 4077, 35, "85c96cddc73a7ca9c24b58d212f26fe8a8bde10f53cfdd49193f7933a94532d7"),
+    "culls-color": ("power_law", 3000, 30000, 2, "color", "40dd57e4a557314667f6206f5f663c1240d4c54f2bc8b2d870adb6e4535c06b3", 360757, 110, "8828ce5d12700cb77e18f991adcf6abe95857a5f21e4fd38078d4d977b19dc85"),
+    "culls-mis": ("power_law", 3000, 30000, 2, "mis", "721dd68801d3f61a4522c1dd2e6a49f1ef84bd38da0acb8ef1f0eea36bc95867", 344205, 111, "910dc79de950e3a295658eeec49af347d840d1ffb50447650c7cdaf9edb39055"),
+    "edgeless-color": ("gnm", 50, 0, 3, "color", "7a12e561363385e9dfeeab326368731c030ed4b374e7f5897ac819159d2884c5", 650, 21, "c3e3ce6899275d33a8a6e095fdd0c28b17dff70c332fdf00708355aab45cb595"),
+    "edgeless-mis": ("gnm", 50, 0, 3, "mis", "f33daf5fc5cddc53a4edc108cc7617823eba7f63958f7e79379335d6a0f6eae7", 650, 21, "e6c5f953c48a05b0011ba418a33a2a1571402763b318d52ee64d9c8e27a0b6cd"),
+}
+
+
 @pytest.mark.parametrize(
     "kind,n,m,k,algo,out_digest,total_ops,rounds,work_digest",
-    PINNED_BOOSTED,
-    ids=[f"{c[0]}-k{c[3]}-{c[4]}" for c in PINNED_BOOSTED],
+    PINNED_BOOSTED + list(PINNED_BOOSTED_EDGE_CASES.values()),
+    ids=[f"{c[0]}-k{c[3]}-{c[4]}" for c in PINNED_BOOSTED] + list(PINNED_BOOSTED_EDGE_CASES),
 )
 def test_boosted_outputs_pinned(kind, n, m, k, algo, out_digest, total_ops, rounds, work_digest):
     g = generate(kind, n, m, seed=21)
@@ -250,3 +277,10 @@ def test_boosted_outputs_pinned(kind, n, m, k, algo, out_digest, total_ops, roun
     assert (meter.total_ops, meter.rounds) == (total_ops, rounds)
     work = json.dumps(meter.phase_breakdown, sort_keys=True).encode()
     assert hashlib.sha256(work).hexdigest() == work_digest
+
+
+def test_pinned_cull_case_culls():
+    # The boosted call partitions with seed derive(22, 1).
+    kind, n, m, k = PINNED_BOOSTED_EDGE_CASES["culls-mis"][:4]
+    part = cull_partition(generate(kind, n, m, seed=21), k, derive(22, 1))
+    assert len(part.culled) > 0
