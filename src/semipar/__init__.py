@@ -34,6 +34,7 @@ from .graph import (
 )
 from .graph_algos import (
     ColoringRoundsExceeded,
+    InvalidPalette,
     PaletteDeficit,
     PaletteSet,
     UncoloredCutEndpoint,

@@ -382,10 +382,13 @@ class ReorganizedGraph:
     """Vertices grouped by piece; adjacency split into internal and cut parts.
 
     Vertex position i (new order) holds original vertex perm[i].  Culled
-    vertices form piece k.  ``internal`` is the graph of the edges inside a
-    piece on the new positions, so it is block-diagonal by piece.  The cut
-    neighbors of position i are cut[cut_offsets[i] : cut_offsets[i + 1]], as
-    original ids.  Both keep each row's entries in original adjacency order.
+    vertices form piece k.  Only non-empty pieces are listed: piece
+    piece_ids[t] holds positions piece_boundaries[t] to
+    piece_boundaries[t + 1], so both arrays stay within n + 1 entries however
+    large k is.  ``internal`` is the graph of the edges inside a piece on the
+    new positions, so it is block-diagonal by piece.  The cut neighbors of
+    position i are cut[cut_offsets[i] : cut_offsets[i + 1]], as original
+    ids.  Both keep each row's entries in original adjacency order.
     """
 
     perm: np.ndarray            # new position -> original vertex id
@@ -393,10 +396,18 @@ class ReorganizedGraph:
     internal: Graph             # internal edges on new positions
     cut_offsets: np.ndarray     # n+1, cut-entry offsets in new order
     cut: np.ndarray             # original ids of the cut neighbors
-    piece_boundaries: np.ndarray  # k+2 offsets into the new vertex order
+    piece_ids: np.ndarray       # ascending ids of the non-empty pieces
+    piece_boundaries: np.ndarray  # len(piece_ids)+1 offsets into the new vertex order
+
+    def piece_range(self, i: int) -> tuple[int, int]:
+        """Positions [lo, hi) of piece id i; lo == hi when the piece is empty."""
+        t = int(np.searchsorted(self.piece_ids, i))
+        lo = int(self.piece_boundaries[t])
+        present = t < len(self.piece_ids) and self.piece_ids[t] == i
+        return lo, int(self.piece_boundaries[t + 1]) if present else lo
 
     def piece_vertices(self, i: int) -> np.ndarray:
-        lo, hi = self.piece_boundaries[i], self.piece_boundaries[i + 1]
+        lo, hi = self.piece_range(i)
         return self.perm[lo:hi]
 
     def piece(self, i: int) -> tuple[np.ndarray, Graph, np.ndarray, np.ndarray]:
@@ -406,7 +417,7 @@ class ReorganizedGraph:
         j standing for original vertex perm[lo + j]; cut entry t joins local
         vertex cut_rows[t] to original vertex cut_nbrs[t].
         """
-        lo, hi = int(self.piece_boundaries[i]), int(self.piece_boundaries[i + 1])
+        lo, hi = self.piece_range(i)
         off, cut_off = self.internal.offsets[lo : hi + 1], self.cut_offsets[lo : hi + 1]
         nbrs = self.internal.neighbors[off[0] : off[-1]] - lo
         local = Graph(hi - lo, len(nbrs) // 2, off - off[0], nbrs)
@@ -436,9 +447,11 @@ def reorganize(
     # Vertex permutation: integer-sort vertex ids keyed by piece.  Integer
     # sort needs keys below n; when piece ids can reach n, key each vertex by
     # its piece id's rank among the ids present, which keeps the order.
-    keys = piece_of
-    if p.k >= g.n:
-        keys = np.searchsorted(sorted_distinct(piece_of), piece_of)
+    if p.k < g.n:
+        keys, piece_ids = piece_of, np.arange(p.k + 1)
+    else:
+        piece_ids = sorted_distinct(piece_of)
+        keys = np.searchsorted(piece_ids, piece_of)
         meter.charge("reorganize.rank", g.n * ceil_log2(g.n))
         meter.tick(ceil_log2(g.n))
     recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
@@ -446,7 +459,11 @@ def reorganize(
     inv = np.empty(g.n, dtype=np.int64)
     inv[perm] = np.arange(g.n)
 
-    piece_boundaries = np.concatenate(([0], np.cumsum(np.bincount(piece_of, minlength=p.k + 1))))
+    # Both branches bound the key range by n, so this count never grows with k.
+    sizes = np.bincount(keys, minlength=len(piece_ids))
+    present = sizes > 0
+    piece_ids = piece_ids[present]
+    piece_boundaries = np.concatenate(([0], np.cumsum(sizes[present])))
 
     deg = g.degrees()
     internal = piece_of[g.neighbors] == np.repeat(piece_of, deg)
@@ -456,4 +473,4 @@ def reorganize(
     meter.charge("reorganize.adjacency", 4 * g.m)
     meter.tick(ceil_log2(2 * g.m))
     internal_graph = Graph(g.n, len(nbrs) // 2, offsets, nbrs)
-    return ReorganizedGraph(perm, inv, internal_graph, cut_offsets, cut, piece_boundaries)
+    return ReorganizedGraph(perm, inv, internal_graph, cut_offsets, cut, piece_ids, piece_boundaries)

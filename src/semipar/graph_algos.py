@@ -35,6 +35,10 @@ class ColoringRoundsExceeded(RuntimeError):
     """palette_color left vertices uncolored after its round cap."""
 
 
+class InvalidPalette(ValueError):
+    """A PaletteSet's removed lists break its layout invariant."""
+
+
 # ---------------------------------------------------------------------------
 # Palettes
 
@@ -45,12 +49,33 @@ class PaletteSet:
 
     Explicit allowed-color lists would cost Omega(n * Delta) space on dense
     palettes (e.g. star graphs); the removed sets together cost only the cut
-    size.  ``removed`` is flat, sorted and duplicate-free per vertex.
+    size.  ``removed`` is flat; vertex v's removed colors are
+    removed[removed_offsets[v] : removed_offsets[v + 1]], strictly increasing
+    and in [0, num_colors).  Construction checks this and raises
+    InvalidPalette otherwise.
     """
 
     num_colors: int
     removed_offsets: np.ndarray  # n+1
     removed: np.ndarray          # flat removed colors
+
+    def __post_init__(self) -> None:
+        self.removed_offsets = np.ascontiguousarray(self.removed_offsets, dtype=np.int64)
+        self.removed = np.ascontiguousarray(self.removed, dtype=np.int64)
+        off, gone = self.removed_offsets, self.removed
+        if (
+            off.ndim != 1 or gone.ndim != 1 or len(off) == 0
+            or off[0] != 0 or off[-1] != len(gone) or np.any(np.diff(off) < 0)
+        ):
+            raise InvalidPalette("removed_offsets must run non-decreasing from 0 to len(removed)")
+        if len(gone) and (gone.min() < 0 or gone.max() >= self.num_colors):
+            raise InvalidPalette(f"removed color outside [0, {self.num_colors})")
+        # Each step inside a vertex's list must rise; steps across lists are free.
+        rises = np.diff(gone) > 0
+        inner = off[1:-1]
+        rises[inner[(inner > 0) & (inner < len(gone))] - 1] = True
+        if not rises.all():
+            raise InvalidPalette("a vertex's removed colors are not strictly increasing")
 
     @property
     def n(self) -> int:
@@ -172,6 +197,16 @@ def palette_color(
     Raises PaletteDeficit if a palette drops below remaining degree + 1, and
     ColoringRoundsExceeded if vertices are still uncolored after
     COLOR_ROUND_FACTOR * ceil(lg n) rounds.
+
+    Rounds are incremental.  Across rounds only the colors, the live
+    (uncolored) mask and the adjacency entries of live rows carry over;
+    entries of rows that got colored are dropped, as in ``luby_mis``.  Each
+    round builds the forbidden (vertex, color) pairs of the live rows alone:
+    their base removals plus the colors their colored neighbors took.  Round
+    1 has no taken colors and uses the base pairs unsorted, which relies on
+    the PaletteSet invariant that each vertex's removed colors lie in
+    [0, num_colors) and strictly increase.  The charge still counts the
+    base removals of colored rows, so it equals that of a full rebuild.
     """
     if meter is None:
         meter = WorkMeter()
@@ -180,48 +215,55 @@ def palette_color(
         raise ValueError("palette set does not match the graph")
     P = palettes.num_colors
     colors = np.full(n, UNCOLORED, dtype=np.int64)
+    live_mask = np.ones(n, dtype=bool)
     rows, nbrs = g.edge_rows(), g.neighbors
-    base_rows = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(palettes.removed_offsets)
-    )
+    removed_counts = np.diff(palettes.removed_offsets)
+    base_rows = np.repeat(np.arange(n, dtype=np.int64), removed_counts)
     span = np.int64(P + 2)
     base_pairs = base_rows * span + palettes.removed
+    pairs = base_pairs  # sorted and distinct by the PaletteSet invariant
     rng = generator(seed, 0xC010)
     max_rounds = COLOR_ROUND_FACTOR * ceil_log2(n)
     for rounds in range(max_rounds + 1):
-        live_mask = colors == UNCOLORED
         live = np.flatnonzero(live_mask)
         if len(live) == 0:
             return colors
         if rounds == max_rounds:
             raise ColoringRoundsExceeded(f"{len(live)} vertices uncolored after {rounds} rounds")
-        # Forbidden = base removals plus colors of colored neighbors.
-        edge_live = live_mask[rows]
-        taken_sel = edge_live & (colors[nbrs] >= 0)
-        taken_pairs = rows[taken_sel] * span + colors[nbrs[taken_sel]]
-        pairs = sorted_distinct(np.concatenate([base_pairs, taken_pairs]))
-        seg = (pairs // span).astype(np.int64)
+        if rounds:
+            # Forbidden pairs of live rows: base removals plus colors of
+            # colored neighbors.
+            nbr_colors = colors[nbrs]
+            taken = nbr_colors >= 0
+            taken_pairs = rows[taken] * span + nbr_colors[taken]
+            pairs = sorted_distinct(np.concatenate([base_pairs[live_mask[base_rows]], taken_pairs]))
+        seg = pairs // span
         counts = np.bincount(seg, minlength=n)
-        seg_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        seg_offsets = np.concatenate(([0], np.cumsum(counts)))
         sizes = P - counts
-        live_deg = np.bincount(rows[edge_live & live_mask[nbrs]], minlength=n)
+        live_deg = np.bincount(rows[live_mask[nbrs]], minlength=n)
         if np.any(sizes[live] < live_deg[live] + 1):
             raise PaletteDeficit("palette smaller than remaining degree + 1")
-        meter.charge("palette_color", int(edge_live.sum()) + len(live) + len(pairs))
+        colored_base = len(palettes.removed) - int(removed_counts[live].sum())
+        meter.charge("palette_color", len(rows) + len(live) + len(pairs) + colored_base)
         meter.tick(1)
         j = np.minimum((rng.random(len(live)) * sizes[live]).astype(np.int64), sizes[live] - 1)
         # Allowed color j of v is j plus the number of v's removed colors c
-        # with c - rank(c) <= j; pairs - rank keeps that key sorted.
+        # with c - rank(c) <= j; pairs - rank keeps that key sorted, and the
+        # query v * span + j lands inside v's own segment.
         rank = np.arange(len(pairs), dtype=np.int64) - seg_offsets[seg]
         t = np.searchsorted(pairs - rank, live * span + j, side="right") - seg_offsets[live]
         proposal = np.full(n, -2, dtype=np.int64)
         proposal[live] = j + t
-        both_live = edge_live & live_mask[nbrs]
-        clash = both_live & (proposal[rows] == proposal[nbrs])
+        # Every row is live, so equal proposals mean two live endpoints.
+        clash = proposal[rows] == proposal[nbrs]
         conflicted = np.zeros(n, dtype=bool)
         conflicted[rows[clash]] = True
-        keep = live_mask & ~conflicted
-        colors[keep] = proposal[keep]
+        done = live_mask & ~conflicted
+        colors[done] = proposal[done]
+        live_mask = conflicted
+        still = live_mask[rows]
+        rows, nbrs = rows[still], nbrs[still]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +299,8 @@ def verify_coloring(g: Graph, colors: np.ndarray, delta: int) -> bool:
 def _boost(g: Graph, k: int, seed: int, meter: WorkMeter, stream: int, solve_piece) -> None:
     """The boosting framework: culled partition, reorganize, then each piece.
 
-    Pieces run in order with the culled set last.  ``solve_piece(verts,
+    Only the non-empty pieces run, in order with the culled set last, so
+    the loop is bounded by n rather than k.  ``solve_piece(verts,
     local, cut_rows, cut_nbrs, piece_seed)`` extends the partial solution
     across the piece's cut, solves the piece, and returns how many cut
     entries it read from the solved side; those total at most m.
@@ -265,9 +308,8 @@ def _boost(g: Graph, k: int, seed: int, meter: WorkMeter, stream: int, solve_pie
     part = cull_partition(g, k, derive(seed, 1), meter)
     ro = reorganize(g, part, derive(seed, 2), meter)
     cut_total = 0
-    for piece in range(k + 1):
-        if ro.piece_boundaries[piece] < ro.piece_boundaries[piece + 1]:
-            cut_total += solve_piece(*ro.piece(piece), derive(seed, stream, piece))
+    for piece in ro.piece_ids.tolist():
+        cut_total += solve_piece(*ro.piece(piece), derive(seed, stream, piece))
     if cut_total > g.m:
         raise AssertionError("cut-edge accounting exceeded m")
 
@@ -286,9 +328,10 @@ def boosted_coloring(
     colors = np.full(g.n, UNCOLORED, dtype=np.int64)
 
     def solve_piece(verts, local, cut_rows, cut_nbrs, piece_seed) -> int:
-        colored_sel = colors[cut_nbrs] != UNCOLORED
+        cut_colors = colors[cut_nbrs]
+        colored_sel = cut_colors != UNCOLORED
         palettes = extend_palettes(
-            local.n, cut_rows[colored_sel], colors[cut_nbrs[colored_sel]], num_colors, meter
+            local.n, cut_rows[colored_sel], cut_colors[colored_sel], num_colors, meter
         )
         colors[verts] = palette_color(local, palettes, piece_seed, meter)
         return int(colored_sel.sum())

@@ -260,8 +260,14 @@ def _check_reorganized(g, part, ro):
         assert np.array_equal(np.sort(np.concatenate([inside, cut])), np.sort(g.row(v)))
         assert (piece_of[inside] == piece_of[v]).all()
         assert (piece_of[cut] != piece_of[v]).all()
-    # Piece boundaries partition the new order.
+    # Piece boundaries partition the new order, one block per non-empty piece.
     assert ro.piece_boundaries[0] == 0 and ro.piece_boundaries[-1] == g.n
+    ids, sizes = np.unique(piece_of, return_counts=True)
+    assert np.array_equal(ro.piece_ids, ids)
+    assert np.array_equal(np.diff(ro.piece_boundaries), sizes)
+    for i in ids:
+        lo, hi = ro.piece_range(i)
+        assert (pieces_in_order[lo:hi] == i).all()
 
 
 def _lexsort_oracle(g, piece_of, inv):
@@ -314,7 +320,10 @@ def test_reorganize_matches_lexsort_oracle():
     ro = reorganize(g, part, seed=2)
     _check_reorganized(g, part, ro)
     _assert_matches_oracle(g, part, ro)
-    assert ro.piece_boundaries[3] - ro.piece_boundaries[2] == 0
+    # Piece 2 is empty, so it is not listed and reads as an empty range.
+    assert ro.piece_ids.tolist() == [0, 1, 3, 4]
+    lo, hi = ro.piece_range(2)
+    assert lo == hi and len(ro.piece_vertices(2)) == 0
 
 
 def test_piece_is_induced_subgraph_plus_its_cut():
@@ -324,9 +333,9 @@ def test_piece_is_induced_subgraph_plus_its_cut():
     piece_of = np.where(part.assignment == CULLED, part.k, part.assignment)
     rows = g.edge_rows()
     for i in range(part.k + 1):
-        lo = ro.piece_boundaries[i]
+        lo, hi = ro.piece_range(i)
         verts, local, cut_rows, cut_nbrs = ro.piece(i)
-        assert np.array_equal(verts, ro.perm[lo : ro.piece_boundaries[i + 1]])
+        assert np.array_equal(verts, ro.perm[lo:hi])
         local.validate()
         # Local graph: the induced subgraph, relabeled to positions in perm.
         sub, old_ids = g.induced(piece_of == i)

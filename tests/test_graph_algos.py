@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semipar.graph import cull_partition, from_edges, generate
@@ -13,6 +13,7 @@ import semipar.graph_algos as graph_algos
 from semipar.graph_algos import (
     UNCOLORED,
     ColoringRoundsExceeded,
+    InvalidPalette,
     PaletteDeficit,
     PaletteSet,
     UncoloredCutEndpoint,
@@ -25,8 +26,9 @@ from semipar.graph_algos import (
     verify_coloring,
     verify_mis,
 )
-from semipar.meter import WorkMeter
+from semipar.meter import WorkMeter, ceil_log2
 from semipar.prng import derive, generator
+from semipar.semisort import sorted_distinct
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +54,33 @@ def test_palette_full_and_allowed():
     p = PaletteSet.full(3, 5)
     assert np.array_equal(p.sizes(), [5, 5, 5])
     assert np.array_equal(p.allowed(1), [0, 1, 2, 3, 4])
+
+
+def test_palette_set_rejects_bad_offsets():
+    with pytest.raises(InvalidPalette, match="removed_offsets"):
+        PaletteSet(5, np.array([0, 2, 1, 3]), np.array([1, 2, 3]))  # not non-decreasing
+    with pytest.raises(InvalidPalette, match="removed_offsets"):
+        PaletteSet(5, np.array([1, 2]), np.array([1, 2]))  # does not start at 0
+    with pytest.raises(InvalidPalette, match="removed_offsets"):
+        PaletteSet(5, np.array([0, 1]), np.array([1, 2]))  # does not end at len(removed)
+
+
+def test_palette_set_rejects_color_out_of_range():
+    # -1 would fall into the previous vertex's segment of the (vertex, color) pairs.
+    with pytest.raises(InvalidPalette, match="outside"):
+        PaletteSet(4, np.array([0, 1, 2]), np.array([0, -1]))
+    with pytest.raises(InvalidPalette, match="outside"):
+        PaletteSet(4, np.array([0, 1, 2]), np.array([1, 4]))
+
+
+def test_palette_set_rejects_unsorted_or_repeated_list():
+    with pytest.raises(InvalidPalette, match="strictly increasing"):
+        PaletteSet(5, np.array([0, 2, 3]), np.array([3, 1, 2]))
+    with pytest.raises(InvalidPalette, match="strictly increasing"):
+        PaletteSet(5, np.array([0, 0, 2]), np.array([1, 1]))
+    # Across a vertex boundary a drop or a repeat is fine.
+    p = PaletteSet(5, np.array([0, 2, 2, 4, 5]), np.array([1, 3, 3, 4, 0]))
+    assert np.array_equal(p.sizes(), [3, 5, 3, 4])
 
 
 def test_extend_palettes_matches_setdiff_oracle():
@@ -160,6 +189,104 @@ def test_palette_color_round_cap(monkeypatch):
     assert verify_coloring(g, palette_color(g, PaletteSet.full(5, 5), seed=3), 4)
 
 
+def _palette_color_reference(g, palettes, seed, meter):
+    """palette_color before its rounds became incremental: every round
+    rebuilds and sorts the forbidden pairs of all vertices and scans every
+    adjacency entry."""
+    n = g.n
+    P = palettes.num_colors
+    colors = np.full(n, UNCOLORED, dtype=np.int64)
+    rows, nbrs = g.edge_rows(), g.neighbors
+    base_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(palettes.removed_offsets))
+    span = np.int64(P + 2)
+    base_pairs = base_rows * span + palettes.removed
+    rng = generator(seed, 0xC010)
+    max_rounds = graph_algos.COLOR_ROUND_FACTOR * ceil_log2(n)
+    for rounds in range(max_rounds + 1):
+        live_mask = colors == UNCOLORED
+        live = np.flatnonzero(live_mask)
+        if len(live) == 0:
+            return colors
+        if rounds == max_rounds:
+            raise ColoringRoundsExceeded(f"{len(live)} vertices uncolored after {rounds} rounds")
+        edge_live = live_mask[rows]
+        taken_sel = edge_live & (colors[nbrs] >= 0)
+        taken_pairs = rows[taken_sel] * span + colors[nbrs[taken_sel]]
+        pairs = sorted_distinct(np.concatenate([base_pairs, taken_pairs]))
+        seg = (pairs // span).astype(np.int64)
+        counts = np.bincount(seg, minlength=n)
+        seg_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        sizes = P - counts
+        live_deg = np.bincount(rows[edge_live & live_mask[nbrs]], minlength=n)
+        if np.any(sizes[live] < live_deg[live] + 1):
+            raise PaletteDeficit("palette smaller than remaining degree + 1")
+        meter.charge("palette_color", int(edge_live.sum()) + len(live) + len(pairs))
+        meter.tick(1)
+        j = np.minimum((rng.random(len(live)) * sizes[live]).astype(np.int64), sizes[live] - 1)
+        rank = np.arange(len(pairs), dtype=np.int64) - seg_offsets[seg]
+        t = np.searchsorted(pairs - rank, live * span + j, side="right") - seg_offsets[live]
+        proposal = np.full(n, -2, dtype=np.int64)
+        proposal[live] = j + t
+        both_live = edge_live & live_mask[nbrs]
+        clash = both_live & (proposal[rows] == proposal[nbrs])
+        conflicted = np.zeros(n, dtype=bool)
+        conflicted[rows[clash]] = True
+        keep = live_mask & ~conflicted
+        colors[keep] = proposal[keep]
+
+
+def _run_coloring(fn, g, palettes, seed):
+    meter = WorkMeter()
+    try:
+        out = fn(g, palettes, seed, meter)
+    except (PaletteDeficit, ColoringRoundsExceeded) as exc:
+        out = type(exc)
+    return out, meter.rounds, meter.phase_breakdown
+
+
+def test_palette_color_matches_reference():
+    # Tight palettes (a negative slack can break the degree + 1 floor) make
+    # rounds with taken colors; a round factor of 1 makes the cap bite, as
+    # in the explicit example.
+    multi_round, raised = [], set()
+
+    @given(
+        st.integers(2, 40),
+        st.floats(0.2, 1),
+        st.integers(1, 4),
+        st.integers(-1, 1),
+        st.sampled_from([1, 64]),
+        st.integers(0, 2**32),
+    )
+    @example(8, 1.0, 1, 0, 1, 2)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def check(n, density, cut_per_vertex, slack, round_factor, seed):
+        g = generate("gnm", n, int(density * (n * (n - 1) // 2)), seed)
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(0, n, size=cut_per_vertex * n)
+        floor = g.degrees() + np.bincount(targets, minlength=n) + 1
+        num_colors = max(int(floor.max()) + slack, 1)
+        palettes = extend_palettes(n, targets, rng.integers(0, num_colors, len(targets)), num_colors)
+        saved = graph_algos.COLOR_ROUND_FACTOR
+        graph_algos.COLOR_ROUND_FACTOR = round_factor
+        try:
+            got = _run_coloring(palette_color, g, palettes, seed)
+            want = _run_coloring(_palette_color_reference, g, palettes, seed)
+        finally:
+            graph_algos.COLOR_ROUND_FACTOR = saved
+        if isinstance(want[0], np.ndarray):
+            assert isinstance(got[0], np.ndarray) and np.array_equal(got[0], want[0])
+            multi_round.append(want[1] >= 3 and len(palettes.removed) > 0)
+        else:
+            assert got[0] is want[0]
+            raised.add(want[0])
+        assert got[1:] == want[1:]
+
+    check()
+    assert sum(multi_round) >= 10, multi_round
+    assert raised == {PaletteDeficit, ColoringRoundsExceeded}
+
+
 # ---------------------------------------------------------------------------
 # Verifiers
 
@@ -194,6 +321,34 @@ def test_boosted_coloring(kind, n, m):
     g = generate(kind, n, m, seed=13)
     colors = boosted_coloring(g, k=4, seed=14)
     assert verify_coloring(g, colors, g.max_degree())
+
+
+@pytest.mark.parametrize("kind", ["path", "gnm"])  # gnm with m = 0 culls nothing
+def test_boosting_is_bounded_by_n_not_k(kind, monkeypatch):
+    g = generate(kind, 10, 0, seed=1)
+    k = 10**6
+    built, reorganize = [], graph_algos.reorganize
+
+    def spy_reorganize(*args):
+        built.append(reorganize(*args))
+        return built[-1]
+
+    monkeypatch.setattr(graph_algos, "reorganize", spy_reorganize)
+    solved = []
+
+    def solve_piece(verts, local, cut_rows, cut_nbrs, piece_seed):
+        solved.append(len(verts))
+        return 0
+
+    graph_algos._boost(g, k, 5, WorkMeter(), 3, solve_piece)
+    (ro,) = built
+    for per_piece in (ro.piece_ids, ro.piece_boundaries):
+        assert len(per_piece) <= g.n + 2
+    assert len(solved) == len(ro.piece_ids) and min(solved) > 0
+    assert sum(solved) == g.n
+    monkeypatch.undo()
+    assert verify_mis(g, boosted_mis(g, k, 5))
+    assert verify_coloring(g, boosted_coloring(g, k, 5), g.max_degree())
 
 
 def test_boosted_deterministic():
