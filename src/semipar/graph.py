@@ -354,11 +354,16 @@ def verify_partition(g: Graph, p: CulledPartition) -> bool:
 
 
 def piece_edge_counts(g: Graph, p: CulledPartition) -> np.ndarray:
-    """Edges internal to each piece (culled vertices excluded)."""
+    """Edges internal to each non-empty piece, in ascending piece id order.
+
+    Culled vertices are excluded.  Only the pieces some vertex lies in are
+    counted, so the result has at most n entries however large k is.
+    """
     u, v = edge_list(g)
     pu, pv = p.assignment[u], p.assignment[v]
     internal = (pu == pv) & (pu != CULLED)
-    return np.bincount(pu[internal], minlength=p.k)
+    piece_ids = sorted_distinct(p.assignment[p.assignment != CULLED])
+    return np.bincount(np.searchsorted(piece_ids, pu[internal]), minlength=len(piece_ids))
 
 
 # ---------------------------------------------------------------------------

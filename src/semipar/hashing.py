@@ -28,9 +28,13 @@ _U64 = np.uint64
 
 @dataclass(frozen=True)
 class TabulationHash:
-    """State of a simple tabulation hash: c random tables of 2^char_bits words."""
+    """State of a simple tabulation hash: c random tables of 2^char_bits words.
 
-    tables: np.ndarray  # shape (c, 2**char_bits), uint64, entries < 2**w
+    The tables use the narrowest unsigned dtype that holds ``w`` bits, so a
+    lookup moves as few bytes as the output width allows.
+    """
+
+    tables: np.ndarray  # shape (c, 2**char_bits), entries < 2**w
     char_bits: int
     w: int
 
@@ -48,8 +52,9 @@ def tab_new(seed: int, out_bits: int) -> TabulationHash:
     raw = (raw << _U64(1)) | rng.integers(0, 2, size=raw.shape, dtype=np.uint64)
     if out_bits < 64:
         raw &= _U64((1 << out_bits) - 1)
-    raw.setflags(write=False)
-    return TabulationHash(tables=raw, char_bits=TAB_CHAR_BITS, w=out_bits)
+    tables = raw.astype(np.min_scalar_type((1 << out_bits) - 1))
+    tables.setflags(write=False)
+    return TabulationHash(tables=tables, char_bits=TAB_CHAR_BITS, w=out_bits)
 
 
 def tab_hash(h: TabulationHash, key: int) -> int:
@@ -63,13 +68,14 @@ def tab_hash(h: TabulationHash, key: int) -> int:
 
 
 def tab_hash_array(h: TabulationHash, keys: np.ndarray) -> np.ndarray:
-    """Vectorized tab_hash over a uint64 key array."""
-    keys = keys.astype(np.uint64, copy=False)
-    mask = _U64((1 << h.char_bits) - 1)
-    out = h.tables[0][keys & mask]
+    """Vectorized tab_hash over a uint64 key array; returns uint64 values."""
+    keys = np.ascontiguousarray(keys, dtype="<u8")
+    # Column i of the little-endian 16-bit view is character i of each key.
+    chars = keys.view("<u2").reshape(-1, h.c)
+    out = h.tables[0].take(chars[:, 0])
     for i in range(1, h.c):
-        out = out ^ h.tables[i][(keys >> _U64(i * h.char_bits)) & mask]
-    return out
+        out ^= h.tables[i].take(chars[:, i])
+    return out.astype(np.uint64, copy=False).reshape(keys.shape)
 
 
 def tab_bucket(h: TabulationHash, keys: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -105,6 +111,12 @@ class UniversalHash:
     def take(self, idx: np.ndarray) -> "UniversalHash":
         """The functions at ``idx`` of a batch, e.g. one per hashed key."""
         return UniversalHash(self.a_hi[idx], self.a_lo[idx], self.b[idx], self.m[idx])
+
+    def repeat(self, counts: np.ndarray) -> "UniversalHash":
+        """Function i of a batch ``counts[i]`` times in a row, e.g. once per
+        record of bucket i when each bucket's records are contiguous."""
+        fields = (self.a_hi, self.a_lo, self.b, self.m)
+        return UniversalHash(*(np.repeat(x, counts) for x in fields))
 
 
 def universal_new(

@@ -10,8 +10,9 @@ the same slot in a round, exactly one wins.
 The arena is ``uint32``: each slot holds a record index, or ``EMPTY_SLOT``
 (2^32 - 1) if vacant, so an instance holds fewer than ``RECORD_LIMIT``
 (2^32 - 1) records and ``PlacementInstance`` raises ``InvalidInstance``
-beyond that.  ``PlacementResult.slot_of`` is computed from the arena on
-access; the round loop itself only writes the arena.
+beyond that.  The round loop also records each record's slot as it claims
+one, so ``PlacementResult.slot_of`` is the arena's inverse without a scan
+of the arena.
 """
 
 from __future__ import annotations
@@ -94,17 +95,7 @@ class PlacementResult:
     rounds_used: int
     probes: int
     arena: np.ndarray     # arena slot -> record index, EMPTY_SLOT if vacant
-
-    @property
-    def slot_of(self) -> np.ndarray:
-        """Record index -> arena slot (injective), derived by one arena scan.
-
-        Every record holds exactly one slot, so the occupied slots number n.
-        """
-        slots = np.flatnonzero(self.arena != EMPTY_SLOT)
-        slot_of = np.empty_like(slots)
-        slot_of[self.arena[slots]] = slots
-        return slot_of
+    slot_of: np.ndarray   # record index -> arena slot (injective), int64
 
 
 def place(
@@ -126,8 +117,9 @@ def place(
         inst.validate()
     n = len(inst.targets)
     arena = np.full(inst.arena_size, EMPTY_SLOT, dtype=np.uint32)
+    slot_of = np.empty(n, dtype=np.int64)
     if n == 0:
-        return PlacementResult(0, 0, arena)
+        return PlacementResult(0, 0, arena, slot_of)
 
     d = inst.d
     n_blocks = max(1, n // d)                 # final block absorbs the remainder
@@ -152,9 +144,13 @@ def place(
         raw %= caps[t]
         slots = inst.offsets[t] + raw.view(np.int64)
         # A probe of an empty slot writes; of several in one round, the last
-        # writer wins and the others retry.
+        # writer wins and the others retry.  Every writer also records its
+        # slot: a loser overwrites that entry when it later wins, so each
+        # record's last entry is the slot it holds.
         empty = arena[slots] == EMPTY_SLOT
-        arena[slots[empty]] = ptr[empty]
+        claim, claimed = ptr[empty], slots[empty]
+        arena[claimed] = claim
+        slot_of[claim] = claimed
         ptr += arena[slots] == ptr
         probes += len(ptr)
         if meter is not None:
@@ -166,7 +162,7 @@ def place(
 
     if len(ptr):
         raise PlacementTimeout(rounds, n - int((end - ptr).sum()), n)
-    return PlacementResult(rounds, probes, arena)
+    return PlacementResult(rounds, probes, arena, slot_of)
 
 
 def default_round_cap(n: int) -> int:

@@ -27,7 +27,7 @@ from .hashing import (
     universal_new,
 )
 from .meter import WorkMeter, ceil_log2
-from .placement import EMPTY_SLOT, PlacementInstance, PlacementTimeout, place
+from .placement import PlacementInstance, PlacementTimeout, place
 from .prng import derive
 from .records import Records
 
@@ -123,6 +123,26 @@ def sorted_distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
+def stable_argsort(v: np.ndarray) -> np.ndarray:
+    """``np.argsort(v, kind="stable")`` for non-negative integers ``v``.
+
+    Packs each value above its b-bit index, b = bits of len(v) - 1, and
+    sorts the uint64 words with ``np.sort``, which runs several times faster
+    than a stable argsort; equal values keep index order because the index
+    breaks the tie.  Falls back to the stable argsort when some value needs
+    more than 64 - b bits.
+    """
+    b = max(len(v) - 1, 0).bit_length()
+    if len(v) == 0 or int(v.max()).bit_length() + b > 64:
+        return np.argsort(v, kind="stable")
+    key = v.astype(np.uint64)
+    key <<= np.uint64(b)
+    key |= np.arange(len(v), dtype=np.uint64)
+    key.sort()
+    key &= np.uint64((1 << b) - 1)
+    return key.view(np.int64)
+
+
 def f_alloc(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np.ndarray:
     """Destination size estimate from a sample count of s (scalar or array).
 
@@ -203,7 +223,7 @@ def rehash_buckets(
         ranges = m_b.astype(np.uint64) ** np.uint64(K)
         g = universal_new(derive(seed, attempt), ranges, pending)
         kp = keys[pos]
-        key = universal_hash_array(g.take(seg), kp)
+        key = universal_hash_array(g.repeat(m_b), kp)
         idx = _sort_by_bucket_and_hash(key, ranges, seg)
         hit = detect_collision(key[idx], kp[idx])
         order[pos] = pos[idx]
@@ -233,10 +253,10 @@ def _sort_by_bucket_and_hash(
     base -= np.repeat(base[run_start], np.diff(run_start, append=len(run)))
     h += base[seg]
     if len(run_start) == 1:
-        return np.argsort(h, kind="stable")
+        return stable_argsort(h)
     bounds = np.searchsorted(seg, run_start).tolist() + [len(h)]
     return np.concatenate(
-        [lo + np.argsort(h[lo:hi], kind="stable") for lo, hi in zip(bounds, bounds[1:])]
+        [lo + stable_argsort(h[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     )
 
 
@@ -284,15 +304,15 @@ def _place_and_pack(
 
     Target t gets ceil(alpha * f_alloc(sigma[t])) slots.  Returns the record
     indices (into ``targets``) in arena order, so each target's records are
-    contiguous and the targets appear in id order, and the arena size.
+    contiguous and the targets appear in id order, and the arena size.  The
+    order comes from sorting the records' distinct slots.
     """
     caps = np.ceil(params.alpha * f_alloc(sigma, params, n)).astype(np.int64)
     inst = PlacementInstance(targets=targets, capacities=caps, alpha=params.alpha, d=params.d)
-    arena = place(inst, params.round_cap, seed, meter, validate=False).arena
+    slot_of = place(inst, params.round_cap, seed, meter, validate=False).slot_of
     meter.charge(label, inst.arena_size)
     meter.tick(ceil_log2(inst.arena_size))
-    # Gathering at flatnonzero's positions beats a boolean-mask index here.
-    return arena[np.flatnonzero(arena != EMPTY_SLOT)].astype(np.int64), inst.arena_size
+    return stable_argsort(slot_of), inst.arena_size
 
 
 def _semisort_once(

@@ -238,6 +238,22 @@ def test_piece_edge_counts():
     assert np.array_equal(piece_edge_counts(g, part), [1, 0])
 
 
+def test_piece_edge_counts_bounded_by_n_not_k():
+    # Piece ids up to k - 1 = 10^7 - 1: one entry per non-empty piece, in id
+    # order (0, 4, 5, 123, 10^7 - 1), never a length-k array.
+    g = generate("path", 10)
+    k = 10**7
+    part = CulledPartition(
+        culled=np.array([5]),
+        assignment=np.array([k - 1, k - 1, 5, 5, 5, CULLED, 0, 0, 123, 4]),
+        k=k,
+        phases=1,
+    )
+    counts = piece_edge_counts(g, part)
+    assert len(counts) <= g.n
+    assert np.array_equal(counts, [1, 0, 2, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # Reorganization
 

@@ -33,7 +33,15 @@ def test_tab_new_deterministic_and_ranged():
     h1, h2 = tab_new(5, 16), tab_new(5, 16)
     assert np.array_equal(h1.tables, h2.tables)
     assert h1.tables.max() < 1 << 16
-    assert tab_new(6, 16).tables[0, 0] != h1.tables[0, 0] or True  # seeds differ
+    assert not np.array_equal(tab_new(6, 16).tables, h1.tables)
+
+
+@pytest.mark.parametrize("w,dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16),
+                                     (16, np.uint16), (17, np.uint32), (33, np.uint64)])
+def test_tab_tables_narrowest_dtype(w, dtype):
+    h = tab_new(7, w)
+    assert h.tables.dtype == dtype
+    assert tab_hash_array(h, np.arange(5, dtype=np.uint64)).dtype == np.uint64
 
 
 @given(st.lists(U64, min_size=1, max_size=64), st.integers(1, 64))
@@ -44,6 +52,7 @@ def test_tab_vectorized_matches_scalar(keys, w):
     vec = tab_hash_array(h, arr)
     for k, v in zip(keys, vec):
         assert tab_hash(h, k) == int(v)
+    assert np.array_equal(tab_hash_array(h, arr[::2]), vec[::2])
 
 
 def test_tab_xor_structure():
@@ -97,6 +106,11 @@ def test_universal_batch_matches_single_draws():
             int(batch.a_hi[i]), int(batch.a_lo[i]), int(batch.b[i])
         )
         assert universal_hash(g, int(keys[i])) == int(hashed[i])
+    # repeat(counts) lays the functions out as take() at the repeated ids.
+    counts = np.array([2, 0, 1, 3])
+    rep, taken = batch.repeat(counts), batch.take(np.repeat(np.arange(4), counts))
+    for name in ("a_hi", "a_lo", "b", "m"):
+        assert np.array_equal(getattr(rep, name), getattr(taken, name))
 
 
 def test_universal_parameters_in_range():

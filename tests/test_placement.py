@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semipar import placement
 from semipar.meter import WorkMeter
@@ -65,6 +67,20 @@ def test_deterministic_replay():
     assert r1.probes == r2.probes and r1.rounds_used == r2.rounds_used
     r3 = place(inst, default_round_cap(2000), seed=12)
     assert not np.array_equal(r1.slot_of, r3.slot_of)
+
+
+@given(
+    st.integers(1, 3000), st.integers(1, 80), st.integers(1, 16),
+    st.booleans(), st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_slot_of_inverts_arena(n, n_targets, d, validate, seed):
+    # Unvalidated instances get capacity 1.25 * count, below alpha * count.
+    inst = _random_instance(n, n_targets, seed, d=d, slack=None if validate else 1.25)
+    res = place(inst, 2000, seed=seed + 1, validate=validate)
+    _check_result(inst, res)
+    assert res.slot_of.dtype == np.int64
+    assert np.array_equal(res.arena[res.slot_of], np.arange(n))
 
 
 def test_validation_rejects_undersized_capacity():

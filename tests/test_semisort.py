@@ -27,6 +27,7 @@ from semipar.semisort import (
     rehash_buckets,
     semisort,
     sorted_distinct,
+    stable_argsort,
 )
 
 semisort_mod = importlib.import_module("semipar.semisort")
@@ -277,6 +278,27 @@ def test_sorted_distinct_matches_unique(values, mod):
     assert np.array_equal(sorted_distinct(x), np.unique(x))
     signed = x.astype(np.int64)
     assert np.array_equal(sorted_distinct(signed), np.unique(signed))
+
+
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=300), st.sampled_from([-1, 0]))
+@settings(max_examples=80, deadline=None)
+def test_stable_argsort_matches_numpy(gaps, past):
+    # Few distinct values, so many ties.  The largest value either just fits
+    # above the b index bits (past = -1) or needs one bit more (past = 0),
+    # which takes the fallback path.
+    b = (len(gaps) - 1).bit_length()
+    top = (1 << (64 - b)) + past
+    x = np.array([top - g for g in gaps], dtype=np.uint64)
+    x[len(gaps) // 2] = top
+    assert np.array_equal(stable_argsort(x), np.argsort(x, kind="stable"))
+    small = x - np.uint64(top - 5)
+    assert np.array_equal(stable_argsort(small), np.argsort(small, kind="stable"))
+
+
+def test_stable_argsort_empty_and_signed():
+    assert len(stable_argsort(np.empty(0, np.uint64))) == 0
+    x = generator(6, 6).permutation(1000).astype(np.int64)
+    assert np.array_equal(stable_argsort(x), np.argsort(x, kind="stable"))
 
 
 # ---------------------------------------------------------------------------

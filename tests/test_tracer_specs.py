@@ -1,9 +1,12 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps names that exist."""
 
+import dataclasses
 import importlib
 import inspect
 import sys
 from pathlib import Path
+
+from semipar.placement import PlacementResult
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,3 +42,9 @@ def test_tracer_meter_positions_name_the_meter(monkeypatch):
         if spec.meter_pos >= len(params) or params[spec.meter_pos] != "meter":
             wrong.append(f"{spec.name}: position {spec.meter_pos} of {params}")
     assert not wrong, wrong
+
+
+def test_tracer_reads_placement_result_fields():
+    # The "placement.place" span keeps rounds_used and probes of each result.
+    fields = {f.name for f in dataclasses.fields(PlacementResult)}
+    assert {"rounds_used", "probes"} <= fields
