@@ -52,10 +52,8 @@ from .hashing import (
     UniversalHash,
     detect_collision,
     tab_bucket,
-    tab_hash,
     tab_hash_array,
     tab_new,
-    universal_hash,
     universal_hash_array,
     universal_new,
 )

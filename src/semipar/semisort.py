@@ -4,8 +4,8 @@ The pipeline samples records to estimate key multiplicities, gives each
 heavy key a dedicated destination array and light records shared hashed
 buckets (sized by the allocation function ``f_alloc``), distributes records
 by randomized placement, then semisorts all packed light buckets in one
-segmented pass, rehashing a bucket with a fresh 2-universal function until
-the sort of its hash values is collision-free.  A placement timeout
+segmented pass, rehashing a bucket with a fresh multiply-shift function
+until the sort of its hash values is collision-free.  A placement timeout
 triggers a full restart with a fresh derived seed.  Integer sorting for
 keys in [n] follows as a boundary-scan + prefix-sum pass over the
 semisorted array.
@@ -181,32 +181,38 @@ def rehash_buckets(
     """Semisort consecutive buckets of ``keys`` in one segmented pass.
 
     Bucket b holds the next ``sizes[b]`` keys.  Each attempt draws a fresh
-    2-universal hash into [m_b**K] for every pending bucket, sorts all their
-    records by (bucket, hash value), and retries only the buckets where two
-    distinct keys share a hash value.  Returns the permutation of ``keys``
-    that semisorts every bucket within its own range, and the attempts per
-    bucket (1 for an empty or singleton bucket).
+    multiply-shift hash into [2^l_b], l_b = ceil(log2(m_b^K)), for every
+    pending bucket, sorts all their records by (bucket, hash value), and
+    retries only the buckets where two distinct keys share a hash value.
+    Returns the permutation of ``keys`` that semisorts every bucket within
+    its own range, and the attempts per bucket (1 for an empty or singleton
+    bucket).
 
     Cost model per bucket, as if each ran alone: an attempt on m_b >= 2
     records charges (2K+2)*m_b (hash, K counting-sort passes at base m_b,
     collision scan) and K+2 rounds; a singleton charges 1 op and 1 round.
-    Rounds advance by the maximum over buckets.  Success probability is at
-    least 1/2 per attempt for K >= 3; a bucket that fails
-    MAX_REHASH_ATTEMPTS attempts raises RehashExceeded.
+    Rounds advance by the maximum over buckets.  Two distinct keys collide
+    with probability at most 2^(1-l_b) <= 2/m_b^K, so by a union bound over
+    the C(m_b, 2) pairs an attempt fails with probability below
+    m_b^(2-K) <= 1/2 for K >= 3 and m_b >= 2; a bucket that fails
+    MAX_REHASH_ATTEMPTS attempts raises RehashExceeded.  Buckets with
+    m_b^K >= 2^63 raise ValueError, which keeps l_b <= 63.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     attempts = np.ones(len(sizes), dtype=np.int64)
-    order = np.arange(len(keys), dtype=np.int64)
     singles = int(np.count_nonzero(sizes == 1))
     if singles:
         meter.charge("local_semisort", singles)
     pending = np.flatnonzero(sizes >= 2)
     if len(pending) == 0:
         meter.tick(1 if singles else 0)
-        return order, attempts
+        return np.arange(len(keys), dtype=np.int64), attempts
     if int(sizes[pending].max()) ** K >= 1 << 63:
         raise ValueError("bucket too large for the configured hash-range exponent")
     starts = np.cumsum(sizes) - sizes
+    # The first attempt hashes every bucket, so its records are ``keys`` as
+    # they stand; a singleton hashes into [1] and cannot collide.
+    batch = np.flatnonzero(sizes)
     attempt = 0
     while len(pending):
         if attempt == MAX_REHASH_ATTEMPTS:
@@ -216,19 +222,25 @@ def rehash_buckets(
             )
         attempt += 1
         attempts[pending] = attempt
-        m_b = sizes[pending]
-        seg = np.repeat(np.arange(len(pending)), m_b)
-        pos = np.repeat(starts[pending] - (np.cumsum(m_b) - m_b), m_b)
-        pos += np.arange(len(pos))
+        meter.charge("local_semisort", (2 * K + 2) * int(sizes[pending].sum()))
+        m_b = sizes[batch]
+        seg = np.repeat(np.arange(len(batch)), m_b)
         ranges = m_b.astype(np.uint64) ** np.uint64(K)
-        g = universal_new(derive(seed, attempt), ranges, pending)
-        kp = keys[pos]
+        g = universal_new(derive(seed, attempt), ranges, batch)
+        if attempt == 1:
+            kp = keys
+        else:
+            pos = np.repeat(starts[batch] - (np.cumsum(m_b) - m_b), m_b)
+            pos += np.arange(len(pos))
+            kp = keys[pos]
         key = universal_hash_array(g.repeat(m_b), kp)
-        idx = _sort_by_bucket_and_hash(key, ranges, seg)
-        hit = detect_collision(key[idx], kp[idx])
-        order[pos] = pos[idx]
-        meter.charge("local_semisort", (2 * K + 2) * len(pos))
-        pending = pending[sorted_distinct(seg[hit])]
+        idx = _sort_by_bucket_and_hash(key, np.uint64(1) << g.bits, seg)
+        hit = detect_collision(key.take(idx), kp.take(idx))
+        if attempt == 1:
+            order = idx
+        else:
+            order[pos] = pos[idx]
+        batch = pending = batch[sorted_distinct(seg[hit])]
     meter.tick((K + 2) * attempt)
     return order, attempts
 
@@ -244,7 +256,7 @@ def _sort_by_bucket_and_hash(
     its own.  Adds the offsets into ``h`` in place.
     """
     # Run r holds the buckets whose inclusive range sum lies in
-    # [r*2^62, (r+1)*2^62); each range is < 2^63, so a run totals less
+    # [r*2^62, (r+1)*2^62); each range is <= 2^63, so a run totals less
     # than 2^62 + 2^63 and the float error is far below the slack.
     run = (np.cumsum(ranges, dtype=np.float64) / 2.0**62).astype(np.int64)
     # Exclusive range sums wrap mod 2^64; differences within a run are exact.

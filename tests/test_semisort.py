@@ -128,9 +128,18 @@ def test_local_semisort_rehash_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("K", [2, 3])
-def test_rehash_buckets_accounting_identity(K):
-    # Hand-built buckets, empty and singleton ones included; K = 2 makes
-    # retries common, so the retry path runs.
+def test_rehash_buckets_accounting_identity(K, monkeypatch):
+    # Hand-built buckets, empty and singleton ones included.  The first
+    # attempt hashes every key to 0, so each bucket holding two distinct
+    # keys collides and the retry path runs by construction.
+    real_hash = semisort_mod.universal_hash_array
+    calls = []
+
+    def first_call_zero(g, keys):
+        calls.append(len(keys))
+        return np.zeros(len(keys), np.uint64) if len(calls) == 1 else real_hash(g, keys)
+
+    monkeypatch.setattr(semisort_mod, "universal_hash_array", first_call_zero)
     sizes = np.array([0, 1, 2, 300, 0, 1, 2, 150, 3, 400, 257, 0])
     rng = generator(K, 9)
     keys = rng.integers(0, 120, size=int(sizes.sum()), dtype=np.uint64)
@@ -139,18 +148,40 @@ def test_rehash_buckets_accounting_identity(K):
     order, attempts = rehash_buckets(keys, sizes, K, 17, meter)
 
     multi = sizes >= 2
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    mixed = np.array([len(np.unique(keys[lo:hi])) > 1 for lo, hi in zip(bounds[:-1], bounds[1:])])
     assert np.all(attempts[~multi] == 1) and np.all(attempts >= 1)
-    if K == 2:
-        assert attempts.max() > 1
+    assert mixed.any() and np.all(attempts[mixed] >= 2) and len(calls) >= 2
     expected_work = int(((2 * K + 2) * sizes * attempts)[multi].sum()) + int((sizes == 1).sum())
     assert meter.phase_breakdown == {"local_semisort": expected_work}
     bucket_rounds = np.where(multi, (K + 2) * attempts, (sizes == 1).astype(np.int64))
     assert meter.rounds == bucket_rounds.max()
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         seg = order[lo:hi]
         assert sorted(seg.tolist()) == list(range(lo, hi))
         assert is_semisorted(Records.from_keys(keys[seg]))
+
+
+@pytest.mark.parametrize("size,K_fits", [(2, 62), (3, 39), (5, 27)])
+def test_rehash_buckets_hash_range_guard(size, K_fits, monkeypatch):
+    # Tiny buckets with a large K reach the 2^63 range guard without a big
+    # allocation: size^K_fits < 2^63 <= size^(K_fits + 1).  Each attempt
+    # hashes into 2^l with l = ceil(log2(size^K)) exactly, up to l = 63.
+    assert size**K_fits < 1 << 63 <= size ** (K_fits + 1)
+    real_new, bits = semisort_mod.universal_new, []
+
+    def recording_new(seed, m, ids):
+        g = real_new(seed, m, ids)
+        bits.extend(g.bits[ids == 1].tolist())
+        return g
+
+    monkeypatch.setattr(semisort_mod, "universal_new", recording_new)
+    keys = np.arange(size + 1, dtype=np.uint64) << np.uint64(40)
+    order, attempts = rehash_buckets(keys, np.array([1, size]), K_fits, 3, WorkMeter())
+    assert sorted(order.tolist()) == list(range(size + 1))
+    assert bits == [(size**K_fits - 1).bit_length()] * int(attempts[1])
+    with pytest.raises(ValueError):
+        rehash_buckets(keys, np.array([1, size]), K_fits + 1, 3, WorkMeter())
 
 
 def test_sort_by_bucket_and_hash_splits_overflowing_ranges():
@@ -312,16 +343,16 @@ def test_stable_argsort_empty_and_signed():
 # n / lg n cutoff, so its heavy side is sorted rather than placed; the
 # integer-sort case has no trace.
 PINNED_SEMISORT = [
-    ("uniform", 4096, "aff58cc591bb8e8a1dc444c0542b4f9604444a1617652355c164b0378b23f283", 124871, 70, "7095780926078bd6d90fbd7724b8c3ac0ccaef919ace52e9c4989e00840bcba0", "a3ba96d4c2bbc10825fad767da72e6d4aa55d075215e6710e5c613ff88bf7c0a"),
-    ("zipf", 4096, "8e34f62a98b14312aaeacd9b83ffdd1a4764d828e73a7a298bb9f51cc8fe887b", 116373, 110, "7e9b4c4bd34ba45666bf5cbc1e7bb7d423326712734979672c6a8bee302fd416", "e41d2c9e6d40a2f874628424081207464f4f1ca2206a026406487c9dba54a73f"),
+    ("uniform", 4096, "0fdc71becc7c251f2bb1269f876705f31b5b4ce15243b30d450963dfa34d961c", 124839, 71, "0d66d861183e7d3c6aaf0bb8e76ccd79ea672ee84ac6e686e0ca51c9dabed6cb", "215ac58ffd7bd4d48ab53f0b868b5c3d1cf55f60cc35953aacd9a60e52574d2b"),
+    ("zipf", 4096, "3f6bbc3029ab33fe76f5a409b7a0380bdbd53ead0daf9b15d8587342c5f54bd1", 116324, 109, "5573c2ee148c995c74e065f41385490b83536a9f4f427f7b707d9c228058e2dc", "c3bec17e6bcbbfa9ca2078994306ef7c15814b467354b6c9d269a332a136d8eb"),
     ("all_equal", 4096, "f58f596f446250e08dc32f0b30362f7ffea5d43cd3300779ac9149b7a0f5e22f", 36528, 68, "94c5cfe8af384ea47fbe387a392d4f2c342df75d1da72c750b8452c4f603c4c5", "459f576b6d60ff60609be229bf5f2f08d9f90d1b3038f591369f9463bcbc1078"),
-    ("all_distinct", 4096, "f040e98b69d717a3309f8b1ff38238738f8a74541c29f848d3e62d88773f6e6a", 124879, 70, "3c5476689530be0b81d8930957c250e54e20a8c4c99c93832359efe744b33e01", "59e9c60d6a1a04dead77e0468c16946f6ace93dbb962e569d52bfd42a8ca49c4"),
-    ("uniform", 16384, "416b27be0aee2c78b66b696e4d4fea5ecb37a4f32bd05ea95b734d1445124b0a", 500030, 80, "be224efbbb5add9b58bf1d0a41eb0315e399acf0153e874c918e9de9b7807dcf", "2af646efb5278c45af49f1319abe6a8418f95a15574f794afdaf9983e0c409dd"),
-    ("zipf", 16384, "a5ac207ea2162044f5c626c665161fe9e1ba34b7c52e835089095f1bade1adaf", 447697, 127, "95cc8b288aaeae3fe45f5d7bd6a78d92c265dd7602752675a8f0700e4bacaa4f", "b5826900a8ed4676fa9f50bdc42a2421fae74bd80e481260de136bfebc81a9c8"),
+    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 124877, 70, "eaf23ece50b9ec2f51e4ac0fa3c36004e5fd8d6d68b29bdac10d02d2f6ba029f", "01d7f23905fbd60cf578305d6c17fe200f1c3f3caf3ef3ac9b97949a6d82e56e"),
+    ("uniform", 16384, "c276beb59c4de263b049f592a302b24019aa1ea8391f3deec5da2e08eda7aa56", 500161, 80, "960f54f25b8ef9f3838de9e8b41d65db70d4b4129fe2086687634df0778907ee", "dd0b3f04503f654c07cbcb39c8ebef7db555a40bdb2d4f5737df52059bdd1803"),
+    ("zipf", 16384, "30233ec5f64dc2524902648bfe810a6a18ad9bad6303141085d94d299b30b52b", 447718, 129, "606f6456d068c87f28cec2247616c5233226f577649a8ac8f83b26788b7d4694", "8459aed746317f8125106004dce948e273e79bd897913f02478e090889852e95"),
     ("all_equal", 16384, "6ddb58425123e570e3eab71faf5a583666380190670cd1c112e96e2c83009527", 140999, 83, "a5652d98bca4bcf0abb2b14339e885593f27c70a3d23b62c660678417cf8a2ec", "8606c17d69ed0270665a344d0ff7eadc44191cd33bce15a24c731fcc5660b023"),
-    ("all_distinct", 16384, "628a820b9688a312e3c7d835bd1f0980431f6792d66f632b2406f25982c366e0", 500126, 81, "206a5543a481be81487d5c3d7763016403a18279c2cd06bf5b2432aef3fa724f", "9bbdd9d07c90a309de86c00219fafa9c68ca21545bf36eaf13fa13beba37a865"),
-    ("heavy_below_cutoff", 16384, "3ede93586d04c2f7d980100540ba923f60f2507839f7277384be1b8bbb737aed", 497810, 95, "bc68c2b0e94b679c0f96d96f303e18c25fbbc62e05bf2ef56136542908fb19e3", "d428891feac8a2f9162ec51d9c7d508756ccfe230b2b46bb22f12598a3823e7d"),
-    ("intsort", 16384, "d1d9892332585822521155ecfba7e3ccac92bad5a922dd46b2d0694b8f149546", 565566, 94, "dda0cd9bca6f85e9ed36c148fda783f5fd6b43f41cbef0302c3eb934056d46b9", None),
+    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 500169, 81, "7ddd0f045fe5b53cb3230ceab19d7fba57041df1f933acaa03b0a0205b1e2ed4", "d1fff5fc5ddc1a7c4cbfd71e846634d117afd005a9d4856ae3cde1aed13da96a"),
+    ("heavy_below_cutoff", 16384, "0dd5009c458d81afde56efe952853b8a332c2f1c7294ed4ed7e935279fd8d60e", 497934, 94, "ac72525ee9dc7873ac574d32ea4c8e9660f567e1af4b747b96d258da478c7e92", "76fee19459bcf114d9ea7d213b1cd099f4b84b0ef15776a110241a6254ac6fe5"),
+    ("intsort", 16384, "1c3499f0ccde366a27d1afdce0c623e47d6dda2a3f2677e59af9840fbca963aa", 565697, 94, "7783f48393b22b4af89b2b4cd85aaf056add846de7867fdc4aef06a5b8334356", None),
 ]
 
 
