@@ -25,12 +25,8 @@ from .graph import (
     from_edges,
     generate,
     piece_edge_counts,
-    read_csr,
-    read_edge_list,
     reorganize,
     verify_partition,
-    write_csr,
-    write_edge_list,
 )
 from .graph_algos import (
     ColoringRoundsExceeded,
@@ -66,14 +62,7 @@ from .placement import (
     default_round_cap,
     place,
 )
-from .records import (
-    Records,
-    group_counts,
-    is_semisorted,
-    read_records,
-    same_multiset,
-    write_records,
-)
+from .records import Records, group_counts, is_semisorted, same_multiset
 from .semisort import (
     KeyOutOfRange,
     RehashExceeded,

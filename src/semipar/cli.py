@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.dist not in DISTRIBUTIONS:
             raise ConfigError(f"dist must be one of {DISTRIBUTIONS}")
+        if not math.isfinite(self.theta):
+            raise ConfigError("theta must be finite")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if self.n < 1:
@@ -172,7 +174,7 @@ def gen_keys(dist: str, n: int, seed: int, theta: float = 1.0) -> Records:
 
 
 def tail_report(records: list[TrialRecord]) -> dict:
-    """Per-metric max/mean/quantiles plus the work-per-element slope."""
+    """Per-metric max/mean/quantiles over the trial records."""
     if not records:
         raise ValueError("need at least one trial record")
     out: dict = {"trials": len(records)}
@@ -185,14 +187,6 @@ def tail_report(records: list[TrialRecord]) -> dict:
             "p90": float(np.quantile(vals, 0.9)),
             "p99": float(np.quantile(vals, 0.99)),
         }
-    sizes = sorted({r.n for r in records})
-    if len(sizes) >= 2:
-        per_n = {
-            s: max(r.charged_work / max(r.n, 1) for r in records if r.n == s)
-            for s in sizes
-        }
-        lo, hi = sizes[0], sizes[-1]
-        out["work_per_element_slope"] = per_n[hi] / per_n[lo] if per_n[lo] else math.inf
     return out
 
 

@@ -12,9 +12,7 @@ entries keep original ids, so each piece is a slice of both.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .prng import generator
 from .records import Records
 from .semisort import integer_sort, sorted_distinct
 
-CSR_MAGIC = b"PCSR"
 ID_LIMIT = 1 << 32  # vertex ids must fit in 32 bits to pack a pair in a uint64
 
 
@@ -184,51 +181,6 @@ def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
     u = (codes // np.uint64(n)).astype(np.int64)
     v = (codes % np.uint64(n)).astype(np.int64)
     return from_edges(n, u, v)
-
-
-# ---------------------------------------------------------------------------
-# File formats
-
-
-def write_edge_list(path: str | Path, g: Graph) -> None:
-    np.savetxt(path, np.column_stack(edge_list(g)), fmt="%d")
-
-
-def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
-    u, v = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split()
-            u.append(int(a))
-            v.append(int(b))
-    if n is None:
-        n = max(u + v, default=-1) + 1
-    return from_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
-
-
-def write_csr(path: str | Path, g: Graph) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CSR_MAGIC)
-        fh.write(struct.pack("<QQ", g.n, g.m))
-        fh.write(g.offsets.astype("<i8").tobytes())
-        fh.write(g.neighbors.astype("<i8").tobytes())
-
-
-def read_csr(path: str | Path) -> Graph:
-    data = Path(path).read_bytes()
-    if data[:4] != CSR_MAGIC:
-        raise ValueError("bad CSR magic")
-    if len(data) < 20:
-        raise ValueError("truncated CSR file")
-    n, m = struct.unpack_from("<QQ", data, 4)
-    if len(data) < 20 + 8 * (n + 1) + 16 * m:
-        raise ValueError("truncated CSR file")
-    offsets = np.frombuffer(data, dtype="<i8", count=n + 1, offset=20).copy()
-    neighbors = np.frombuffer(data, dtype="<i8", count=2 * m, offset=20 + 8 * (n + 1)).copy()
-    return Graph(n=int(n), m=int(m), offsets=offsets, neighbors=neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +362,6 @@ class ReorganizedGraph:
         lo = int(self.piece_boundaries[t])
         present = t < len(self.piece_ids) and self.piece_ids[t] == i
         return lo, int(self.piece_boundaries[t + 1]) if present else lo
-
-    def piece_vertices(self, i: int) -> np.ndarray:
-        lo, hi = self.piece_range(i)
-        return self.perm[lo:hi]
 
     def piece(self, i: int) -> tuple[np.ndarray, Graph, np.ndarray, np.ndarray]:
         """Piece i as (original ids, local graph, cut rows, cut neighbors).

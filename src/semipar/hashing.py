@@ -29,14 +29,14 @@ _POW2 = _U64(1) << np.arange(KEY_BITS, dtype=np.uint64)
 
 @dataclass(frozen=True)
 class TabulationHash:
-    """State of a simple tabulation hash: c random tables of 2^char_bits words.
+    """State of a simple tabulation hash: c random tables of 2^16 words,
+    one per 16-bit character of a key.
 
     The tables use the narrowest unsigned dtype that holds ``w`` bits, so a
     lookup moves as few bytes as the output width allows.
     """
 
-    tables: np.ndarray  # shape (c, 2**char_bits), entries < 2**w
-    char_bits: int
+    tables: np.ndarray  # shape (c, 2**TAB_CHAR_BITS), entries < 2**w
     w: int
 
     @property
@@ -53,7 +53,7 @@ def tab_new(seed: int, out_bits: int) -> TabulationHash:
         dtype=np.min_scalar_type((1 << out_bits) - 1),
     )
     tables.setflags(write=False)
-    return TabulationHash(tables=tables, char_bits=TAB_CHAR_BITS, w=out_bits)
+    return TabulationHash(tables=tables, w=out_bits)
 
 
 def _tab_xor(h: TabulationHash, keys: np.ndarray) -> np.ndarray:
@@ -108,10 +108,6 @@ class UniversalHash:
     @property
     def bits(self) -> np.ndarray:
         return _U64(KEY_BITS) - self.shift
-
-    def take(self, idx: np.ndarray) -> "UniversalHash":
-        """The functions at ``idx`` of a batch, e.g. one per hashed key."""
-        return UniversalHash(self.a[idx], self.shift[idx])
 
     def repeat(self, counts: np.ndarray) -> "UniversalHash":
         """Function i of a batch ``counts[i]`` times in a row, e.g. once per

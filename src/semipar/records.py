@@ -1,4 +1,4 @@
-"""Keyed records and their binary file format.
+"""Keyed records.
 
 A record is a (key, payload) pair of unsigned 64-bit integers.  Records are
 compared only by key; payloads ride along untouched.  Arrays of records are
@@ -7,17 +7,9 @@ stored column-wise for vectorized movement.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-MAGIC = b"PSRT"
-VERSION = 1
-
-_RECORD_DTYPE = np.dtype([("key", "<u8"), ("payload", "<u8")])
-
 
 @dataclass
 class Records:
@@ -83,28 +75,3 @@ def is_semisorted(a: Records) -> bool:
     run_heads = np.sort(np.concatenate(([keys[0]], keys[1:][boundary])))
     return bool((run_heads[1:] != run_heads[:-1]).all())
 
-
-def write_records(path: str | Path, a: Records) -> None:
-    """Write little-endian binary: "PSRT", version u32, n u64, then records."""
-    interleaved = np.empty(len(a), dtype=_RECORD_DTYPE)
-    interleaved["key"] = a.keys
-    interleaved["payload"] = a.payloads
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQ", VERSION, len(a)))
-        fh.write(interleaved.tobytes())
-
-
-def read_records(path: str | Path) -> Records:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version, n = struct.unpack("<IQ", fh.read(12))
-        if version != VERSION:
-            raise ValueError(f"unsupported record file version {version}")
-        payload = fh.read(16 * n)
-        if len(payload) != 16 * n:
-            raise ValueError("truncated record file")
-        interleaved = np.frombuffer(payload, dtype=_RECORD_DTYPE, count=n)
-    return Records(interleaved["key"].copy(), interleaved["payload"].copy())

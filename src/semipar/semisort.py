@@ -66,10 +66,12 @@ class SemisortParams:
     def __post_init__(self) -> None:
         if not 0 < self.p_s <= 1:
             raise ValueError("sampling probability must be in (0, 1]")
-        if self.tau < 1 or self.B < 1 or self.max_restarts < 1:
-            raise ValueError("tau, B, max_restarts must be positive")
-        if self.alpha < 2:
-            raise ValueError("alpha must be >= 2")
+        if min(self.tau, self.B, self.d, self.round_cap, self.max_restarts) < 1:
+            raise ValueError("tau, B, d, round_cap, max_restarts must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha >= 2):
+            raise ValueError("alpha must be finite and >= 2")
+        if not (math.isfinite(self.c_alloc) and self.c_alloc > 0):
+            raise ValueError("c_alloc must be finite and positive")
         if self.K < 3:
             raise ValueError("K must be >= 3")
 
@@ -224,31 +226,34 @@ def rehash_buckets(
         attempts[pending] = attempt
         meter.charge("local_semisort", (2 * K + 2) * int(sizes[pending].sum()))
         m_b = sizes[batch]
-        seg = np.repeat(np.arange(len(batch)), m_b)
+        ends = np.cumsum(m_b)
         ranges = m_b.astype(np.uint64) ** np.uint64(K)
         g = universal_new(derive(seed, attempt), ranges, batch)
         if attempt == 1:
             kp = keys
         else:
-            pos = np.repeat(starts[batch] - (np.cumsum(m_b) - m_b), m_b)
+            pos = np.repeat(starts[batch] - (ends - m_b), m_b)
             pos += np.arange(len(pos))
             kp = keys[pos]
         key = universal_hash_array(g.repeat(m_b), kp)
-        idx = _sort_by_bucket_and_hash(key, np.uint64(1) << g.bits, seg)
+        idx = _sort_by_bucket_and_hash(key, np.uint64(1) << g.bits, m_b)
         hit = detect_collision(key.take(idx), kp.take(idx))
         if attempt == 1:
             order = idx
         else:
             order[pos] = pos[idx]
-        batch = pending = batch[sorted_distinct(seg[hit])]
+        # The sort keeps every bucket in its own positions, so sorted
+        # position i lies in the bucket whose end first exceeds i.
+        batch = pending = batch[sorted_distinct(np.searchsorted(ends, hit, side="right"))]
     meter.tick((K + 2) * attempt)
     return order, attempts
 
 
 def _sort_by_bucket_and_hash(
-    h: np.ndarray, ranges: np.ndarray, seg: np.ndarray
+    h: np.ndarray, ranges: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
-    """Stable argsort of records by (bucket ``seg``, hash ``h`` < ranges[seg]).
+    """Stable argsort of records by (bucket, hash ``h``): bucket b holds the
+    next ``sizes[b]`` records, whose hash values lie below ranges[b].
 
     Offsets bucket b's hash values by the sum of the ranges before it and
     sorts the uint64 sums.  Where the ranges total 2^64 or more, consecutive
@@ -263,10 +268,10 @@ def _sort_by_bucket_and_hash(
     base = np.cumsum(ranges) - ranges
     run_start = np.flatnonzero(np.diff(run, prepend=-1))
     base -= np.repeat(base[run_start], np.diff(run_start, append=len(run)))
-    h += base[seg]
+    h += np.repeat(base, sizes)
     if len(run_start) == 1:
         return stable_argsort(h)
-    bounds = np.searchsorted(seg, run_start).tolist() + [len(h)]
+    bounds = (np.cumsum(sizes) - sizes)[run_start].tolist() + [len(h)]
     return np.concatenate(
         [lo + stable_argsort(h[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     )

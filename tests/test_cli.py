@@ -268,6 +268,12 @@ def test_exit_code_config_error(capsys, tmp_path):
         ["semisort", "--param", "k=9"],      # not a SemisortParams field
         ["semisort", "--param", "Kx=2"],
         ["semisort", "--param", "K=3.9"],    # integer field
+        # Values that would break placement.
+        ["semisort", "--n", "4096", "--param", "d=0"],
+        ["semisort", "--n", "4096", "--param", "round_cap=0"],
+        ["semisort", "--n", "4096", "--param", "c_alloc=-1"],
+        ["semisort", "--n", "4096", "--param", "alpha=inf"],
+        ["semisort", "--dist", "zipf", "--theta", "nan"],
     ):
         assert run_cli(args) == EXIT_CONFIG, args
         err = capsys.readouterr().err

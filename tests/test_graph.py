@@ -1,4 +1,4 @@
-"""Graphs: generators, file formats, culled partitioning, reorganization."""
+"""Graphs: generators, culled partitioning, reorganization."""
 
 import hashlib
 import math
@@ -20,11 +20,7 @@ from semipar.graph import (
     generate,
     phase_cull,
     piece_edge_counts,
-    read_csr,
-    read_edge_list,
     reorganize,
-    write_csr,
-    write_edge_list,
 )
 from semipar.meter import WorkMeter
 
@@ -45,13 +41,9 @@ def test_from_edges_and_validate():
         ([0, 1, 1], [1, 2, 0], "duplicate edge"),  # same edge, other orientation
     ],
 )
-def test_from_edges_rejects_loops_and_duplicates(tmp_path, u, v, what):
+def test_from_edges_rejects_loops_and_duplicates(u, v, what):
     with pytest.raises(ValueError, match=what):
         from_edges(3, np.array(u), np.array(v))
-    path = tmp_path / "g.txt"
-    path.write_text("".join(f"{a} {b}\n" for a, b in zip(u, v)))
-    with pytest.raises(ValueError, match=what):
-        read_edge_list(path)
 
 
 def test_validate_rejects_asymmetry_and_loops():
@@ -71,13 +63,6 @@ def test_validate_rejects_one_way_entry():
 def test_from_edges_rejects_out_of_range_ids(u, v):
     with pytest.raises(ValueError, match="outside"):
         from_edges(3, np.array(u), np.array(v))
-
-
-def test_read_edge_list_rejects_id_beyond_n(tmp_path):
-    path = tmp_path / "g.txt"
-    path.write_text("0 1\n0 5\n")
-    with pytest.raises(ValueError, match="outside"):
-        read_edge_list(path, n=3)
 
 
 def test_from_edges_rejects_vertex_count_beyond_32_bits():
@@ -135,37 +120,6 @@ def test_edge_list_each_edge_once():
     u, v = edge_list(g)
     assert len(u) == g.m
     assert (u < v).all()
-
-
-def test_file_roundtrips(tmp_path):
-    g = generate("gnm", 100, 250, seed=2)
-    p1, p2 = tmp_path / "g.txt", tmp_path / "g.csr"
-    write_edge_list(p1, g)
-    write_csr(p2, g)
-    h1 = read_edge_list(p1, n=100)
-    h2 = read_csr(p2)
-    for h in (h1, h2):
-        assert h.n == g.n and h.m == g.m
-        assert np.array_equal(h.offsets, g.offsets)
-        assert np.array_equal(h.neighbors, g.neighbors)
-
-
-def test_read_csr_rejects_truncated_file(tmp_path):
-    g = generate("gnm", 100, 100, seed=2)
-    p = tmp_path / "g.csr"
-    write_csr(p, g)
-    data = p.read_bytes()
-    for cut in (40, len(data) - 10):
-        p.write_bytes(data[:-cut])
-        with pytest.raises(ValueError, match="truncated CSR file"):
-            read_csr(p)
-
-
-def test_read_csr_rejects_bad_magic(tmp_path):
-    p = tmp_path / "bad.csr"
-    p.write_bytes(b"XXXX" + b"\0" * 16)
-    with pytest.raises(ValueError):
-        read_csr(p)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +293,7 @@ def test_reorganize_matches_lexsort_oracle():
     # Piece 2 is empty, so it is not listed and reads as an empty range.
     assert ro.piece_ids.tolist() == [0, 1, 3, 4]
     lo, hi = ro.piece_range(2)
-    assert lo == hi and len(ro.piece_vertices(2)) == 0
+    assert lo == hi
 
 
 def test_piece_is_induced_subgraph_plus_its_cut():
@@ -382,5 +336,5 @@ def test_piece_vertices():
     g = generate("gnm", 200, 600, seed=9)
     part = cull_partition(g, 2, seed=10)
     ro = reorganize(g, part, seed=11)
-    seen = np.concatenate([ro.piece_vertices(i) for i in range(part.k + 1)])
+    seen = np.concatenate([ro.perm[slice(*ro.piece_range(i))] for i in range(part.k + 1)])
     assert np.array_equal(np.sort(seen), np.arange(g.n))

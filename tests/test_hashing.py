@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semipar.hashing import (
+    TAB_CHAR_BITS,
     TabulationHash,
     detect_collision,
     tab_bucket,
@@ -26,9 +27,9 @@ P61 = (1 << 61) - 1
 def tab_hash(h: TabulationHash, key: int) -> int:
     """Scalar oracle: XOR of the per-character table entries selected by ``key``."""
     out = 0
-    mask = (1 << h.char_bits) - 1
+    mask = (1 << TAB_CHAR_BITS) - 1
     for i in range(h.c):
-        out ^= int(h.tables[i, (int(key) >> (i * h.char_bits)) & mask])
+        out ^= int(h.tables[i, (int(key) >> (i * TAB_CHAR_BITS)) & mask])
     return out
 
 
@@ -126,16 +127,16 @@ def test_universal_batch_matches_single_draws():
     ranges = np.array([1, 10, 1 << 33, 1 << 63], dtype=np.uint64)
     batch = universal_new(11, ranges, ids)
     keys = np.array([3, (1 << 64) - 1, 12345 + P61, 1 << 32], dtype=np.uint64)
-    hashed = universal_hash_array(batch.take(np.arange(4)), keys)
+    hashed = universal_hash_array(batch, keys)
     for i in range(4):
         g = universal_new(11, int(ranges[i]), int(ids[i]))
         assert (int(g.a), int(g.shift)) == (int(batch.a[i]), int(batch.shift[i]))
         assert universal_hash(g, int(keys[i])) == int(hashed[i])
-    # repeat(counts) lays the functions out as take() at the repeated ids.
+    # repeat(counts) lays function i out counts[i] times in a row.
     counts = np.array([2, 0, 1, 3])
-    rep, taken = batch.repeat(counts), batch.take(np.repeat(np.arange(4), counts))
+    rep = batch.repeat(counts)
     for name in ("a", "shift"):
-        assert np.array_equal(getattr(rep, name), getattr(taken, name))
+        assert np.array_equal(getattr(rep, name), np.repeat(getattr(batch, name), counts))
 
 
 def test_universal_parameters_in_range():

@@ -1,4 +1,4 @@
-"""Record containers, oracles, and the binary record file format."""
+"""Record containers and oracles."""
 
 from collections import Counter
 
@@ -11,9 +11,7 @@ from semipar.records import (
     Records,
     group_counts,
     is_semisorted,
-    read_records,
     same_multiset,
-    write_records,
 )
 
 
@@ -63,30 +61,3 @@ def test_oracles_match_counter_reference(keys):
             semisorted &= k not in closed
     assert is_semisorted(a) == semisorted
 
-
-def test_file_roundtrip(tmp_path):
-    a = Records(
-        np.array([0, (1 << 64) - 1, 42], np.uint64),
-        np.array([7, 8, 9], np.uint64),
-    )
-    path = tmp_path / "r.psrt"
-    write_records(path, a)
-    b = read_records(path)
-    assert np.array_equal(a.keys, b.keys)
-    assert np.array_equal(a.payloads, b.payloads)
-
-
-def test_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.psrt"
-    path.write_bytes(b"NOPE" + b"\0" * 16)
-    with pytest.raises(ValueError, match="magic"):
-        read_records(path)
-
-
-def test_file_rejects_truncation(tmp_path):
-    a = Records.from_keys(np.arange(10, dtype=np.uint64))
-    path = tmp_path / "t.psrt"
-    write_records(path, a)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        read_records(path)

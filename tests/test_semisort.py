@@ -65,6 +65,14 @@ def test_params_validation():
         SemisortParams(p_s=0.5, tau=1, alpha=1.0)
     with pytest.raises(ValueError):
         SemisortParams(p_s=0.5, tau=1, K=2)
+    # Each of these would break placement: a zero-capacity bucket, or no
+    # block or round to probe in.
+    for bad in (
+        dict(c_alloc=0.0), dict(c_alloc=-1.0), dict(c_alloc=math.inf), dict(c_alloc=math.nan),
+        dict(alpha=math.inf), dict(alpha=math.nan), dict(d=0), dict(round_cap=0),
+    ):
+        with pytest.raises(ValueError):
+            SemisortParams(p_s=0.5, tau=1, **bad)
 
 
 def test_f_alloc_value():
@@ -195,7 +203,7 @@ def test_sort_by_bucket_and_hash_splits_overflowing_ranges():
     h = (rng.integers(0, 1 << 63, size=len(seg), dtype=np.uint64) % ranges[seg])
     h[::3] = 0  # ties keep their input order
     expected = np.lexsort((h, seg))
-    assert np.array_equal(_sort_by_bucket_and_hash(h.copy(), ranges, seg), expected)
+    assert np.array_equal(_sort_by_bucket_and_hash(h.copy(), ranges, sizes), expected)
 
 
 # ---------------------------------------------------------------------------
