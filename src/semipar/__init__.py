@@ -48,7 +48,6 @@ from .hashing import (
     UniversalHash,
     detect_collision,
     tab_bucket,
-    tab_hash_array,
     tab_new,
     universal_hash_array,
     universal_new,

@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError(f"dist must be one of {DISTRIBUTIONS}")
         if not math.isfinite(self.theta):
             raise ConfigError("theta must be finite")
+        if self.dist == "zipf":
+            _zipf_p(self.n, self.theta)
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if self.n < 1:
@@ -153,6 +155,16 @@ class TrialRecord:
 CSV_COLUMNS = [f.name for f in dataclasses.fields(TrialRecord)]
 
 
+def _zipf_p(n: int, theta: float) -> np.ndarray:
+    """Zipf probabilities of ranks 1..n; ConfigError if the weights overflow."""
+    with np.errstate(over="ignore"):
+        w = np.arange(1, n + 1, dtype=np.float64) ** -theta
+        total = w.sum()
+    if not math.isfinite(total):
+        raise ConfigError(f"theta {theta} overflows the zipf weights at n={n}")
+    return w / total
+
+
 def gen_keys(dist: str, n: int, seed: int, theta: float = 1.0) -> Records:
     """Seeded key generator for the benchmark distributions."""
     rng = generator(seed, 0xD15)
@@ -163,10 +175,7 @@ def gen_keys(dist: str, n: int, seed: int, theta: float = 1.0) -> Records:
     elif dist == "all_distinct":
         keys = rng.permutation(n).astype(np.uint64)
     elif dist == "zipf":
-        ranks = np.arange(1, n + 1, dtype=np.float64)
-        w = ranks**-theta
-        p = w / w.sum()
-        keys = rng.choice(n, size=n, p=p).astype(np.uint64)
+        keys = rng.choice(n, size=n, p=_zipf_p(n, theta)).astype(np.uint64)
     else:
         raise ConfigError(f"unknown distribution {dist!r}")
     payloads = np.arange(n, dtype=np.uint64)

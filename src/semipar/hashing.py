@@ -2,7 +2,7 @@
 
 Tabulation hashing XORs per-character random table lookups; it backs the
 light-bucket assignment and enjoys Chernoff-type bin concentration (Patrascu
-and Thorup, STOC 2011), for which the tables need only uniform w-bit words.
+and Thorup, STOC 2011); its tables hold uniform words of w <= 32 bits.
 Multiply-shift h(x) = (a*x mod 2^64) >> (64 - l) with a random odd 64-bit a
 backs the rehash loop of local semisorting: two distinct 64-bit keys collide
 with probability at most 2^(1-l) (Dietzfelbinger, Hagerup, Katajainen and
@@ -36,7 +36,7 @@ class TabulationHash:
     lookup moves as few bytes as the output width allows.
     """
 
-    tables: np.ndarray  # shape (c, 2**TAB_CHAR_BITS), entries < 2**w
+    tables: np.ndarray  # shape (c, 2**TAB_CHAR_BITS), entries < 2**w, w <= 32
     w: int
 
     @property
@@ -46,8 +46,8 @@ class TabulationHash:
 
 def tab_new(seed: int, out_bits: int) -> TabulationHash:
     """Draw fresh tabulation tables with ``out_bits`` output bits from ``seed``."""
-    if not 1 <= out_bits <= 64:
-        raise ValueError(f"output bits must be in [1, 64], got {out_bits}")
+    if not 1 <= out_bits <= 32:
+        raise ValueError(f"output bits must be in [1, 32], got {out_bits}")
     tables = generator(seed, 0x7AB).integers(
         0, 1 << out_bits, size=(TAB_CHARS, 1 << TAB_CHAR_BITS),
         dtype=np.min_scalar_type((1 << out_bits) - 1),
@@ -67,18 +67,13 @@ def _tab_xor(h: TabulationHash, keys: np.ndarray) -> np.ndarray:
     return out.reshape(keys.shape)
 
 
-def tab_hash_array(h: TabulationHash, keys: np.ndarray) -> np.ndarray:
-    """Tabulation hash values of a uint64 key array, as uint64."""
-    return _tab_xor(h, keys).astype(np.uint64, copy=False)
-
-
 def tab_bucket(h: TabulationHash, keys: np.ndarray, n_buckets: int) -> np.ndarray:
     """Map keys into [0, n_buckets) by multiply-shift on the w-bit hash value.
 
-    Multiply-shift keeps the map monotone in the hash value and avoids the
-    low-bucket bias a modulo reduction would introduce.  Requires
-    n_buckets <= 2^w, so the product needs 2w bits: it is formed in uint32
-    when 2w <= 32 and in uint64 otherwise (w <= 32).
+    Multiply-shift keeps the map monotone in the hash value (the identity
+    at 2^w buckets) and avoids the low-bucket bias of a modulo reduction.
+    Requires n_buckets <= 2^w, so the product needs 2w bits: it is formed
+    in uint32 when 2w <= 32 and in uint64 otherwise.
     """
     if n_buckets < 1:
         raise ValueError("bucket count must be positive")

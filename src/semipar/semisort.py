@@ -6,9 +6,10 @@ buckets (sized by the allocation function ``f_alloc``), distributes records
 by randomized placement, then semisorts all packed light buckets in one
 segmented pass, rehashing a bucket with a fresh multiply-shift function
 until the sort of its hash values is collision-free.  A placement timeout
-triggers a full restart with a fresh derived seed.  Integer sorting for
-keys in [n] follows as a boundary-scan + prefix-sum pass over the
-semisorted array.
+triggers a full restart with a fresh derived seed.  Inputs below
+``small_n_cutoff`` records, and heavy or light sides below n / lg n, are
+comparison-sorted by key instead.  Integer sorting for keys in [n] follows
+as one run scan + prefix-sum pass over the semisorted array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .hashing import (
     detect_collision,
     tab_bucket,
-    tab_hash_array,
     tab_new,
     universal_hash_array,
     universal_new,
@@ -113,16 +113,22 @@ class SemisortTrace:
     allocated_space: int = 0
 
 
+def run_starts(x: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in ``x``; on sorted input,
+    the index of each distinct value's first occurrence."""
+    start = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=start[1:])
+    return np.flatnonzero(start)
+
+
 def sorted_distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of ``x`` in ascending order, as ``np.unique(x)``.
 
-    A sort plus an adjacent-difference mask: numpy 2.4's ``np.unique`` takes
-    a hash path for integers that runs about 40x slower than this.
+    A sort plus a run scan: numpy 2.4's ``np.unique`` takes a hash path for
+    integers that runs about 40x slower than this.
     """
     x = np.sort(x)
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
+    return x[run_starts(x)]
 
 
 def stable_argsort(v: np.ndarray) -> np.ndarray:
@@ -266,7 +272,7 @@ def _sort_by_bucket_and_hash(
     run = (np.cumsum(ranges, dtype=np.float64) / 2.0**62).astype(np.int64)
     # Exclusive range sums wrap mod 2^64; differences within a run are exact.
     base = np.cumsum(ranges) - ranges
-    run_start = np.flatnonzero(np.diff(run, prepend=-1))
+    run_start = run_starts(run)
     base -= np.repeat(base[run_start], np.diff(run_start, append=len(run)))
     h += np.repeat(base, sizes)
     if len(run_start) == 1:
@@ -339,17 +345,11 @@ def _semisort_once(
     trace = SemisortTrace(n=n, seed=run_seed, params=params)
     if n == 0:
         return a.copy(), trace
-    lg = ceil_log2(n)
-
     if n < params.small_n_cutoff:
-        # Theta-notation is vacuous at tiny n: sort by (key hash, key) so the
-        # output is semisorted without promising any inter-key order.
-        th = tab_new(derive(run_seed, 0x5A), 63)
-        hv = tab_hash_array(th, a.keys)
-        order = np.lexsort((a.keys, hv))
-        meter.charge("small_sort", n * lg)
-        meter.tick(lg)
-        return a.take(order), trace
+        # Theta-notation is vacuous at tiny n: sort as the heavy and light
+        # sides do below their cutoff.
+        return a.take(_sort_segment(np.arange(n), a.keys, meter, "small_sort")), trace
+    lg = ceil_log2(n)
 
     # Step 1: independent sampling.
     rng = np.random.Generator(np.random.Philox(key=derive(run_seed, 1)))
@@ -363,8 +363,9 @@ def _semisort_once(
     meter.charge("sample_sort", len(sample_keys) * s_lg)
     meter.tick(s_lg)
     sample_keys = np.sort(sample_keys)
-    sampled_keys = sorted_distinct(sample_keys)
-    sigma = np.diff(np.searchsorted(sample_keys, sampled_keys), append=len(sample_keys))
+    starts = run_starts(sample_keys)
+    sampled_keys = sample_keys[starts]
+    sigma = np.diff(starts, append=len(sample_keys))
 
     # Step 3: heavy/light partition; target[i] is record i's heavy-key rank.
     heavy_keys = sampled_keys[sigma >= params.tau]
@@ -440,14 +441,10 @@ def integer_sort(
         raise KeyOutOfRange(f"keys must lie in [0, {n})")
     semi, _ = semisort(a, params, seed, meter)
 
-    # Boundary scan: group id and start of each contiguous run.
+    # Run scan: each key is one contiguous run of the semisorted array.
     keys = semi.keys
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    group_id = np.cumsum(boundary) - 1
-    starts = np.flatnonzero(boundary)
-    sizes = np.diff(np.append(starts, n))
+    starts = run_starts(keys)
+    sizes = np.diff(starts, append=n)
     group_keys = keys[starts].astype(np.int64)
 
     # Counts array + prefix sum gives each key group's output offset.
@@ -456,8 +453,7 @@ def integer_sort(
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     # Copy each group into its interval (rank within run is preserved).
-    within = np.arange(n, dtype=np.int64) - starts[group_id]
-    dest = offsets[keys.astype(np.int64)] + within
+    dest = np.repeat(offsets[group_keys] - starts, sizes) + np.arange(n)
     out_keys = np.empty_like(keys)
     out_payloads = np.empty_like(semi.payloads)
     out_keys[dest] = keys

@@ -274,6 +274,7 @@ def test_exit_code_config_error(capsys, tmp_path):
         ["semisort", "--n", "4096", "--param", "c_alloc=-1"],
         ["semisort", "--n", "4096", "--param", "alpha=inf"],
         ["semisort", "--dist", "zipf", "--theta", "nan"],
+        ["semisort", "--n", "4096", "--dist", "zipf", "--theta", "-200"],  # weights overflow
     ):
         assert run_cli(args) == EXIT_CONFIG, args
         err = capsys.readouterr().err

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semipar.cli import gen_keys
-from semipar.meter import WorkMeter
+from semipar.meter import WorkMeter, ceil_log2
 from semipar.prng import generator
 from semipar.records import Records, group_counts, is_semisorted, same_multiset
 from semipar.semisort import (
@@ -25,6 +25,7 @@ from semipar.semisort import (
     integer_sort,
     local_semisort,
     rehash_buckets,
+    run_starts,
     semisort,
     sorted_distinct,
     stable_argsort,
@@ -218,6 +219,22 @@ def test_semisort_sizes(n):
     assert trace.n == n
 
 
+@pytest.mark.parametrize("n", [2, 100, 1023])
+def test_semisort_below_cutoff_is_one_comparison_sort(n, monkeypatch):
+    # Below small_n_cutoff semisort draws no hash table: it sorts once, with
+    # the heavy and light sides' fallback charge of n * ceil(lg n).
+    def no_tables(*args):
+        raise AssertionError("tab_new called below small_n_cutoff")
+
+    monkeypatch.setattr(semisort_mod, "tab_new", no_tables)
+    data = _random_records(n, max(n // 4, 2), seed=n)
+    meter = WorkMeter()
+    out, _ = semisort(data, seed=n, meter=meter)
+    _assert_valid(data, out)
+    assert meter.phase_breakdown == {"small_sort": n * ceil_log2(n)}
+    assert meter.rounds == ceil_log2(n)
+
+
 def test_semisort_all_equal_keys():
     data = Records.from_keys(np.full(20_000, 42, dtype=np.uint64))
     out, _ = semisort(data, seed=1)
@@ -317,6 +334,9 @@ def test_sorted_distinct_matches_unique(values, mod):
     assert np.array_equal(sorted_distinct(x), np.unique(x))
     signed = x.astype(np.int64)
     assert np.array_equal(sorted_distinct(signed), np.unique(signed))
+    # On sorted input each run starts at its value's first occurrence.
+    for v in (np.sort(x), np.sort(signed), x[:0]):
+        assert np.array_equal(run_starts(v), np.unique(v, return_index=True)[1])
 
 
 @given(st.lists(st.integers(0, 5), min_size=2, max_size=300), st.sampled_from([-1, 0]))
@@ -349,7 +369,9 @@ def test_stable_argsort_empty_and_signed():
 # [n, restarts, heavy_count, max_bucket_size, allocated_space,
 # bucket_attempts].  "heavy_below_cutoff" has 512 heavy records, under the
 # n / lg n cutoff, so its heavy side is sorted rather than placed; the
-# integer-sort case has no trace.
+# integer-sort cases have no trace.  integer_sort's bytes depend only on the
+# order of records within each key, not on the order semisort gives the
+# keys, which below small_n_cutoff (the n = 1000 case) is a comparison sort's.
 PINNED_SEMISORT = [
     ("uniform", 4096, "0fdc71becc7c251f2bb1269f876705f31b5b4ce15243b30d450963dfa34d961c", 124839, 71, "0d66d861183e7d3c6aaf0bb8e76ccd79ea672ee84ac6e686e0ca51c9dabed6cb", "215ac58ffd7bd4d48ab53f0b868b5c3d1cf55f60cc35953aacd9a60e52574d2b"),
     ("zipf", 4096, "3f6bbc3029ab33fe76f5a409b7a0380bdbd53ead0daf9b15d8587342c5f54bd1", 116324, 109, "5573c2ee148c995c74e065f41385490b83536a9f4f427f7b707d9c228058e2dc", "c3bec17e6bcbbfa9ca2078994306ef7c15814b467354b6c9d269a332a136d8eb"),
@@ -361,6 +383,7 @@ PINNED_SEMISORT = [
     ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 500169, 81, "7ddd0f045fe5b53cb3230ceab19d7fba57041df1f933acaa03b0a0205b1e2ed4", "d1fff5fc5ddc1a7c4cbfd71e846634d117afd005a9d4856ae3cde1aed13da96a"),
     ("heavy_below_cutoff", 16384, "0dd5009c458d81afde56efe952853b8a332c2f1c7294ed4ed7e935279fd8d60e", 497934, 94, "ac72525ee9dc7873ac574d32ea4c8e9660f567e1af4b747b96d258da478c7e92", "76fee19459bcf114d9ea7d213b1cd099f4b84b0ef15776a110241a6254ac6fe5"),
     ("intsort", 16384, "1c3499f0ccde366a27d1afdce0c623e47d6dda2a3f2677e59af9840fbca963aa", 565697, 94, "7783f48393b22b4af89b2b4cd85aaf056add846de7867fdc4aef06a5b8334356", None),
+    ("intsort", 1000, "29257b74f8bbed78e2374f55c2c1961d7bf0e0d0cdf3d32dca475d1d55885bf6", 14000, 20, "40e2e8c737f01f0599465dfb9d775588ae9afaa2b06f17c356896757303e449a", None),
 ]
 
 
