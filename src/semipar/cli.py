@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds as bounds_mod
+from . import bounds as bounds_mod, graph as graph_mod, placement as placement_mod
 from .graph import cull_partition, generate, piece_edge_counts, verify_partition
 from .graph_algos import boosted_coloring, boosted_mis, verify_coloring, verify_mis
 from .meter import WorkMeter, ceil_log2
@@ -108,6 +108,10 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         if self.n < 1:
             raise ConfigError("n must be positive")
+        # Limits are read at call time, so a test can lower one.
+        limit = placement_mod.RECORD_LIMIT if self.algorithm == "placement" else graph_mod.ID_LIMIT
+        if self.algorithm not in SORTS and self.n >= limit:
+            raise ConfigError(f"n must be below {limit} for {self.algorithm}")
         if self.k < 0:
             raise ConfigError("k must be >= 0 (0 means ceil(log2 n))")
         if self.graph_kind not in GRAPH_KINDS:

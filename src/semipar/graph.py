@@ -4,10 +4,11 @@ Graphs are undirected simple graphs in compressed adjacency form (both
 directions stored).  The culled balanced partition removes high-degree
 vertices in barrier-separated phases until the max degree drops below
 e(H)/(k^4 * ceil(log2 n)), then assigns survivors independently and
-uniformly to k pieces.  Reorganization groups vertices by piece and splits
-every adjacency list into internal and cut neighbors: the internal edges form
-a graph on the new vertex positions, block-diagonal by piece, and the cut
-entries keep original ids, so each piece is a slice of both.
+uniformly to k pieces.  Reorganization groups vertices by piece, moves each
+adjacency row to its new position once and splits it into internal and cut
+neighbors: the internal edges form a graph on the new vertex positions,
+block-diagonal by piece, and the cut entries keep original ids, so each
+piece is a slice of both.  A vertex pair packs as the uint64 src * 2^32 + dst.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .meter import WorkMeter, ceil_log2
 from .prng import generator
 from .records import Records
-from .semisort import integer_sort, sorted_distinct
+from .semisort import integer_sort, segment_index, sorted_distinct
 
 ID_LIMIT = 1 << 32  # vertex ids must fit in 32 bits to pack a pair in a uint64
 
@@ -54,7 +55,7 @@ class Graph:
             raise ValueError("neighbor array length must be 2m")
         if self.m and (self.neighbors.min() < 0 or self.neighbors.max() >= self.n):
             raise ValueError("neighbor id out of range")
-        rows = np.repeat(np.arange(self.n), self.degrees())
+        rows = self.edge_rows()
         if np.any(rows == self.neighbors):
             raise ValueError("self-loop present")
         fwd = sorted_pair_codes(self.n, rows, self.neighbors)
@@ -71,8 +72,7 @@ class Graph:
         """Source vertex of each directed adjacency entry (cached)."""
         rows = getattr(self, "_rows", None)
         if rows is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-            object.__setattr__(self, "_rows", rows)
+            self._rows = rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         return rows
 
     def max_degree(self) -> int:
@@ -139,6 +139,8 @@ def generate(kind: str, n: int, m: int = 0, seed: int = 0) -> Graph:
     """Deterministic simple-graph generators: gnm, star, path, power_law."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if n >= ID_LIMIT:
+        raise ValueError(f"vertex count {n} does not fit below 2^32")
     if kind == "path":
         u = np.arange(n - 1)
         return from_edges(n, u, u + 1)
@@ -175,11 +177,12 @@ def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
         vv = draw(rng, size)
         lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
         ok = lo < hi
-        new = (lo[ok].astype(np.uint64) * np.uint64(n)) + hi[ok].astype(np.uint64)
+        new = lo[ok].astype(np.uint64) << np.uint64(32)
+        new |= hi[ok].astype(np.uint64)
         codes = sorted_distinct(np.concatenate([codes, new]))
     codes = codes[generator(seed, stream + 1).permutation(len(codes))[:m]]
-    u = (codes // np.uint64(n)).astype(np.int64)
-    v = (codes % np.uint64(n)).astype(np.int64)
+    u = (codes >> np.uint64(32)).astype(np.int64)
+    v = (codes & np.uint64(ID_LIMIT - 1)).astype(np.int64)
     return from_edges(n, u, v)
 
 
@@ -189,15 +192,10 @@ def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
 CULLED = -1
 
 
-def row_counts(g: Graph, entry_mask: np.ndarray) -> np.ndarray:
-    """Per vertex, how many of its adjacency entries ``entry_mask`` marks."""
-    cs = np.concatenate(([0], np.cumsum(entry_mask, dtype=np.int64)))
-    return cs[g.offsets[1:]] - cs[g.offsets[:-1]]
-
-
 def alive_degrees(g: Graph, alive: np.ndarray) -> np.ndarray:
     """Degree into the subgraph induced by ``alive``, zero for removed vertices."""
-    deg = row_counts(g, alive[g.neighbors])
+    cs = np.concatenate(([0], np.cumsum(alive[g.neighbors], dtype=np.int64)))
+    deg = cs[g.offsets[1:]] - cs[g.offsets[:-1]]
     deg[~alive] = 0
     return deg
 
@@ -322,18 +320,6 @@ def piece_edge_counts(g: Graph, p: CulledPartition) -> np.ndarray:
 # Reorganization
 
 
-def _rows_in_order(
-    values: np.ndarray, counts: np.ndarray, perm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Move the rows of a flat array (row i holds counts[i] entries) into the
-    order ``perm`` with one segmented gather; returns (offsets, values)."""
-    new_counts = counts[perm]
-    offsets = np.concatenate(([0], np.cumsum(new_counts)))
-    idx = np.repeat((np.cumsum(counts) - counts)[perm] - offsets[:-1], new_counts)
-    idx += np.arange(len(idx))
-    return offsets, values[idx]
-
-
 @dataclass
 class ReorganizedGraph:
     """Vertices grouped by piece; adjacency split into internal and cut parts.
@@ -384,10 +370,12 @@ def reorganize(
     """Group vertices by piece id and split adjacency lists at the cut.
 
     The vertex permutation comes from the linear-work integer sort (culled
-    vertices keyed as piece k).  One mask marks the internal entries; the
-    internal entries (as new positions) and the cut entries (original ids)
-    are each compacted in entry order, then moved to their new rows with one
-    segmented gather.  Nothing sorts the adjacency entries.
+    vertices keyed as piece k).  One segmented gather moves every adjacency
+    row to its vertex's new position; one mask on the moved entries marks
+    the internal ones, and counting the internal entries before each row
+    start gives both offset arrays.  The internal entries (as new positions)
+    and the cut entries (original ids) are each compacted in entry order.
+    Nothing sorts the adjacency entries.
     """
     if meter is None:
         meter = WorkMeter()
@@ -418,11 +406,14 @@ def reorganize(
     piece_ids = piece_ids[present]
     piece_boundaries = np.concatenate(([0], np.cumsum(sizes[present])))
 
-    deg = g.degrees()
-    internal = piece_of[g.neighbors] == np.repeat(piece_of, deg)
-    internal_deg = row_counts(g, internal)
-    offsets, nbrs = _rows_in_order(inv[g.neighbors[internal]], internal_deg, perm)
-    cut_offsets, cut = _rows_in_order(g.neighbors[~internal], deg - internal_deg, perm)
+    deg = g.degrees()[perm]
+    row_offsets = np.concatenate(([0], np.cumsum(deg)))
+    moved = g.neighbors[segment_index(g.offsets[perm], deg)]
+    internal = piece_of[moved] == np.repeat(piece_of[perm], deg)
+    internal_at = np.flatnonzero(internal)
+    offsets = np.searchsorted(internal_at, row_offsets)
+    cut_offsets = row_offsets - offsets
+    nbrs, cut = inv[moved[internal_at]], moved[~internal]
     meter.charge("reorganize.adjacency", 4 * g.m)
     meter.tick(ceil_log2(2 * g.m))
     internal_graph = Graph(g.n, len(nbrs) // 2, offsets, nbrs)

@@ -27,7 +27,7 @@ from .hashing import (
     universal_new,
 )
 from .meter import WorkMeter, ceil_log2
-from .placement import PlacementInstance, PlacementTimeout, place
+from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
 from .prng import derive
 from .records import Records
 
@@ -86,7 +86,7 @@ class SemisortParams:
             K=3,
             B=max(1, math.ceil(n / lg**2)) if n else 1,
             d=lg,
-            round_cap=8 * lg,
+            round_cap=default_round_cap(n),
             max_restarts=3,
             small_n_cutoff=1 << 10,
         )
@@ -119,6 +119,16 @@ def run_starts(x: np.ndarray) -> np.ndarray:
     start = np.ones(len(x), dtype=bool)
     np.not_equal(x[1:], x[:-1], out=start[1:])
     return np.flatnonzero(start)
+
+
+def segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Gather index that lays segments end to end: segment i is the
+    counts[i] positions from starts[i], as
+    ``np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    idx = np.repeat(np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts), counts)
+    idx += np.arange(len(idx))
+    return idx
 
 
 def sorted_distinct(x: np.ndarray) -> np.ndarray:
@@ -232,14 +242,12 @@ def rehash_buckets(
         attempts[pending] = attempt
         meter.charge("local_semisort", (2 * K + 2) * int(sizes[pending].sum()))
         m_b = sizes[batch]
-        ends = np.cumsum(m_b)
         ranges = m_b.astype(np.uint64) ** np.uint64(K)
         g = universal_new(derive(seed, attempt), ranges, batch)
         if attempt == 1:
             kp = keys
         else:
-            pos = np.repeat(starts[batch] - (ends - m_b), m_b)
-            pos += np.arange(len(pos))
+            pos = segment_index(starts[batch], m_b)
             kp = keys[pos]
         key = universal_hash_array(g.repeat(m_b), kp)
         idx = _sort_by_bucket_and_hash(key, np.uint64(1) << g.bits, m_b)
@@ -248,9 +256,10 @@ def rehash_buckets(
             order = idx
         else:
             order[pos] = pos[idx]
-        # The sort keeps every bucket in its own positions, so sorted
-        # position i lies in the bucket whose end first exceeds i.
-        batch = pending = batch[sorted_distinct(np.searchsorted(ends, hit, side="right"))]
+        # The sort keeps every bucket in its own positions, so sorted position
+        # i lies in the bucket whose end first exceeds i; ``hit`` ascends.
+        hit_bucket = np.searchsorted(np.cumsum(m_b), hit, side="right")
+        batch = pending = batch[hit_bucket[run_starts(hit_bucket)]]
     meter.tick((K + 2) * attempt)
     return order, attempts
 
@@ -259,28 +268,19 @@ def _sort_by_bucket_and_hash(
     h: np.ndarray, ranges: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Stable argsort of records by (bucket, hash ``h``): bucket b holds the
-    next ``sizes[b]`` records, whose hash values lie below ranges[b].
+    next ``sizes[b]`` records, whose hash values lie below ranges[b] <= 2^63.
 
-    Offsets bucket b's hash values by the sum of the ranges before it and
-    sorts the uint64 sums.  Where the ranges total 2^64 or more, consecutive
-    buckets are grouped into runs whose totals fit and each run is sorted on
-    its own.  Adds the offsets into ``h`` in place.
+    Adds the sum of the ranges before bucket b to its hash values, in place
+    and mod 2^64, so neighbouring non-empty buckets never share a value.
+    When no inclusive range sum wraps (they strictly increase), one sort of
+    these sums gives the order; otherwise one lexsort by (bucket, hash).
     """
-    # Run r holds the buckets whose inclusive range sum lies in
-    # [r*2^62, (r+1)*2^62); each range is <= 2^63, so a run totals less
-    # than 2^62 + 2^63 and the float error is far below the slack.
-    run = (np.cumsum(ranges, dtype=np.float64) / 2.0**62).astype(np.int64)
-    # Exclusive range sums wrap mod 2^64; differences within a run are exact.
-    base = np.cumsum(ranges) - ranges
-    run_start = run_starts(run)
-    base -= np.repeat(base[run_start], np.diff(run_start, append=len(run)))
-    h += np.repeat(base, sizes)
-    if len(run_start) == 1:
-        return stable_argsort(h)
-    bounds = (np.cumsum(sizes) - sizes)[run_start].tolist() + [len(h)]
-    return np.concatenate(
-        [lo + stable_argsort(h[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    )
+    ends = np.cumsum(ranges)
+    wraps = bool(np.any(ends[1:] <= ends[:-1]))
+    if wraps:
+        order = np.lexsort((h, np.repeat(np.arange(len(sizes)), sizes)))
+    h += np.repeat(ends - ranges, sizes)
+    return order if wraps else stable_argsort(h)
 
 
 def semisort(
@@ -453,7 +453,7 @@ def integer_sort(
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     # Copy each group into its interval (rank within run is preserved).
-    dest = np.repeat(offsets[group_keys] - starts, sizes) + np.arange(n)
+    dest = segment_index(offsets[group_keys], sizes)
     out_keys = np.empty_like(keys)
     out_payloads = np.empty_like(semi.payloads)
     out_keys[dest] = keys

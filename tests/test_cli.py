@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from semipar import cli
+from semipar import cli, placement
 from semipar.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -244,7 +244,10 @@ def test_bounds_bad_params():
                     "--param", "mu=-5", "--param", "delta=0.5"]) == EXIT_CONFIG
 
 
-def test_exit_code_config_error(capsys, tmp_path):
+def test_exit_code_config_error(capsys, tmp_path, monkeypatch):
+    # A lowered record limit stands in for the 2^32 - 1 placement records
+    # that would not fit in memory.
+    monkeypatch.setattr(placement, "RECORD_LIMIT", 16)
     bad_value, bad_key = tmp_path / "value.cfg", tmp_path / "key.cfg"
     ignored_key = tmp_path / "ignored.cfg"
     bad_value.write_text("n = abc\n")
@@ -275,6 +278,9 @@ def test_exit_code_config_error(capsys, tmp_path):
         ["semisort", "--n", "4096", "--param", "alpha=inf"],
         ["semisort", "--dist", "zipf", "--theta", "nan"],
         ["semisort", "--n", "4096", "--dist", "zipf", "--theta", "-200"],  # weights overflow
+        # Sizes past the 32-bit vertex ids or the placement record limit.
+        ["partition", "--n", str(1 << 32), "--graph", "gnm", "--m", "0", "--k", "1"],
+        ["placement", "--n", "20"],
     ):
         assert run_cli(args) == EXIT_CONFIG, args
         err = capsys.readouterr().err

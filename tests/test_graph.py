@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from semipar import graph as graph_mod
 from semipar.graph import (
     CULLED,
     CulledPartition,
@@ -69,6 +70,16 @@ def test_from_edges_rejects_vertex_count_beyond_32_bits():
     # Raised before anything of size n is allocated.
     with pytest.raises(ValueError, match="2\\^32"):
         from_edges(ID_LIMIT, np.array([0]), np.array([1]))
+
+
+@pytest.mark.parametrize("kind", ["path", "star", "gnm", "power_law"])
+def test_generate_rejects_vertex_count_beyond_32_bits(kind, monkeypatch):
+    # A lowered limit stands in for 2^32 vertices.  The check must run before
+    # any edge is drawn or built, so from_edges is never reached.
+    monkeypatch.setattr(graph_mod, "ID_LIMIT", 8)
+    monkeypatch.setattr(graph_mod, "from_edges", None)
+    with pytest.raises(ValueError, match="2\\^32"):
+        generate(kind, 8, 4)
 
 
 @pytest.mark.parametrize("kind", ["path", "star", "gnm", "power_law"])

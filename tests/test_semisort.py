@@ -26,6 +26,7 @@ from semipar.semisort import (
     local_semisort,
     rehash_buckets,
     run_starts,
+    segment_index,
     semisort,
     sorted_distinct,
     stable_argsort,
@@ -152,7 +153,7 @@ def test_rehash_buckets_accounting_identity(K, monkeypatch):
     sizes = np.array([0, 1, 2, 300, 0, 1, 2, 150, 3, 400, 257, 0])
     rng = generator(K, 9)
     keys = rng.integers(0, 120, size=int(sizes.sum()), dtype=np.uint64)
-    keys[:50] += np.uint64((1 << 61) - 1)  # congruent to other keys mod p
+    keys[:50] += np.uint64((1 << 61) - 1)  # keys 2^61 - 1 apart, which multiply-shift keeps apart
     meter = WorkMeter()
     order, attempts = rehash_buckets(keys, sizes, K, 17, meter)
 
@@ -169,6 +170,18 @@ def test_rehash_buckets_accounting_identity(K, monkeypatch):
         seg = order[lo:hi]
         assert sorted(seg.tolist()) == list(range(lo, hi))
         assert is_semisorted(Records.from_keys(keys[seg]))
+
+
+def test_rehash_buckets_keeps_wrapped_buckets_apart(monkeypatch):
+    # Four buckets of two equal keys at K = 62 have ranges 2^62 that total
+    # 2^64, so the sort lexsorts.  Every hash value is 0, yet a bucket's
+    # records must not collide with its neighbour's: one attempt each.
+    monkeypatch.setattr(
+        semisort_mod, "universal_hash_array", lambda g, keys: np.zeros(len(keys), np.uint64)
+    )
+    keys = np.repeat(np.arange(1, 5, dtype=np.uint64), 2)
+    order, attempts = rehash_buckets(keys, np.full(4, 2), 62, 1, WorkMeter())
+    assert np.array_equal(order, np.arange(8)) and np.all(attempts == 1)
 
 
 @pytest.mark.parametrize("size,K_fits", [(2, 62), (3, 39), (5, 27)])
@@ -193,18 +206,46 @@ def test_rehash_buckets_hash_range_guard(size, K_fits, monkeypatch):
         rehash_buckets(keys, np.array([1, size]), K_fits + 1, 3, WorkMeter())
 
 
-def test_sort_by_bucket_and_hash_splits_overflowing_ranges():
-    # Ranges near 2^62..2^63 total far beyond 2^64, so the sort runs per
-    # group of buckets; the order must equal a lexsort by (bucket, hash).
+def test_sort_by_bucket_and_hash_splits_overflowing_ranges(monkeypatch):
+    # Whichever path the sort takes, the order must equal a lexsort by
+    # (bucket, hash).
+    packed = []
+
+    def recording_argsort(v):
+        packed.append(int(v.max()).bit_length())
+        return stable_argsort(v)
+
+    monkeypatch.setattr(semisort_mod, "stable_argsort", recording_argsort)
     rng = generator(4, 4)
     ranges = rng.integers(1 << 62, 1 << 63, size=40, dtype=np.uint64)
     ranges[::7] = 5
-    sizes = rng.integers(0, 30, size=40)
-    seg = np.repeat(np.arange(40), sizes)
-    h = (rng.integers(0, 1 << 63, size=len(seg), dtype=np.uint64) % ranges[seg])
-    h[::3] = 0  # ties keep their input order
-    expected = np.lexsort((h, seg))
-    assert np.array_equal(_sort_by_bucket_and_hash(h.copy(), ranges, sizes), expected)
+    cases = [
+        # Ranges near 2^62..2^63 total far beyond 2^64: lexsort.
+        (ranges, rng.integers(0, 30, size=40)),
+        # A total of exactly 2^64: the last inclusive sum wraps to 0, so lexsort.
+        (np.array([1 << 63, 1 << 62, 1 << 62], np.uint64), np.array([9, 0, 12])),
+        # A total of 2^64 - 2^61 fits: the packed sort, whose sums need all
+        # 64 bits, so stable_argsort falls back.
+        (np.array([1 << 63, 1 << 62, 1 << 61], np.uint64), np.array([9, 0, 12])),
+    ]
+    for ranges, sizes in cases:
+        seg = np.repeat(np.arange(len(ranges)), sizes)
+        h = (rng.integers(0, 1 << 63, size=len(seg), dtype=np.uint64) % ranges[seg])
+        h[::3] = 0  # ties keep their input order
+        expected = np.lexsort((h, seg))
+        assert np.array_equal(_sort_by_bucket_and_hash(h.copy(), ranges, sizes), expected)
+    assert packed == [64]
+
+
+def test_segment_index_matches_loop():
+    rng = generator(6, 6)
+    starts = rng.permutation(200)[:40]  # out of order
+    counts = rng.integers(0, 5, size=40)
+    counts[::4] = 0
+    for s, c in ((starts, counts), (starts[:0], counts[:0]), (np.array([7]), np.array([0]))):
+        want = np.concatenate([np.arange(a, a + b) for a, b in zip(s, c)] + [np.arange(0)])
+        got = segment_index(s, c)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +290,8 @@ def test_semisort_all_distinct_keys():
 
 
 def test_semisort_keys_congruent_mod_hash_prime():
-    # Keys i and i + 2^61 - 1 are distinct uint64 keys equal modulo the prime
-    # of the rehash family; every pair must still be grouped.
+    # Keys i and i + 2^61 - 1 are distinct uint64 keys 2^61 - 1 apart, which
+    # the multiply-shift rehash must keep apart; every pair must be grouped.
     i = np.arange(2048, dtype=np.uint64)
     data = Records.from_keys(np.concatenate([i, i + np.uint64((1 << 61) - 1)]))
     out, _ = semisort(data, seed=1)
