@@ -1,7 +1,8 @@
 """Closed-form tail bounds, evaluated numerically for empirical comparison.
 
 Each evaluator computes the literal bound expression, clamped to [0, 1],
-and rejects parameters outside the hypotheses of the underlying inequality.
+and rejects parameters outside the hypotheses of the underlying inequality
+or for which the expression is undefined (NaN).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ def geom_sum(lam: float, r: int) -> float:
     """P[sum of r Ge(p) >= lam * mean] <= exp(-(lam-1)^2 / (2 lam) * r)."""
     if lam < 1.0:
         raise HypothesisViolated("lambda must be >= 1")
+    if isinstance(r, float) and not r.is_integer():
+        raise HypothesisViolated(f"r counts summands and must be an integer, got {r}")
     if r < 1:
         raise HypothesisViolated("need at least one summand")
     return _clamp(math.exp(-((lam - 1.0) ** 2) / (2.0 * lam) * r))
@@ -43,10 +46,10 @@ def geom_sum(lam: float, r: int) -> float:
 
 def weighted_geom(weights: Sequence[float], t: float) -> float:
     """P[sum w_i G_i >= 2 W1 + t] <= exp(-min(t^2/(16 W2), t/(8 Winf)))."""
-    if t < 0:
+    if not t >= 0:
         raise HypothesisViolated("t must be >= 0")
     w = list(weights)
-    if not w or any(x < 0 for x in w):
+    if not w or not all(x >= 0 for x in w):
         raise HypothesisViolated("weights must be non-negative and non-empty")
     w2 = sum(x * x for x in w)
     winf = max(w)
@@ -57,10 +60,10 @@ def weighted_geom(weights: Sequence[float], t: float) -> float:
 
 def mcdiarmid(lipschitz: Sequence[float], t: float) -> float:
     """P[|f(X) - E f(X)| > t] <= 2 exp(-2 t^2 / sum d_i^2)."""
-    if t < 0:
+    if not t >= 0:
         raise HypothesisViolated("t must be >= 0")
     d = list(lipschitz)
-    if not d or any(x < 0 for x in d):
+    if not d or not all(x >= 0 for x in d):
         raise HypothesisViolated("Lipschitz constants must be non-negative")
     denom = sum(x * x for x in d)
     if denom == 0:
@@ -87,4 +90,6 @@ def bound_eval(bound: str, **params) -> float:
 
 
 def _clamp(x: float) -> float:
+    if math.isnan(x):
+        raise HypothesisViolated("the bound is undefined (NaN) at these parameters")
     return min(1.0, max(0.0, x))

@@ -6,6 +6,10 @@ correctness-bearing output, and emits one row per trial as CSV or JSON.
 Output rows embed no wall-clock data, so identical configs produce
 byte-identical files; wall time is reported on the summary line only.
 
+Every setting comes from its flag, or else from the ``ExperimentConfig``
+default.  ``--param KEY=VALUE`` overrides one ``SemisortParams`` field, and
+``SemisortParams`` itself rejects a value its field cannot take.
+
 Exit codes: 0 success, 1 verifier/assertion failure, 2 config error,
 3 I/O error.
 """
@@ -39,8 +43,7 @@ EXIT_IO = 3
 
 DISTRIBUTIONS = ("uniform", "zipf", "all_equal", "all_distinct")
 GRAPH_KINDS = ("gnm", "star", "path", "power_law")
-FLOAT_PARAMS = ("p_s", "alpha", "c_alloc")  # other SemisortParams fields are ints
-# Settings a flag or a config-file line may give: key -> (config field, type).
+# Settings a flag may give: key -> (config field, type).
 SETTINGS = {
     "n": ("n", int),
     "m": ("m", int),
@@ -53,7 +56,7 @@ SETTINGS = {
     "out": ("out", str),
     "format": ("fmt", str),
 }
-# The settings each experiment reads; any other flag or file key is an error.
+# The settings each experiment reads; any other flag is an error.
 _RUN = ("n", "trials", "seed", "out", "format")
 READS = {
     "semisort": (*_RUN, "dist", "theta"),
@@ -95,6 +98,9 @@ class ExperimentConfig:
     def resolved_k(self) -> int:
         return self.k if self.k > 0 else ceil_log2(self.n)
 
+    def semisort_params(self) -> SemisortParams:
+        return SemisortParams.for_n(self.n, **self.params)
+
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -124,13 +130,11 @@ class ExperimentConfig:
         ):
             raise ConfigError(f"m must lie in [0, {max_m}] for {self.graph_kind} on n={self.n}")
         names = {f.name for f in dataclasses.fields(SemisortParams)}
-        for key, value in self.params.items():
+        for key in self.params:
             if key not in names:
                 raise ConfigError(f"unknown --param {key!r}; expected one of {sorted(names)}")
-            if key not in FLOAT_PARAMS and not value.is_integer():
-                raise ConfigError(f"--param {key} must be an integer, got {value}")
         try:
-            _semisort_params(self, self.n)
+            self.semisort_params()
         except ValueError as exc:
             raise ConfigError(f"--param: {exc}") from None
 
@@ -207,16 +211,11 @@ def tail_report(records: list[TrialRecord]) -> dict:
 # Per-algorithm trial runners
 
 
-def _semisort_params(cfg: ExperimentConfig, n: int) -> SemisortParams:
-    overrides = {k: (v if k in FLOAT_PARAMS else int(v)) for k, v in cfg.params.items()}
-    return SemisortParams.for_n(n, **overrides)
-
-
 def _run_semisort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive(cfg.seed, trial)
     data = gen_keys(cfg.dist, cfg.n, seed, cfg.theta)
     meter = WorkMeter()
-    out, trace = semisort(data, _semisort_params(cfg, cfg.n), seed, meter)
+    out, trace = semisort(data, cfg.semisort_params(), seed, meter)
     ok = (
         is_semisorted(out)
         and same_multiset(data, out)
@@ -232,10 +231,10 @@ def _run_semisort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
 def _run_intsort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive(cfg.seed, trial)
-    data = gen_keys(cfg.dist if cfg.dist != "all_equal" else "uniform", cfg.n, seed, cfg.theta)
+    data = gen_keys(cfg.dist, cfg.n, seed, cfg.theta)
     data = Records(data.keys % np.uint64(max(cfg.n, 1)), data.payloads)
     meter = WorkMeter()
-    out = integer_sort(data, _semisort_params(cfg, cfg.n), seed, meter)
+    out = integer_sort(data, cfg.semisort_params(), seed, meter)
     ok = bool(
         np.array_equal(np.sort(data.keys), out.keys) and same_multiset(data, out)
     )
@@ -326,7 +325,7 @@ def _config_header(cfg: ExperimentConfig) -> dict:
             d[name] = getattr(cfg, name)
     if cfg.algorithm in SORTS:
         d["params"] = cfg.params
-        d["semisort_params"] = dataclasses.asdict(_semisort_params(cfg, cfg.n))
+        d["semisort_params"] = dataclasses.asdict(cfg.semisort_params())
     if "k" in reads:
         d["resolved_k"] = cfg.resolved_k()
     return d
@@ -363,46 +362,17 @@ def _parse_param(text: str) -> tuple[str, float]:
         raise ConfigError(f"--param value must be numeric: {text!r}")
 
 
-def _load_config_file(path: str, command: str) -> dict:
-    """Config fields set by a file of flat ``key = value`` lines."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    out = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in READS[command]:
-            raise ConfigError(
-                f"config key {key!r} is not read by {command}; "
-                f"expected one of {sorted(READS[command])}"
-            )
-        name, cast = SETTINGS[key]
-        try:
-            out[name] = cast(value)
-        except ValueError:
-            raise ConfigError(f"config key {key} takes a {cast.__name__}, got {value!r}") from None
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="semipar-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, keys in READS.items():
-        p = sub.add_parser(name)
-        # No defaults here: an unset flag leaves the config file's value or
-        # the ExperimentConfig default in place.
+        # An unset flag sets no attribute, so the ExperimentConfig default holds.
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for key in keys:
             dest, cast = SETTINGS[key]
             p.add_argument(f"--{key}", dest=dest, type=cast)
         if name in SORTS:
-            p.add_argument("--param", action="append", default=[])
-        p.add_argument("--config", default=None)
+            p.add_argument("--param", action="append")
     p = sub.add_parser("bounds")
     p.add_argument("--bound", required=True, choices=sorted(bounds_mod._EVALUATORS))
     p.add_argument("--param", action="append", default=[])
@@ -411,14 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Flags given on the command line, over the config file, over defaults."""
-    fields = _load_config_file(args.config, args.command) if args.config else {}
-    for key in READS[args.command]:
-        name = SETTINGS[key][0]
-        if getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    params = dict(_parse_param(p) for p in getattr(args, "param", []))
-    cfg = ExperimentConfig(algorithm=args.command, params=params, **fields)
+    """The flags given on the command line, over the ExperimentConfig defaults."""
+    fields = vars(args)
+    command = fields.pop("command")
+    params = dict(_parse_param(p) for p in fields.pop("param", []))
+    cfg = ExperimentConfig(algorithm=command, params=params, **fields)
     cfg.validate()
     return cfg
 
@@ -429,8 +396,6 @@ def _run_bounds(args: argparse.Namespace) -> int:
         if args.weights is not None:
             key = "weights" if args.bound == "weighted_geom" else "lipschitz"
             params[key] = [float(x) for x in args.weights.split(",") if x.strip()]
-        if args.bound == "geom_sum" and "r" in params:
-            params["r"] = int(params["r"])
         value = bounds_mod.bound_eval(args.bound, **params)
     except (bounds_mod.HypothesisViolated, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

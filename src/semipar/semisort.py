@@ -15,7 +15,8 @@ as one run scan + prefix-sum pass over the semisorted array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,6 +65,18 @@ class SemisortParams:
     small_n_cutoff: int = 1 << 10
 
     def __post_init__(self) -> None:
+        # An int field takes any integral number, such as the CLI's float
+        # 4.0, and stores it as int.  Annotations are strings in this module.
+        for f in fields(self):
+            if f.type != "int":
+                continue
+            value = getattr(self, f.name)
+            integral = isinstance(value, numbers.Integral) or (
+                isinstance(value, float) and value.is_integer()
+            )
+            if isinstance(value, bool) or not integral:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            setattr(self, f.name, int(value))
         if not 0 < self.p_s <= 1:
             raise ValueError("sampling probability must be in (0, 1]")
         if min(self.tau, self.B, self.d, self.round_cap, self.max_restarts) < 1:
@@ -113,12 +126,12 @@ class SemisortTrace:
     allocated_space: int = 0
 
 
-def run_starts(x: np.ndarray) -> np.ndarray:
-    """Start index of each run of equal values in ``x``; on sorted input,
-    the index of each distinct value's first occurrence."""
-    start = np.ones(len(x), dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=start[1:])
-    return np.flatnonzero(start)
+def run_heads(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in ``x``; on
+    sorted input, of each distinct value's first occurrence."""
+    head = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=head[1:])
+    return head
 
 
 def segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -138,7 +151,7 @@ def sorted_distinct(x: np.ndarray) -> np.ndarray:
     integers that runs about 40x slower than this.
     """
     x = np.sort(x)
-    return x[run_starts(x)]
+    return x[run_heads(x)]
 
 
 def stable_argsort(v: np.ndarray) -> np.ndarray:
@@ -259,7 +272,7 @@ def rehash_buckets(
         # The sort keeps every bucket in its own positions, so sorted position
         # i lies in the bucket whose end first exceeds i; ``hit`` ascends.
         hit_bucket = np.searchsorted(np.cumsum(m_b), hit, side="right")
-        batch = pending = batch[hit_bucket[run_starts(hit_bucket)]]
+        batch = pending = batch[hit_bucket[run_heads(hit_bucket)]]
     meter.tick((K + 2) * attempt)
     return order, attempts
 
@@ -363,7 +376,7 @@ def _semisort_once(
     meter.charge("sample_sort", len(sample_keys) * s_lg)
     meter.tick(s_lg)
     sample_keys = np.sort(sample_keys)
-    starts = run_starts(sample_keys)
+    starts = np.flatnonzero(run_heads(sample_keys))
     sampled_keys = sample_keys[starts]
     sigma = np.diff(starts, append=len(sample_keys))
 
@@ -443,7 +456,7 @@ def integer_sort(
 
     # Run scan: each key is one contiguous run of the semisorted array.
     keys = semi.keys
-    starts = run_starts(keys)
+    starts = np.flatnonzero(run_heads(keys))
     sizes = np.diff(starts, append=n)
     group_keys = keys[starts].astype(np.int64)
 

@@ -47,6 +47,9 @@ def test_geom_sum_hypotheses():
         geom_sum(0.5, 10)
     with pytest.raises(HypothesisViolated):
         geom_sum(2.0, 0)
+    with pytest.raises(HypothesisViolated, match="integer"):
+        geom_sum(2.0, 2.5)  # r counts summands; it is never truncated
+    assert geom_sum(2.0, 3.0) == geom_sum(2.0, 3)
 
 
 def test_weighted_geom_formula():
@@ -85,6 +88,25 @@ def test_mcdiarmid_hypotheses():
         mcdiarmid([1.0], -0.5)
     with pytest.raises(HypothesisViolated):
         mcdiarmid([], 1.0)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (chernoff_upper, (math.nan, 1.0)),
+        (chernoff_upper, (math.inf, 0.0)),   # 0 * inf in the exponent
+        (chernoff_lower, (math.nan, 0.5)),
+        (weighted_geom, ([1.0, 2.0], math.nan)),
+        (weighted_geom, ([0.0], math.nan)),  # the zero-weight shortcut
+        (weighted_geom, ([0.0, math.nan], 1.0)),
+        (mcdiarmid, ([1.0], math.nan)),
+        (mcdiarmid, ([0.0], math.nan)),
+    ],
+)
+def test_undefined_inputs_raise(fn, args):
+    # A NaN bound is not a probability; reporting it as 0 would claim certainty.
+    with pytest.raises(HypothesisViolated):
+        fn(*args)
 
 
 def test_degenerate_weights():

@@ -189,6 +189,20 @@ def test_header_lists_only_what_the_subcommand_reads(cmd, extra, header_keys, tm
         assert doc["trials"][0]["dist"] == ""
 
 
+def test_intsort_all_equal_runs_equal_keys(tmp_path):
+    # all_equal keys reduced mod n stay one key, which charges different
+    # work from uniform keys in [n].
+    work = {}
+    for dist in ("uniform", "all_equal"):
+        out = tmp_path / f"{dist}.csv"
+        args = ["intsort", "--n", "4096", "--trials", "2", "--dist", dist, "--out", str(out)]
+        assert run_cli(args) == EXIT_OK
+        rows = out.read_text().splitlines()
+        col = rows[1].split(",").index("charged_work")
+        work[dist] = [row.split(",")[col] for row in rows[2:]]
+    assert work["uniform"] != work["all_equal"]
+
+
 def test_param_overrides_reach_semisort(tmp_path):
     out = tmp_path / "o.csv"
     code = run_cli(
@@ -199,28 +213,6 @@ def test_param_overrides_reach_semisort(tmp_path):
     header = json.loads(out.read_text().splitlines()[0][2:])
     assert header["semisort_params"]["K"] == 4
     assert header["semisort_params"]["max_restarts"] == 5
-
-
-def test_config_file(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n = 2048\ntrials = 2\n# comment\nseed = 42\n")
-    out = tmp_path / "o.csv"
-    code = run_cli(["semisort", "--config", str(cfgfile), "--out", str(out)])
-    assert code == EXIT_OK
-    header = json.loads(out.read_text().splitlines()[0][2:])
-    assert header["n"] == 2048 and header["trials"] == 2 and header["seed"] == 42
-
-
-def test_cli_flag_beats_config_file(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n = 2048\ntrials = 0\n")
-    out = tmp_path / "o.csv"
-    # A flag wins even when it equals the built-in default (n = 16384, trials = 1).
-    for n in ("1024", "16384"):
-        assert run_cli(["semisort", "--config", str(cfgfile), "--n", n, "--trials", "1",
-                        "--out", str(out)]) == EXIT_OK
-        header = json.loads(out.read_text().splitlines()[0][2:])
-        assert header["n"] == int(n) and header["trials"] == 1
 
 
 def test_bounds_subcommand(capsys):
@@ -244,19 +236,12 @@ def test_bounds_bad_params():
                     "--param", "mu=-5", "--param", "delta=0.5"]) == EXIT_CONFIG
 
 
-def test_exit_code_config_error(capsys, tmp_path, monkeypatch):
+def test_exit_code_config_error(capsys, monkeypatch):
     # A lowered record limit stands in for the 2^32 - 1 placement records
     # that would not fit in memory.
     monkeypatch.setattr(placement, "RECORD_LIMIT", 16)
-    bad_value, bad_key = tmp_path / "value.cfg", tmp_path / "key.cfg"
-    ignored_key = tmp_path / "ignored.cfg"
-    bad_value.write_text("n = abc\n")
-    bad_key.write_text("nn = 5\n")
-    ignored_key.write_text("k = 3\n")
     for args in (
-        ["semisort", "--config", str(bad_value)],   # not an integer
-        ["semisort", "--config", str(bad_key)],     # unknown key
-        ["semisort", "--config", str(ignored_key)], # a key semisort does not read
+        ["semisort", "--config", "x.cfg"],          # settings come from flags only
         # Flags the subcommand does not read.
         ["bounds", "--bound", "chernoff_upper", "--param", "mu=100",
          "--param", "delta=0.5", "--trials", "0", "--n", "7"],
@@ -265,6 +250,8 @@ def test_exit_code_config_error(capsys, tmp_path, monkeypatch):
         ["semisort", "--n", "x"],                   # parser-level misuse
         ["color", "--graph", "bogus"],
         ["bounds", "--bound", "weighted_geom", "--weights", "1,x"],
+        ["bounds", "--bound", "geom_sum", "--param", "lam=2", "--param", "r=2.5"],
+        ["bounds", "--bound", "chernoff_upper", "--param", "mu=nan", "--param", "delta=1"],
         ["semisort", "--trials", "0"],
         ["mis", "--n", "4", "--m", "100"],   # more edges than a simple graph holds
         ["mis", "--k", "-3"],

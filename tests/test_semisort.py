@@ -25,7 +25,7 @@ from semipar.semisort import (
     integer_sort,
     local_semisort,
     rehash_buckets,
-    run_starts,
+    run_heads,
     segment_index,
     semisort,
     sorted_distinct,
@@ -72,9 +72,17 @@ def test_params_validation():
     for bad in (
         dict(c_alloc=0.0), dict(c_alloc=-1.0), dict(c_alloc=math.inf), dict(c_alloc=math.nan),
         dict(alpha=math.inf), dict(alpha=math.nan), dict(d=0), dict(round_cap=0),
+        # Integer fields take integral values only.
+        dict(d=2.5), dict(B=10.5), dict(K=3.5), dict(round_cap=2.5), dict(K=True),
     ):
         with pytest.raises(ValueError):
             SemisortParams(p_s=0.5, tau=1, **bad)
+        with pytest.raises(ValueError):
+            SemisortParams.for_n(4096, **bad)
+    # An integral float, as the CLI parses every --param value, is stored as int.
+    p = SemisortParams.for_n(4096, K=4.0, d=np.float64(5.0), B=np.int64(7))
+    assert (p.K, p.d, p.B) == (4, 5, 7)
+    assert all(type(v) is int for v in (p.K, p.d, p.B))
 
 
 def test_f_alloc_value():
@@ -377,7 +385,8 @@ def test_sorted_distinct_matches_unique(values, mod):
     assert np.array_equal(sorted_distinct(signed), np.unique(signed))
     # On sorted input each run starts at its value's first occurrence.
     for v in (np.sort(x), np.sort(signed), x[:0]):
-        assert np.array_equal(run_starts(v), np.unique(v, return_index=True)[1])
+        run_starts = np.unique(v, return_index=True)[1]
+        assert np.array_equal(np.flatnonzero(run_heads(v)), run_starts)
 
 
 @given(st.lists(st.integers(0, 5), min_size=2, max_size=300), st.sampled_from([-1, 0]))
