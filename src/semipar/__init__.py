@@ -16,6 +16,7 @@ from .bounds import (
 )
 from .graph import (
     CulledPartition,
+    EdgeSamplingExceeded,
     Graph,
     InvariantViolation,
     ReorganizedGraph,

@@ -417,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         records = [runner(cfg, trial) for trial in range(cfg.trials)]
+    except graph_mod.EdgeSamplingExceeded as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (AssertionError, RuntimeError) as exc:
         print(f"hard failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -13,6 +13,7 @@ piece is a slice of both.  A vertex pair packs as the uint64 src * 2^32 + dst.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,27 @@ def edge_list(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 # Generators
 
 
+class EdgeSamplingExceeded(ValueError):
+    """Rejection sampling sorted more candidate edges than its budget allows:
+    the request is too dense for it to finish in reasonable time."""
+
+
+# Candidate edges the rejection loop may sort, summed over its passes, are
+# capped at SAMPLE_BUDGET_BASE + SAMPLE_BUDGET_PER_EDGE * m.
+SAMPLE_BUDGET_BASE = 1 << 26
+SAMPLE_BUDGET_PER_EDGE = 16
+
+
 def generate(kind: str, n: int, m: int = 0, seed: int = 0) -> Graph:
-    """Deterministic simple-graph generators: gnm, star, path, power_law."""
+    """Deterministic simple-graph generators: gnm, star, path, power_law.
+
+    gnm and power_law take m distinct edges by rejection (``_sample_edges``);
+    power_law draws each endpoint from rank-decaying weights by guide-table
+    inversion (``_inverse_cdf_sampler``), draw for draw equal to
+    ``Generator.choice``.  Raises ValueError on n outside [1, 2^32), on m not
+    an integer in [0, n(n-1)/2], and EdgeSamplingExceeded (a ValueError) on a
+    request too dense for rejection sampling.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n >= ID_LIMIT:
@@ -154,9 +174,35 @@ def generate(kind: str, n: int, m: int = 0, seed: int = 0) -> Graph:
     if kind == "power_law":
         # Chung-Lu style: endpoints sampled with rank-decaying weights.
         w = (np.arange(1, n + 1, dtype=np.float64)) ** -0.75
-        p = w / w.sum()
-        return _sample_edges(n, m, seed, 0x70, lambda rng, size: rng.choice(n, size=size, p=p))
+        return _sample_edges(n, m, seed, 0x70, _inverse_cdf_sampler(w / w.sum()))
     raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def _inverse_cdf_sampler(p: np.ndarray):
+    """``draw(rng, size)`` equal draw for draw to ``rng.choice(len(p), size, p=p)``.
+
+    Both invert the same cdf (``p.cumsum() / its last entry``, so the last
+    entry is exactly 1.0) at the same uniforms ``rng.random(size)``, giving
+    #{cdf <= u}.  Instead of choice's binary search, a guide table (Chen &
+    Asau 1974) does it in constant expected time: with T a power of two
+    >= 2n, u*T and j/T are exact, and for u in [j/T, (j+1)/T) the answer
+    lies in [guide[j], guide[j+1]], where guide[j] = #{cdf <= j/T}.  So from
+    guide[j], max(diff(guide)) steps past cdf values <= u reach it exactly.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    T = 2 << (len(p) - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(T + 1) / T, side="right")
+    width = int(np.diff(guide).max())
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        idx = guide[(u * T).astype(np.int64)]
+        for _ in range(width):
+            idx += cdf[idx] <= u
+        return idx
+
+    return draw
 
 
 def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
@@ -164,13 +210,22 @@ def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
 
     Each pass draws 2*need+16 u's, then as many v's, from stream ``stream``,
     drops self-loops and duplicates, and repeats until m edges exist; stream
-    ``stream + 1`` then picks a uniform m-subset.
+    ``stream + 1`` then picks a uniform m-subset.  Each pass re-sorts the
+    edges found so far with the new ones, and near full density the last
+    few edges take many passes, so once the sorted entries pass
+    SAMPLE_BUDGET_BASE + SAMPLE_BUDGET_PER_EDGE * m it raises
+    EdgeSamplingExceeded.
     """
     max_m = n * (n - 1) // 2
-    if m > max_m:
-        raise ValueError(f"m={m} exceeds simple-graph maximum {max_m}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if not 0 <= m <= max_m:
+        raise ValueError(f"m={m} must lie in [0, {max_m}]")
+    m = int(m)
+    budget = SAMPLE_BUDGET_BASE + SAMPLE_BUDGET_PER_EDGE * m
     rng = generator(seed, stream)
     codes = np.empty(0, dtype=np.uint64)
+    sorted_entries = 0
     while len(codes) < m:
         size = 2 * (m - len(codes)) + 16
         uu = draw(rng, size)
@@ -179,6 +234,12 @@ def _sample_edges(n: int, m: int, seed: int, stream: int, draw) -> Graph:
         ok = lo < hi
         new = lo[ok].astype(np.uint64) << np.uint64(32)
         new |= hi[ok].astype(np.uint64)
+        sorted_entries += len(codes) + len(new)
+        if sorted_entries > budget:
+            raise EdgeSamplingExceeded(
+                f"m={m} on n={n} is too dense to sample: {len(codes)} distinct edges "
+                f"after sorting {sorted_entries} candidates (budget {budget})"
+            )
         codes = sorted_distinct(np.concatenate([codes, new]))
     codes = codes[generator(seed, stream + 1).permutation(len(codes))[:m]]
     u = (codes >> np.uint64(32)).astype(np.int64)

@@ -85,8 +85,17 @@ class SemisortParams:
             raise ValueError("alpha must be finite and >= 2")
         if not (math.isfinite(self.c_alloc) and self.c_alloc > 0):
             raise ValueError("c_alloc must be finite and positive")
-        if self.K < 3:
-            raise ValueError("K must be >= 3")
+        # Upper limits that hold for every n: rehash_buckets needs 2^K < 2^63
+        # for a bucket of two records, tab_new gives at most 32 bucket bits,
+        # a placement holds fewer than 2^32 records, so no block is longer,
+        # and restarts stop where rehash attempts do, so a round cap that
+        # always times out ends in RestartExceeded after bounded time.
+        if not 3 <= self.K <= 62:
+            raise ValueError("K must be in [3, 62]")
+        if max(self.B, self.d) > 1 << 32:
+            raise ValueError("B and d must be <= 2^32")
+        if self.max_restarts > MAX_REHASH_ATTEMPTS:
+            raise ValueError(f"max_restarts must be <= {MAX_REHASH_ATTEMPTS}")
 
     @classmethod
     def for_n(cls, n: int, **overrides) -> "SemisortParams":

@@ -274,6 +274,29 @@ def test_exit_code_config_error(capsys, monkeypatch):
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "params",
+    [["K=1e300"], ["K=64"], ["B=1e12"], ["d=1e300"], ["round_cap=1", "max_restarts=1e30"]],
+    ids=["K=1e300", "K=64", "B=1e12", "d=1e300", "max_restarts=1e30"],
+)
+def test_param_upper_limits_exit_config(params, capsys):
+    # Integral but beyond what the run can use: each once hung or raised a
+    # traceback from inside semisort.
+    args = ["semisort", "--n", "4096"]
+    for p in params:
+        args += ["--param", p]
+    assert run_cli(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --param: ") and err.count("\n") == 1, err
+
+
+def test_dense_graph_request_exits_config(capsys):
+    # Valid m, but too dense for rejection sampling to finish.
+    assert run_cli(["mis", "--n", "300", "--m", "44850", "--graph", "power_law"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "too dense" in err and err.count("\n") == 1, err
+
+
 def test_exit_code_io_error(tmp_path):
     assert run_cli(["semisort", "--n", "1024",
                     "--out", str(tmp_path / "no_dir" / "x.csv")]) == EXIT_IO

@@ -97,6 +97,67 @@ def test_gnm_rejects_impossible_m():
         generate("gnm", 4, 100)
 
 
+@pytest.mark.parametrize("kind", ["gnm", "power_law"])
+def test_generate_rejects_negative_m(kind, monkeypatch):
+    # Checked before any draw: with no generator to draw from, only the m
+    # check can raise ValueError.
+    monkeypatch.setattr(graph_mod, "generator", None)
+    with pytest.raises(ValueError, match="m=-1"):
+        generate(kind, 10, -1)
+
+
+@pytest.mark.parametrize("kind", ["gnm", "power_law"])
+@pytest.mark.parametrize("m", [2.5, 3.0, "3"])
+def test_generate_rejects_non_integral_m(kind, m, monkeypatch):
+    monkeypatch.setattr(graph_mod, "generator", None)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        generate(kind, 10, m)
+
+
+@pytest.mark.parametrize("kind,n,m", [("power_law", 300, 44850), ("gnm", 2000, 1999000)])
+def test_dense_request_raises_instead_of_hanging(kind, n, m):
+    # Full density: the last few of m edges would take the rejection loop
+    # thousands of passes, each re-sorting every edge found so far.
+    with pytest.raises(graph_mod.EdgeSamplingExceeded, match="too dense"):
+        generate(kind, n, m, 1)
+
+
+def _power_law_p(n):
+    w = np.arange(1, n + 1, dtype=np.float64) ** -0.75
+    return w / w.sum()
+
+
+# Zero weights make cdf plateaus, and a subnormal weight is absorbed by the
+# running sum; the long zero run widens the guide table's widest interval.
+_ZERO_AND_SUBNORMAL_P = np.concatenate(
+    ([0.0, 0.0, 0.25, 5e-324, 0.0, 1e-310], np.zeros(40), [0.5, 2.5e-308, 0.25, 0.0])
+)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [_power_law_p(n) for n in (1, 2, 3, 8, 500, 1 << 14)] + [_ZERO_AND_SUBNORMAL_P],
+    ids=["1", "2", "3", "8", "500", "16384", "zero_and_subnormal"],
+)
+def test_inverse_cdf_sampler_matches_choice(p):
+    draw = graph_mod._inverse_cdf_sampler(p)
+    ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+    for size in (1, 100_003, 16):
+        assert np.array_equal(draw(ours, size), theirs.choice(len(p), size=size, p=p))
+    # Both consumed the same stream.
+    assert ours.random() == theirs.random()
+
+
+def test_power_law_draws_without_choice(monkeypatch):
+    # Generator.choice binary-searches the cdf for every draw.
+    class NoChoice(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            raise AssertionError("power_law endpoints come from Generator.choice")
+
+    monkeypatch.setattr(np.random, "Generator", NoChoice)
+    assert generate("power_law", 3000, 12000, 11).m == 12000
+
+
 # sha256 of offsets + neighbors (little-endian int64).  The dense cases
 # (n = 5, 8, 40) run the rejection loop for more than one pass.
 PINNED_GRAPHS = [
@@ -110,6 +171,7 @@ PINNED_GRAPHS = [
     ("power_law", 40, 700, 4, "a4db44528a601a727e8fdb0095b0ed5f00631e8aaaa1ffcb021b4eac13eadcf2"),
     ("power_law", 500, 1200, 3, "ebcb351dd86a9f190b5a8e1660a157966f1d3914cfdf780c97e42628328bb0d8"),
     ("power_law", 3000, 12000, 11, "df4d23efc8c409c2e28d1163450ac0c7cd72c556917db1bd884cff724a971c78"),
+    ("power_law", 1 << 14, 1 << 17, 7, "2887aa1e44bce8843a0e9c44c727fca8331ccbef4772a3ea8ec714b4495ed93f"),
 ]
 
 

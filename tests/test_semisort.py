@@ -74,6 +74,8 @@ def test_params_validation():
         dict(alpha=math.inf), dict(alpha=math.nan), dict(d=0), dict(round_cap=0),
         # Integer fields take integral values only.
         dict(d=2.5), dict(B=10.5), dict(K=3.5), dict(round_cap=2.5), dict(K=True),
+        # Upper limits that hold for every n.
+        dict(K=63), dict(B=2**32 + 1), dict(d=2**32 + 1), dict(max_restarts=65),
     ):
         with pytest.raises(ValueError):
             SemisortParams(p_s=0.5, tau=1, **bad)
@@ -83,6 +85,8 @@ def test_params_validation():
     p = SemisortParams.for_n(4096, K=4.0, d=np.float64(5.0), B=np.int64(7))
     assert (p.K, p.d, p.B) == (4, 5, 7)
     assert all(type(v) is int for v in (p.K, p.d, p.B))
+    p = SemisortParams.for_n(4096, K=62, B=2**32, d=2**32, max_restarts=64)
+    assert (p.K, p.B, p.d, p.max_restarts) == (62, 2**32, 2**32, 64)
 
 
 def test_f_alloc_value():
