@@ -64,6 +64,7 @@ from .placement import (
 )
 from .records import Records, group_counts, is_semisorted, same_multiset
 from .semisort import (
+    BucketTooLarge,
     KeyOutOfRange,
     RehashExceeded,
     RestartExceeded,

@@ -34,7 +34,7 @@ from .meter import WorkMeter, ceil_log2
 from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
 from .prng import derive, generator
 from .records import Records, group_counts, is_semisorted, same_multiset
-from .semisort import SemisortParams, integer_sort, semisort
+from .semisort import BucketTooLarge, SemisortParams, integer_sort, semisort
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -261,12 +261,14 @@ def _run_placement(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     try:
         res = place(inst, default_round_cap(n), seed, meter)
         rounds = res.rounds_used
-        placed = res.slot_of
-        ordered = np.sort(placed)
-        ok = len(placed) == n and bool(
-            (ordered[1:] != ordered[:-1]).all()
-            and (placed >= inst.offsets[targets]).all()
-            and (placed < inst.offsets[targets + 1]).all()
+        # Every record once, at distinct slots inside its target's range.
+        order, slots = res.order, res.slots
+        t = targets[order]
+        ok = len(order) == n and bool(
+            (np.bincount(order, minlength=n) == 1).all()
+            and (slots[1:] > slots[:-1]).all()
+            and (slots >= inst.offsets[t]).all()
+            and (slots < inst.offsets[t + 1]).all()
         )
     except PlacementTimeout:
         ok = False
@@ -417,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         records = [runner(cfg, trial) for trial in range(cfg.trials)]
-    except graph_mod.EdgeSamplingExceeded as exc:
+    except (graph_mod.EdgeSamplingExceeded, BucketTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AssertionError, RuntimeError) as exc:

@@ -5,14 +5,21 @@ slot arena with capacity at least alpha >= 2 times its record count.  The
 record array is split into size-d blocks; every round, each block with an
 unplaced record probes one uniformly random slot of that record's target
 and claims it if empty.  Claims are linearizable: when several blocks probe
-the same slot in a round, exactly one wins.
+the same slot in a round, exactly one wins, the last in block order.
 
-The arena is ``uint32``: each slot holds a record index, or ``EMPTY_SLOT``
-(2^32 - 1) if vacant, so an instance holds fewer than ``RECORD_LIMIT``
-(2^32 - 1) records and ``PlacementInstance`` raises ``InvalidInstance``
-beyond that.  The round loop also records each record's slot as it claims
-one, so ``PlacementResult.slot_of`` is the arena's inverse without a scan
-of the arena.
+A round sorts its probes by slot, so equal slots sit side by side and the
+winner of each is the last of its run (the priority write of deterministic
+reservations).  The loop keeps only a one-byte occupancy map of the arena
+and appends each claim as a ``slot << rb | record`` word; one sort of those
+words at the end gives ``PlacementResult.order``, the records in arena
+order, beside their ``slots``.  The probe and claim words need
+bits(arena_size - 1) + bits(n - 1) <= 64, and ``PlacementInstance`` raises
+``InvalidInstance`` beyond that.
+
+``PlacementResult.arena`` is derived as ``uint32``: each slot holds a record
+index, or ``EMPTY_SLOT`` (2^32 - 1) if vacant, so an instance holds fewer
+than ``RECORD_LIMIT`` (2^32 - 1) records and ``PlacementInstance`` raises
+``InvalidInstance`` beyond that too.
 """
 
 from __future__ import annotations
@@ -25,8 +32,13 @@ from .meter import WorkMeter, ceil_log2
 from .prng import derive, mix64_array
 
 EMPTY_SLOT = np.uint32(0xFFFFFFFF)
-# Arena entries are uint32 record indices, which must stay below EMPTY_SLOT.
+# Derived arena entries are uint32 record indices, which stay below EMPTY_SLOT.
 RECORD_LIMIT = int(EMPTY_SLOT)
+
+
+def _bits(x: int) -> int:
+    """Bits of a non-negative x; 0 for x <= 0."""
+    return max(x, 0).bit_length()
 
 
 class InvalidInstance(ValueError):
@@ -66,9 +78,19 @@ class PlacementInstance:
             raise ValueError("block size d must be >= 1")
         if self.alpha < 2:
             raise ValueError("slack factor alpha must be >= 2")
+        if len(self.capacities) and self.capacities.min() < 0:
+            raise InvalidInstance("capacities must be non-negative")
         self.offsets = np.concatenate(
             ([0], np.cumsum(self.capacities))
         ).astype(np.int64)
+        # Non-negative capacities only grow the sums, so a wrap shows as a drop.
+        wraps = bool(np.any(self.offsets[1:] < self.offsets[:-1]))
+        n = len(self.targets)
+        if wraps or _bits(self.arena_size - 1) + _bits(n - 1) > 64:
+            raise InvalidInstance(
+                f"{n} records in {self.capacities.sum(dtype=np.float64):.3g} slots: "
+                "a slot and a record index must pack into 64 bits"
+            )
 
     @property
     def arena_size(self) -> int:
@@ -94,8 +116,23 @@ class PlacementInstance:
 class PlacementResult:
     rounds_used: int
     probes: int
-    arena: np.ndarray     # arena slot -> record index, EMPTY_SLOT if vacant
-    slot_of: np.ndarray   # record index -> arena slot (injective), int64
+    order: np.ndarray     # record indices in arena order, int64
+    slots: np.ndarray     # their slots, strictly increasing, int64
+    arena_size: int
+
+    @property
+    def slot_of(self) -> np.ndarray:
+        """Record index -> arena slot (injective), int64."""
+        slot_of = np.empty(len(self.order), dtype=np.int64)
+        slot_of[self.order] = self.slots
+        return slot_of
+
+    @property
+    def arena(self) -> np.ndarray:
+        """Arena slot -> record index as ``uint32``, EMPTY_SLOT if vacant."""
+        arena = np.full(self.arena_size, EMPTY_SLOT, dtype=np.uint32)
+        arena[self.slots] = self.order
+        return arena
 
 
 def place(
@@ -107,6 +144,11 @@ def place(
 ) -> PlacementResult:
     """Run block-parallel random probing until done or ``round_cap`` rounds.
 
+    Each round resolves its probes in slot order: the probes are sorted as
+    ``slot << b | live position`` words, and of the blocks probing one slot
+    the last in block order claims it if it was free at the start of the
+    round.  Occupancy is one byte per slot.
+
     Raises InvalidInstance when ``validate`` and a capacity invariant fails,
     PlacementTimeout when unplaced records remain at the cap.  Probes per
     round never exceed the block count ceil(n/d).
@@ -116,22 +158,28 @@ def place(
     if validate:
         inst.validate()
     n = len(inst.targets)
-    arena = np.full(inst.arena_size, EMPTY_SLOT, dtype=np.uint32)
-    slot_of = np.empty(n, dtype=np.int64)
     if n == 0:
-        return PlacementResult(0, 0, arena, slot_of)
+        empty = np.empty(0, dtype=np.int64)
+        return PlacementResult(0, 0, empty, empty, inst.arena_size)
 
     d = inst.d
     n_blocks = max(1, n // d)                 # final block absorbs the remainder
     # Live blocks only, compacted as blocks finish: next unplaced record,
     # block end, and the block's stream key.
-    ptr = np.arange(n_blocks, dtype=np.int64) * d
+    positions = np.arange(n_blocks, dtype=np.uint64)
+    ptr = positions.astype(np.int64) * d
     end = ptr + d
     end[-1] = n
-    key = np.uint64(derive(seed, 0x9A5E)) ^ (
-        np.arange(n_blocks, dtype=np.uint64) << np.uint64(20)
-    )
+    key = np.uint64(derive(seed, 0x9A5E)) ^ (positions << np.uint64(20))
     caps = inst.capacities.astype(np.uint64)
+    offsets = inst.offsets.view(np.uint64)
+    # Probe words hold a live position in their low b bits, claim words a
+    # record index in their low rb bits; PlacementInstance keeps both in 64.
+    b = np.uint64(_bits(n_blocks - 1))
+    rb = np.uint64(_bits(n - 1))
+    position_mask = (np.uint64(1) << b) - np.uint64(1)
+    occupied = np.zeros(inst.arena_size, dtype=np.uint8)
+    claims = []
 
     probes = 0
     rounds = 0
@@ -139,19 +187,28 @@ def place(
         rounds += 1
         # Per-block counter-based stream: value depends only on
         # (seed, block id, round), so trials replay exactly.
-        raw = mix64_array(key ^ np.uint64(rounds))
+        probe = mix64_array(key ^ np.uint64(rounds))
         t = inst.targets[ptr]
-        raw %= caps[t]
-        slots = inst.offsets[t] + raw.view(np.int64)
-        # A probe of an empty slot writes; of several in one round, the last
-        # writer wins and the others retry.  Every writer also records its
-        # slot: a loser overwrites that entry when it later wins, so each
-        # record's last entry is the slot it holds.
-        empty = arena[slots] == EMPTY_SLOT
-        claim, claimed = ptr[empty], slots[empty]
-        arena[claimed] = claim
-        slot_of[claim] = claimed
-        ptr += arena[slots] == ptr
+        probe %= caps[t]
+        probe += offsets[t]
+        probe <<= b
+        probe |= positions[: len(ptr)]
+        probe.sort()
+        slot = (probe >> b).view(np.int64)
+        # The last probe of each run of equal slots is the last block in
+        # block order; it wins when the slot is free, the others retry.
+        win = occupied[slot] == 0
+        win[:-1] &= slot[1:] != slot[:-1]
+        slot = slot[win]
+        occupied[slot] = 1
+        winner = (probe[win] & position_mask).view(np.int64)
+        record = ptr[winner]
+        claim = slot.view(np.uint64)
+        claim <<= rb
+        claim |= record.view(np.uint64)
+        record += 1
+        ptr[winner] = record
+        claims.append(claim)
         probes += len(ptr)
         if meter is not None:
             meter.charge("placement.probe", len(ptr))
@@ -162,7 +219,12 @@ def place(
 
     if len(ptr):
         raise PlacementTimeout(rounds, n - int((end - ptr).sum()), n)
-    return PlacementResult(rounds, probes, arena, slot_of)
+    del occupied  # freed before the final sort's copies
+    claim = np.concatenate(claims)
+    claim.sort()
+    slots = (claim >> rb).view(np.int64)
+    claim &= (np.uint64(1) << rb) - np.uint64(1)
+    return PlacementResult(rounds, probes, claim.view(np.int64), slots, inst.arena_size)
 
 
 def default_round_cap(n: int) -> int:

@@ -30,12 +30,29 @@ def derive(seed: int, *ids: int) -> int:
     return s
 
 
+_U64 = np.uint64
+_GOLDEN, _MUL1, _MUL2 = _U64(0x9E3779B97F4A7C15), _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+_S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
+
+
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized splitmix64 finalizer over a uint64 array.
+
+    Works in place on one copy of ``x``, with one scratch array for the
+    shifted words.
+    """
+    z = x.astype(np.uint64)
+    t = np.empty_like(z)
+    z += _GOLDEN
+    np.right_shift(z, _S30, out=t)
+    z ^= t
+    z *= _MUL1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _MUL2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
 
 
 def generator(seed: int, *ids: int) -> np.random.Generator:

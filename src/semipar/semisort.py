@@ -9,7 +9,7 @@ until the sort of its hash values is collision-free.  A placement timeout
 triggers a full restart with a fresh derived seed.  Inputs below
 ``small_n_cutoff`` records, and heavy or light sides below n / lg n, are
 comparison-sorted by key instead.  Integer sorting for keys in [n] follows
-as one run scan + prefix-sum pass over the semisorted array.
+as one stable sort of the semisorted keys, charged as a counting pass.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class KeyOutOfRange(ValueError):
 
 class RehashExceeded(RuntimeError):
     """Every rehash attempt of a bucket found a collision."""
+
+
+class BucketTooLarge(ValueError):
+    """A light bucket of m_b records has m_b^K >= 2^63, beyond the hash range."""
 
 
 @dataclass
@@ -236,7 +240,7 @@ def rehash_buckets(
     the C(m_b, 2) pairs an attempt fails with probability below
     m_b^(2-K) <= 1/2 for K >= 3 and m_b >= 2; a bucket that fails
     MAX_REHASH_ATTEMPTS attempts raises RehashExceeded.  Buckets with
-    m_b^K >= 2^63 raise ValueError, which keeps l_b <= 63.
+    m_b^K >= 2^63 raise BucketTooLarge, which keeps l_b <= 63.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     attempts = np.ones(len(sizes), dtype=np.int64)
@@ -247,8 +251,9 @@ def rehash_buckets(
     if len(pending) == 0:
         meter.tick(1 if singles else 0)
         return np.arange(len(keys), dtype=np.int64), attempts
-    if int(sizes[pending].max()) ** K >= 1 << 63:
-        raise ValueError("bucket too large for the configured hash-range exponent")
+    m_max = int(sizes[pending].max())
+    if m_max ** K >= 1 << 63:
+        raise BucketTooLarge(f"bucket of {m_max} records: {m_max}^{K} >= 2^63; lower K")
     starts = np.cumsum(sizes) - sizes
     # The first attempt hashes every bucket, so its records are ``keys`` as
     # they stand; a singleton hashes into [1] and cannot collide.
@@ -350,14 +355,15 @@ def _place_and_pack(
     Target t gets ceil(alpha * f_alloc(sigma[t])) slots.  Returns the record
     indices (into ``targets``) in arena order, so each target's records are
     contiguous and the targets appear in id order, and the arena size.  The
-    order comes from sorting the records' distinct slots.
+    order is ``PlacementResult.order``, which ``place`` builds by sorting its
+    claims by slot; packing charges one op per arena slot.
     """
     caps = np.ceil(params.alpha * f_alloc(sigma, params, n)).astype(np.int64)
     inst = PlacementInstance(targets=targets, capacities=caps, alpha=params.alpha, d=params.d)
-    slot_of = place(inst, params.round_cap, seed, meter, validate=False).slot_of
+    order = place(inst, params.round_cap, seed, meter, validate=False).order
     meter.charge(label, inst.arena_size)
     meter.tick(ceil_log2(inst.arena_size))
-    return stable_argsort(slot_of), inst.arena_size
+    return order, inst.arena_size
 
 
 def _semisort_once(
@@ -453,7 +459,11 @@ def integer_sort(
     seed: int = 0,
     meter: WorkMeter | None = None,
 ) -> Records:
-    """Unstable sort of records with keys in [n] via semisort + counting pass."""
+    """Unstable sort of records with keys in [n] via semisort + one pass.
+
+    The pass is charged as a counting pass over the semisorted records; it
+    runs as a stable sort of their keys, so each key's run keeps its order.
+    """
     n = len(a)
     if meter is None:
         meter = WorkMeter()
@@ -462,24 +472,6 @@ def integer_sort(
     if int(a.keys.max()) >= n:
         raise KeyOutOfRange(f"keys must lie in [0, {n})")
     semi, _ = semisort(a, params, seed, meter)
-
-    # Run scan: each key is one contiguous run of the semisorted array.
-    keys = semi.keys
-    starts = np.flatnonzero(run_heads(keys))
-    sizes = np.diff(starts, append=n)
-    group_keys = keys[starts].astype(np.int64)
-
-    # Counts array + prefix sum gives each key group's output offset.
-    counts = np.zeros(n, dtype=np.int64)
-    counts[group_keys] = sizes
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    # Copy each group into its interval (rank within run is preserved).
-    dest = segment_index(offsets[group_keys], sizes)
-    out_keys = np.empty_like(keys)
-    out_payloads = np.empty_like(semi.payloads)
-    out_keys[dest] = keys
-    out_payloads[dest] = semi.payloads
     meter.charge("integer_sort_pass", 4 * n)
     meter.tick(ceil_log2(n))
-    return Records(out_keys, out_payloads)
+    return semi.take(stable_argsort(semi.keys))

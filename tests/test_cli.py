@@ -290,6 +290,15 @@ def test_param_upper_limits_exit_config(params, capsys):
     assert err.startswith("config error: --param: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("K", [20, 62])
+def test_bucket_too_large_exits_config(K, capsys):
+    # K is within [3, 62], but the data's largest light bucket m_b has
+    # m_b^K >= 2^63, which only the run can find.
+    assert run_cli(["semisort", "--n", "4096", "--param", f"K={K}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bucket of ") and err.count("\n") == 1, err
+
+
 def test_dense_graph_request_exits_config(capsys):
     # Valid m, but too dense for rejection sampling to finish.
     assert run_cli(["mis", "--n", "300", "--m", "44850", "--graph", "power_law"]) == EXIT_CONFIG

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from semipar.placement import (
     default_round_cap,
     place,
 )
-from semipar.prng import generator
+from semipar.prng import derive, generator, mix64_array
 
 
 def _random_instance(n, n_targets, seed, alpha=2.0, d=1, slack=None):
@@ -81,6 +83,102 @@ def test_slot_of_inverts_arena(n, n_targets, d, validate, seed):
     _check_result(inst, res)
     assert res.slot_of.dtype == np.int64
     assert np.array_equal(res.arena[res.slot_of], np.arange(n))
+
+
+def _reference_place(inst, round_cap, seed):
+    # The round loop on a uint32 arena of record ids: a probe of an empty
+    # slot writes its record, the last writer of a slot in block order wins,
+    # and each record's slot is recorded as it claims one.
+    n = len(inst.targets)
+    arena = np.full(inst.arena_size, EMPTY_SLOT, dtype=np.uint32)
+    slot_of = np.empty(n, dtype=np.int64)
+    n_blocks = max(1, n // inst.d)
+    ptr = np.arange(n_blocks, dtype=np.int64) * inst.d
+    end = ptr + inst.d
+    end[-1] = n
+    key = np.uint64(derive(seed, 0x9A5E)) ^ (
+        np.arange(n_blocks, dtype=np.uint64) << np.uint64(20)
+    )
+    caps = inst.capacities.astype(np.uint64)
+    probes = rounds = 0
+    while len(ptr) and rounds < round_cap:
+        rounds += 1
+        raw = mix64_array(key ^ np.uint64(rounds))
+        t = inst.targets[ptr]
+        slots = inst.offsets[t] + (raw % caps[t]).view(np.int64)
+        empty = arena[slots] == EMPTY_SLOT
+        arena[slots[empty]] = ptr[empty]
+        slot_of[ptr[empty]] = slots[empty]
+        ptr += arena[slots] == ptr
+        probes += len(ptr)
+        live = ptr < end
+        ptr, end, key = ptr[live], end[live], key[live]
+    if len(ptr):
+        raise PlacementTimeout(rounds, n - int((end - ptr).sum()), n)
+    return slot_of, arena, rounds, probes
+
+
+@given(
+    st.integers(1, 400), st.integers(1, 4), st.data(), st.integers(1, 60),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_place_matches_reference_round_loop(n, n_targets, data, round_cap, seed):
+    # Few targets at capacity ceil(2 * count) and blocks of up to n records
+    # make many blocks probe one slot per round; small caps time out.
+    d = data.draw(st.integers(1, n), label="d")
+    inst = _random_instance(n, n_targets, seed, d=d)
+    try:
+        expected = _reference_place(inst, round_cap, seed + 1)
+    except PlacementTimeout as exc:
+        with pytest.raises(PlacementTimeout, match=re.escape(str(exc))):
+            place(inst, round_cap, seed + 1)
+        return
+    res = place(inst, round_cap, seed + 1)
+    assert np.array_equal(res.slot_of, expected[0])
+    assert np.array_equal(res.arena, expected[1])
+    assert (res.rounds_used, res.probes) == expected[2:]
+
+
+def test_packing_limit_rejected_before_allocation():
+    # 4 records need 2 index bits and 2^63 - 1 slots need 63 slot bits:
+    # 65 > 64, so the instance is refused before any arena exists.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInstance, match="64 bits"):
+            PlacementInstance(np.zeros(4, np.int64), np.array([(1 << 63) - 1]))
+        # Capacities whose sum wraps int64 are refused the same way.
+        with pytest.raises(InvalidInstance, match="64 bits"):
+            PlacementInstance(np.zeros(2, np.int64), np.array([1 << 62, 1 << 62]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # One bit less fits: 2 records, 2^63 - 1 slots.
+    fits = PlacementInstance(np.zeros(2, np.int64), np.array([(1 << 63) - 1]))
+    assert fits.arena_size == (1 << 63) - 1
+
+
+def test_negative_capacity_rejected():
+    with pytest.raises(InvalidInstance, match="non-negative"):
+        PlacementInstance(np.array([0]), np.array([4, -1]))
+
+
+def test_place_memory_below_two_bytes_per_slot():
+    # 2^16 records in a 2^22-slot arena: the round loop keeps one occupancy
+    # byte per slot, where a uint32 arena of record ids alone takes 4.
+    n, slots = 1 << 16, 1 << 22
+    rng = generator(5, 2)
+    targets = rng.integers(0, 64, size=n, dtype=np.int64)
+    inst = PlacementInstance(targets, np.full(64, slots // 64), d=16)
+    tracemalloc.start()
+    try:
+        res = place(inst, default_round_cap(n), seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.order) == n
+    assert peak < 2 * slots, peak
 
 
 def test_validation_rejects_undersized_capacity():
