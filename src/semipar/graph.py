@@ -39,7 +39,6 @@ class Graph:
     """Undirected simple graph: offsets into a flat neighbor array."""
 
     n: int
-    m: int
     offsets: np.ndarray   # n+1 int64, non-decreasing, offsets[n] == 2m
     neighbors: np.ndarray  # 2m int64 vertex ids
 
@@ -47,13 +46,18 @@ class Graph:
         self.offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
         self.neighbors = np.ascontiguousarray(self.neighbors, dtype=np.int64)
 
+    @property
+    def m(self) -> int:
+        """Undirected edge count: each edge is stored in both directions."""
+        return len(self.neighbors) // 2
+
     def validate(self) -> None:
         if len(self.offsets) != self.n + 1 or self.offsets[0] != 0:
             raise ValueError("bad offsets array")
-        if np.any(np.diff(self.offsets) < 0) or self.offsets[-1] != 2 * self.m:
-            raise ValueError("offsets must be non-decreasing and end at 2m")
-        if len(self.neighbors) != 2 * self.m:
-            raise ValueError("neighbor array length must be 2m")
+        if np.any(np.diff(self.offsets) < 0) or self.offsets[-1] != len(self.neighbors):
+            raise ValueError("offsets must be non-decreasing and end at the neighbor count")
+        if len(self.neighbors) % 2:
+            raise ValueError("neighbor array length must be even")
         if self.m and (self.neighbors.min() < 0 or self.neighbors.max() >= self.n):
             raise ValueError("neighbor id out of range")
         rows = self.edge_rows()
@@ -89,7 +93,7 @@ class Graph:
         # Kept rows stay non-decreasing, so the entries are already in CSR order.
         deg = np.bincount(remap[rows[sel]], minlength=len(old_ids))
         offsets = np.concatenate(([0], np.cumsum(deg)))
-        sub = Graph(len(old_ids), int(deg.sum()) // 2, offsets, remap[self.neighbors[sel]])
+        sub = Graph(len(old_ids), offsets, remap[self.neighbors[sel]])
         return sub, old_ids
 
 
@@ -111,8 +115,7 @@ def from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     self-loop or repeated edge (in either orientation), since a Graph is simple.
     """
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    m = len(u)
-    if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
         raise ValueError(f"edge endpoint outside [0, {n})")
     if np.any(u == v):
         raise ValueError("self-loop in edge list")
@@ -122,7 +125,7 @@ def from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     row_starts = np.arange(n + 1, dtype=np.uint64) << np.uint64(32)
     offsets = np.searchsorted(codes, row_starts).astype(np.int64)
     dst = (codes & np.uint64(ID_LIMIT - 1)).astype(np.int64)
-    return Graph(n=n, m=m, offsets=offsets, neighbors=dst)
+    return Graph(n=n, offsets=offsets, neighbors=dst)
 
 
 def edge_list(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +178,7 @@ def generate(kind: str, n: int, m: int = 0, seed: int = 0) -> Graph:
         # Chung-Lu style: endpoints sampled with rank-decaying weights.
         w = (np.arange(1, n + 1, dtype=np.float64)) ** -0.75
         return _sample_edges(n, m, seed, 0x70, _inverse_cdf_sampler(w / w.sum()))
-    raise ValueError(f"unknown graph kind {kind!r}")
+    raise ValueError(f"unknown graph kind {kind!r}; expected gnm, star, path or power_law")
 
 
 def _inverse_cdf_sampler(p: np.ndarray):
@@ -276,6 +279,13 @@ def cull_threshold(edges: int, k: int, n0: int) -> float:
     return edges / (k**4 * ceil_log2(n0))
 
 
+def meets_cull_rule(deg: np.ndarray, k: int, n0: int) -> bool:
+    """The stopping rule of culling: degrees ``deg`` span no edge, or none
+    exceeds the cull threshold of their edge count."""
+    edges = int(deg.sum()) // 2
+    return edges == 0 or int(deg.max()) <= cull_threshold(edges, k, n0)
+
+
 def phase_cull(deg: np.ndarray, k: int, n0: int) -> np.ndarray:
     """One culling phase: vertices with phase-entry degree > tau/2.
 
@@ -309,19 +319,18 @@ def cull_partition(
     phases = 0
     max_phases = ceil_log2(g.m) + 1
     while True:
-        edges = int(deg.sum()) // 2
         meter.charge("cull.degree_pass", 2 * g.m + g.n)
         meter.tick(1)
-        if edges == 0 or deg.max() <= cull_threshold(edges, k, n0):
+        if meets_cull_rule(deg, k, n0):
             break
+        edges = int(deg.sum()) // 2
         alive[phase_cull(deg, k, n0)] = False
         phases += 1
         # Phase-progress check: degree condition met or edges halved.  The
         # next phase starts from these degrees.
         deg = alive_degrees(g, alive)
         new_edges = int(deg.sum()) // 2
-        cond_met = new_edges == 0 or deg.max() <= cull_threshold(new_edges, k, n0)
-        if not (cond_met or new_edges <= edges / 2):
+        if not (meets_cull_rule(deg, k, n0) or new_edges <= edges / 2):
             raise InvariantViolation(
                 f"phase {phases}: degree condition unmet and edges did not halve "
                 f"({edges} -> {new_edges})"
@@ -359,9 +368,7 @@ def verify_partition(g: Graph, p: CulledPartition) -> bool:
         return False
     if np.any((p.assignment[alive] < 0) | (p.assignment[alive] >= p.k)):
         return False
-    deg = alive_degrees(g, alive)
-    edges = int(deg.sum()) // 2
-    return edges == 0 or int(deg.max()) <= cull_threshold(edges, p.k, g.n)
+    return meets_cull_rule(alive_degrees(g, alive), p.k, g.n)
 
 
 def piece_edge_counts(g: Graph, p: CulledPartition) -> np.ndarray:
@@ -420,7 +427,7 @@ class ReorganizedGraph:
         lo, hi = self.piece_range(i)
         off, cut_off = self.internal.offsets[lo : hi + 1], self.cut_offsets[lo : hi + 1]
         nbrs = self.internal.neighbors[off[0] : off[-1]] - lo
-        local = Graph(hi - lo, len(nbrs) // 2, off - off[0], nbrs)
+        local = Graph(hi - lo, off - off[0], nbrs)
         cut_rows = np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(cut_off))
         return self.perm[lo:hi], local, cut_rows, self.cut[cut_off[0] : cut_off[-1]]
 
@@ -477,5 +484,5 @@ def reorganize(
     nbrs, cut = inv[moved[internal_at]], moved[~internal]
     meter.charge("reorganize.adjacency", 4 * g.m)
     meter.tick(ceil_log2(2 * g.m))
-    internal_graph = Graph(g.n, len(nbrs) // 2, offsets, nbrs)
+    internal_graph = Graph(g.n, offsets, nbrs)
     return ReorganizedGraph(perm, inv, internal_graph, cut_offsets, cut, piece_ids, piece_boundaries)

@@ -67,7 +67,12 @@ class PlacementInstance:
 
     def __post_init__(self) -> None:
         self.targets = np.ascontiguousarray(self.targets, dtype=np.int64)
-        self.capacities = np.ascontiguousarray(self.capacities, dtype=np.int64)
+        caps = np.asarray(self.capacities)
+        if caps.dtype.kind == "f":  # NaN, inf and |c| >= 2^63 have no int64 value
+            unfit = np.flatnonzero(~(np.abs(caps) < 2.0**63))
+            if len(unfit):
+                raise InvalidInstance(f"capacity {caps.flat[unfit[0]]} does not fit in int64")
+        self.capacities = np.ascontiguousarray(caps, dtype=np.int64)
         if self.targets.ndim != 1 or self.capacities.ndim != 1:
             raise InvalidInstance("targets and capacities must be 1-d arrays")
         if len(self.targets) >= RECORD_LIMIT:

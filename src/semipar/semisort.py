@@ -29,7 +29,7 @@ from .hashing import (
 )
 from .meter import WorkMeter, ceil_log2
 from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
-from .prng import derive
+from .prng import derive, generator
 from .records import Records
 
 # Attempts of the rehash loop before it gives up: each succeeds with
@@ -107,14 +107,9 @@ class SemisortParams:
         defaults = dict(
             p_s=1.0 / lg,
             tau=2 * lg,
-            alpha=2.0,
-            c_alloc=3.0,
-            K=3,
-            B=max(1, math.ceil(n / lg**2)) if n else 1,
+            B=max(1, math.ceil(n / lg**2)),
             d=lg,
             round_cap=default_round_cap(n),
-            max_restarts=3,
-            small_n_cutoff=1 << 10,
         )
         defaults.update(overrides)
         return cls(**defaults)
@@ -343,7 +338,7 @@ def _sort_segment(pos: np.ndarray, keys: np.ndarray, meter: WorkMeter, label: st
     lg = ceil_log2(len(pos))
     meter.charge(label, len(pos) * lg)
     meter.tick(lg)
-    return pos[np.argsort(keys[pos], kind="stable")]
+    return pos[stable_argsort(keys[pos])]
 
 
 def _place_and_pack(
@@ -352,13 +347,14 @@ def _place_and_pack(
 ) -> tuple[np.ndarray, int]:
     """Place records at random into targets sized from their sample counts.
 
-    Target t gets ceil(alpha * f_alloc(sigma[t])) slots.  Returns the record
-    indices (into ``targets``) in arena order, so each target's records are
-    contiguous and the targets appear in id order, and the arena size.  The
-    order is ``PlacementResult.order``, which ``place`` builds by sorting its
-    claims by slot; packing charges one op per arena slot.
+    Target t gets ceil(alpha * f_alloc(sigma[t])) slots, which
+    ``PlacementInstance`` rejects when one overflows int64.  Returns the
+    record indices (into ``targets``) in arena order, so each target's
+    records are contiguous and the targets appear in id order, and the arena
+    size.  The order is ``PlacementResult.order``, which ``place`` builds by
+    sorting its claims by slot; packing charges one op per arena slot.
     """
-    caps = np.ceil(params.alpha * f_alloc(sigma, params, n)).astype(np.int64)
+    caps = np.ceil(params.alpha * f_alloc(sigma, params, n))
     inst = PlacementInstance(targets=targets, capacities=caps, alpha=params.alpha, d=params.d)
     order = place(inst, params.round_cap, seed, meter, validate=False).order
     meter.charge(label, inst.arena_size)
@@ -380,7 +376,7 @@ def _semisort_once(
     lg = ceil_log2(n)
 
     # Step 1: independent sampling.
-    rng = np.random.Generator(np.random.Philox(key=derive(run_seed, 1)))
+    rng = generator(run_seed, 1)
     sample_mask = rng.random(n) < params.p_s
     meter.charge("sample", n)
     meter.tick(1)

@@ -19,6 +19,7 @@ from semipar.cli import (
     main,
     tail_report,
 )
+from semipar.graph_algos import InvalidPalette
 
 
 def run_cli(args):
@@ -263,6 +264,10 @@ def test_exit_code_config_error(capsys, monkeypatch):
         ["semisort", "--n", "4096", "--param", "round_cap=0"],
         ["semisort", "--n", "4096", "--param", "c_alloc=-1"],
         ["semisort", "--n", "4096", "--param", "alpha=inf"],
+        # Finite, but the capacities they size overflow int64.
+        ["semisort", "--n", "4096", "--param", "p_s=1e-300"],
+        ["semisort", "--n", "4096", "--param", "c_alloc=1e300"],
+        ["semisort", "--n", "4096", "--param", "alpha=1e300"],
         ["semisort", "--dist", "zipf", "--theta", "nan"],
         ["semisort", "--n", "4096", "--dist", "zipf", "--theta", "-200"],  # weights overflow
         # Sizes past the 32-bit vertex ids or the placement record limit.
@@ -304,6 +309,27 @@ def test_dense_graph_request_exits_config(capsys):
     assert run_cli(["mis", "--n", "300", "--m", "44850", "--graph", "power_law"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "too dense" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "exc,code,prefix",
+    [
+        (InvalidPalette("a library input error the CLI does not name"), EXIT_CONFIG,
+         "config error: "),
+        (RuntimeError("a randomized run used up its budget"), cli.EXIT_VERIFY,
+         "hard failure: "),
+    ],
+)
+def test_runner_errors_follow_the_library_contract(exc, code, prefix, capsys, monkeypatch):
+    # Any ValueError from a run is a rejected request (exit 2), any
+    # RuntimeError a failed run (exit 1); each prints one line.
+    def runner(cfg, trial):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "semisort", runner)
+    assert run_cli(["semisort", "--n", "1024"]) == code
+    err = capsys.readouterr().err
+    assert err == f"{prefix}{exc}\n", err
 
 
 def test_exit_code_io_error(tmp_path):

@@ -48,14 +48,14 @@ def test_from_edges_rejects_loops_and_duplicates(u, v, what):
 
 
 def test_validate_rejects_asymmetry_and_loops():
-    g = Graph(n=2, m=1, offsets=np.array([0, 1, 2]), neighbors=np.array([1, 1]))
+    g = Graph(n=2, offsets=np.array([0, 1, 2]), neighbors=np.array([1, 1]))
     with pytest.raises(ValueError):
         g.validate()
 
 
 def test_validate_rejects_one_way_entry():
     # 0 lists 1 and 2 lists 0, but neither reverse entry exists.
-    g = Graph(n=3, m=1, offsets=np.array([0, 1, 1, 2]), neighbors=np.array([1, 0]))
+    g = Graph(n=3, offsets=np.array([0, 1, 1, 2]), neighbors=np.array([1, 0]))
     with pytest.raises(ValueError, match="not symmetric"):
         g.validate()
 

@@ -164,6 +164,21 @@ def test_negative_capacity_rejected():
         PlacementInstance(np.array([0]), np.array([4, -1]))
 
 
+@pytest.mark.parametrize("cap", [np.inf, np.nan, 2.0**63, -np.inf])
+def test_float_capacity_without_int64_value_rejected(cap):
+    # Checked before the cast, which would warn (an error under pytest's
+    # settings) and give INT64_MIN.
+    with pytest.raises(InvalidInstance, match=re.escape(f"capacity {cap} does not fit")):
+        PlacementInstance(np.array([0]), np.array([4.0, cap]))
+
+
+def test_integral_float_capacities_cast_exactly():
+    floats = PlacementInstance(np.array([0, 1]), np.array([2.0, 3.0]))
+    ints = PlacementInstance(np.array([0, 1]), np.array([2, 3]))
+    assert floats.capacities.dtype == np.int64
+    assert np.array_equal(floats.offsets, ints.offsets)
+
+
 def test_place_memory_below_two_bytes_per_slot():
     # 2^16 records in a 2^22-slot arena: the round loop keeps one occupancy
     # byte per slot, where a uint32 arena of record ids alone takes 4.
