@@ -319,8 +319,7 @@ def cull_partition(
     phases = 0
     max_phases = ceil_log2(g.m) + 1
     while True:
-        meter.charge("cull.degree_pass", 2 * g.m + g.n)
-        meter.tick(1)
+        meter.charge("cull.degree_pass", 2 * g.m + g.n, 1)
         if meets_cull_rule(deg, k, n0):
             break
         edges = int(deg.sum()) // 2
@@ -349,8 +348,7 @@ def cull_partition(
     rng = generator(seed, 0xCA11)
     survivors = np.flatnonzero(alive)
     assignment[survivors] = rng.integers(0, k, size=len(survivors))
-    meter.charge("cull.assign", g.n)
-    meter.tick(1)
+    meter.charge("cull.assign", g.n, 1)
     return CulledPartition(culled=culled, assignment=assignment, k=k, phases=phases)
 
 
@@ -461,8 +459,7 @@ def reorganize(
     else:
         piece_ids = sorted_distinct(piece_of)
         keys = np.searchsorted(piece_ids, piece_of)
-        meter.charge("reorganize.rank", g.n * ceil_log2(g.n))
-        meter.tick(ceil_log2(g.n))
+        meter.charge("reorganize.rank", g.n * ceil_log2(g.n), ceil_log2(g.n))
     recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
     perm = integer_sort(recs, None, seed, meter).payloads.astype(np.int64)
     inv = np.empty(g.n, dtype=np.int64)
@@ -482,7 +479,6 @@ def reorganize(
     offsets = np.searchsorted(internal_at, row_offsets)
     cut_offsets = row_offsets - offsets
     nbrs, cut = inv[moved[internal_at]], moved[~internal]
-    meter.charge("reorganize.adjacency", 4 * g.m)
-    meter.tick(ceil_log2(2 * g.m))
+    meter.charge("reorganize.adjacency", 4 * g.m, ceil_log2(2 * g.m))
     internal_graph = Graph(g.n, offsets, nbrs)
     return ReorganizedGraph(perm, inv, internal_graph, cut_offsets, cut, piece_ids, piece_boundaries)

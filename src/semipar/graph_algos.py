@@ -116,9 +116,9 @@ def extend_palettes(
         raise UncoloredCutEndpoint("cut endpoint on the colored side is uncolored")
     if len(cut_colors) and (cut_colors.min() < 0 or cut_colors.max() >= num_colors):
         raise ValueError("cut color out of range")
-    if meter is not None:
-        meter.charge("extend_palettes", len(cut_targets))
-        meter.tick(1)
+    if meter is None:
+        meter = WorkMeter()
+    meter.charge("extend_palettes", len(cut_targets), 1)
     span = np.int64(num_colors + 1)
     pairs = sorted_distinct(cut_targets * span + cut_colors)
     rows = (pairs // span).astype(np.int64)
@@ -133,7 +133,7 @@ def mis_extend_prune(
     cut_targets: np.ndarray,
     cut_in_set: np.ndarray,
 ) -> np.ndarray:
-    """Surviving uncolored-side vertices after deleting neighbors of members.
+    """Survivor mask of the uncolored side after deleting neighbors of members.
 
     ``cut_targets[i]`` is the local vertex of cut edge i, ``cut_in_set[i]``
     whether its solved-side endpoint belongs to the independent set.  An MIS
@@ -142,7 +142,7 @@ def mis_extend_prune(
     """
     keep = np.ones(n_vertices, dtype=bool)
     keep[np.asarray(cut_targets, dtype=np.int64)[np.asarray(cut_in_set, dtype=bool)]] = False
-    return np.flatnonzero(keep)
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +165,7 @@ def luby_mis(g: Graph, seed: int, meter: WorkMeter | None = None) -> np.ndarray:
     rng = generator(seed, 0x10BE)
     while live.any():
         r = rng.integers(0, 1 << 63, size=n, dtype=np.int64)
-        meter.charge("luby_mis", int(live.sum()) + len(rows))
-        meter.tick(1)
+        meter.charge("luby_mis", int(live.sum()) + len(rows), 1)
         # v loses to neighbor u when u's priority beats v's.
         beats = (r[nbrs] > r[rows]) | ((r[nbrs] == r[rows]) & (nbrs < rows))
         lose = np.zeros(n, dtype=bool)
@@ -245,8 +244,7 @@ def palette_color(
         if np.any(sizes[live] < live_deg[live] + 1):
             raise PaletteDeficit("palette smaller than remaining degree + 1")
         colored_base = len(palettes.removed) - int(removed_counts[live].sum())
-        meter.charge("palette_color", len(rows) + len(live) + len(pairs) + colored_base)
-        meter.tick(1)
+        meter.charge("palette_color", len(rows) + len(live) + len(pairs) + colored_base, 1)
         j = np.minimum((rng.random(len(live)) * sizes[live]).astype(np.int64), sizes[live] - 1)
         # Allowed color j of v is j plus the number of v's removed colors c
         # with c - rank(c) <= j; pairs - rank keeps that key sorted, and the
@@ -350,11 +348,8 @@ def boosted_mis(
 
     def solve_piece(verts, local, cut_rows, cut_nbrs, piece_seed) -> int:
         member_sel = in_set[cut_nbrs]
-        meter.charge("mis_extend_prune", len(cut_rows))
-        meter.tick(1)
-        keep = np.zeros(local.n, dtype=bool)
-        keep[mis_extend_prune(local.n, cut_rows, member_sel)] = True
-        sub, old_ids = local.induced(keep)
+        meter.charge("mis_extend_prune", len(cut_rows), 1)
+        sub, old_ids = local.induced(mis_extend_prune(local.n, cut_rows, member_sel))
         in_set[verts[old_ids[luby_mis(sub, piece_seed, meter)]]] = True
         return int(member_sel.sum())
 

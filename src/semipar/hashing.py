@@ -78,8 +78,6 @@ def tab_bucket(h: TabulationHash, keys: np.ndarray, n_buckets: int) -> np.ndarra
     if n_buckets < 1:
         raise ValueError("bucket count must be positive")
     hv = _tab_xor(h, keys)
-    if n_buckets == 1:
-        return np.zeros(len(hv), dtype=np.int64)
     prod = np.uint32 if 2 * h.w <= 32 else np.uint64
     hv = hv.astype(prod, copy=False)
     hv *= prod(n_buckets)

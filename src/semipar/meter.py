@@ -2,8 +2,9 @@
 
 Work is charged at one unit per element touched per bulk phase, so the
 linear-work claims can be checked independently of interpreter or hardware
-speed.  Each barrier-separated bulk phase contributes to the round counter;
-a primitive of logarithmic depth charges logarithmically many rounds.
+speed.  One ``charge(label, ops, rounds)`` call records a barrier-separated
+bulk phase: its work under its label and its depth on the round counter; a
+primitive of logarithmic depth charges logarithmically many rounds.
 """
 
 from __future__ import annotations
@@ -31,14 +32,11 @@ class WorkMeter:
     def total_ops(self) -> int:
         return sum(self.phase_breakdown.values())
 
-    def charge(self, label: str, ops: int) -> None:
-        if ops < 0:
-            raise ValueError("charged ops must be non-negative")
+    def charge(self, label: str, ops: int, rounds: int) -> None:
+        """Record one phase: ``ops`` of work under ``label``, ``rounds`` of depth."""
+        if ops < 0 or rounds < 0:
+            raise ValueError("charged ops and rounds must be non-negative")
         self.phase_breakdown[label] = self.phase_breakdown.get(label, 0) + int(ops)
-
-    def tick(self, rounds: int = 1) -> None:
-        if rounds < 0:
-            raise ValueError("rounds must be non-negative")
         self.rounds += int(rounds)
 
     def snapshot(self) -> dict[str, int]:

@@ -80,9 +80,9 @@ class PlacementInstance:
                 f"{len(self.targets)} records; placement holds at most {RECORD_LIMIT - 1}"
             )
         if self.d < 1:
-            raise ValueError("block size d must be >= 1")
-        if self.alpha < 2:
-            raise ValueError("slack factor alpha must be >= 2")
+            raise InvalidInstance("block size d must be >= 1")
+        if not self.alpha >= 2:  # NaN fails this too
+            raise InvalidInstance(f"slack factor alpha must be >= 2, got {self.alpha}")
         if len(self.capacities) and self.capacities.min() < 0:
             raise InvalidInstance("capacities must be non-negative")
         self.offsets = np.concatenate(
@@ -160,6 +160,8 @@ def place(
     """
     if round_cap < 1:
         raise ValueError("round_cap must be >= 1")
+    if meter is None:
+        meter = WorkMeter()
     if validate:
         inst.validate()
     n = len(inst.targets)
@@ -215,9 +217,7 @@ def place(
         ptr[winner] = record
         claims.append(claim)
         probes += len(ptr)
-        if meter is not None:
-            meter.charge("placement.probe", len(ptr))
-            meter.tick(1)
+        meter.charge("placement.probe", len(ptr), 1)
         live = ptr < end
         if not live.all():
             ptr, end, key = ptr[live], end[live], key[live]

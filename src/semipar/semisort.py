@@ -230,7 +230,9 @@ def rehash_buckets(
     Cost model per bucket, as if each ran alone: an attempt on m_b >= 2
     records charges (2K+2)*m_b (hash, K counting-sort passes at base m_b,
     collision scan) and K+2 rounds; a singleton charges 1 op and 1 round.
-    Rounds advance by the maximum over buckets.  Two distinct keys collide
+    Rounds advance by the maximum over buckets: every pending bucket runs
+    attempt j in the same K+2 rounds, and the singletons' round runs beside
+    the first attempt when there is one.  Two distinct keys collide
     with probability at most 2^(1-l_b) <= 2/m_b^K, so by a union bound over
     the C(m_b, 2) pairs an attempt fails with probability below
     m_b^(2-K) <= 1/2 for K >= 3 and m_b >= 2; a bucket that fails
@@ -240,11 +242,10 @@ def rehash_buckets(
     sizes = np.asarray(sizes, dtype=np.int64)
     attempts = np.ones(len(sizes), dtype=np.int64)
     singles = int(np.count_nonzero(sizes == 1))
-    if singles:
-        meter.charge("local_semisort", singles)
     pending = np.flatnonzero(sizes >= 2)
+    if singles:
+        meter.charge("local_semisort", singles, 0 if len(pending) else 1)
     if len(pending) == 0:
-        meter.tick(1 if singles else 0)
         return np.arange(len(keys), dtype=np.int64), attempts
     m_max = int(sizes[pending].max())
     if m_max ** K >= 1 << 63:
@@ -256,13 +257,12 @@ def rehash_buckets(
     attempt = 0
     while len(pending):
         if attempt == MAX_REHASH_ATTEMPTS:
-            meter.tick((K + 2) * attempt)
             raise RehashExceeded(
                 f"{len(pending)} bucket(s) collided in all {attempt} rehash attempts"
             )
         attempt += 1
         attempts[pending] = attempt
-        meter.charge("local_semisort", (2 * K + 2) * int(sizes[pending].sum()))
+        meter.charge("local_semisort", (2 * K + 2) * int(sizes[pending].sum()), K + 2)
         m_b = sizes[batch]
         ranges = m_b.astype(np.uint64) ** np.uint64(K)
         g = universal_new(derive(seed, attempt), ranges, batch)
@@ -282,7 +282,6 @@ def rehash_buckets(
         # i lies in the bucket whose end first exceeds i; ``hit`` ascends.
         hit_bucket = np.searchsorted(np.cumsum(m_b), hit, side="right")
         batch = pending = batch[hit_bucket[run_heads(hit_bucket)]]
-    meter.tick((K + 2) * attempt)
     return order, attempts
 
 
@@ -336,8 +335,7 @@ def semisort(
 def _sort_segment(pos: np.ndarray, keys: np.ndarray, meter: WorkMeter, label: str) -> np.ndarray:
     """Comparison-sort record positions by key (mergesort cost model)."""
     lg = ceil_log2(len(pos))
-    meter.charge(label, len(pos) * lg)
-    meter.tick(lg)
+    meter.charge(label, len(pos) * lg, lg)
     return pos[stable_argsort(keys[pos])]
 
 
@@ -357,8 +355,7 @@ def _place_and_pack(
     caps = np.ceil(params.alpha * f_alloc(sigma, params, n))
     inst = PlacementInstance(targets=targets, capacities=caps, alpha=params.alpha, d=params.d)
     order = place(inst, params.round_cap, seed, meter, validate=False).order
-    meter.charge(label, inst.arena_size)
-    meter.tick(ceil_log2(inst.arena_size))
+    meter.charge(label, inst.arena_size, ceil_log2(inst.arena_size))
     return order, inst.arena_size
 
 
@@ -378,14 +375,12 @@ def _semisort_once(
     # Step 1: independent sampling.
     rng = generator(run_seed, 1)
     sample_mask = rng.random(n) < params.p_s
-    meter.charge("sample", n)
-    meter.tick(1)
+    meter.charge("sample", n, 1)
     sample_keys = a.keys[sample_mask]
 
     # Step 2: sort the sample, derive per-key sample counts.
     s_lg = ceil_log2(len(sample_keys))
-    meter.charge("sample_sort", len(sample_keys) * s_lg)
-    meter.tick(s_lg)
+    meter.charge("sample_sort", len(sample_keys) * s_lg, s_lg)
     sample_keys = np.sort(sample_keys)
     starts = np.flatnonzero(run_heads(sample_keys))
     sampled_keys = sample_keys[starts]
@@ -399,8 +394,7 @@ def _semisort_once(
         is_heavy = heavy_keys[np.minimum(target, len(heavy_keys) - 1)] == a.keys
     else:
         is_heavy = np.zeros(n, dtype=bool)
-    meter.charge("classify", 2 * n)
-    meter.tick(s_lg)
+    meter.charge("classify", 2 * n, s_lg)
     # From here on the two sides are arrays of record positions in ``a``.
     heavy = np.flatnonzero(is_heavy)
     light = np.flatnonzero(~is_heavy)
@@ -425,8 +419,7 @@ def _semisort_once(
         B = params.B
         th = tab_new(derive(run_seed, 3), ceil_log2(B))
         buckets = tab_bucket(th, a.keys[light], B)
-        meter.charge("light_hash", len(light))
-        meter.tick(1)
+        meter.charge("light_hash", len(light), 1)
         sigma_b = np.bincount(buckets[sample_mask[light]], minlength=B)
         packed, arena_size = _place_and_pack(
             buckets, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
@@ -444,8 +437,7 @@ def _semisort_once(
 
     # Step 7: pack heavy segments then light buckets.
     out = a.take(np.concatenate([heavy, light]))
-    meter.charge("final_pack", n)
-    meter.tick(lg)
+    meter.charge("final_pack", n, lg)
     return out, trace
 
 
@@ -468,6 +460,5 @@ def integer_sort(
     if int(a.keys.max()) >= n:
         raise KeyOutOfRange(f"keys must lie in [0, {n})")
     semi, _ = semisort(a, params, seed, meter)
-    meter.charge("integer_sort_pass", 4 * n)
-    meter.tick(ceil_log2(n))
+    meter.charge("integer_sort_pass", 4 * n, ceil_log2(n))
     return semi.take(stable_argsort(semi.keys))

@@ -112,10 +112,11 @@ def test_extend_palettes_charges_cut_size():
 
 
 def test_mis_extend_prune():
-    survivors = mis_extend_prune(
+    keep = mis_extend_prune(
         5, np.array([0, 2, 4]), np.array([True, False, True])
     )
-    assert np.array_equal(survivors, [1, 2, 3])
+    assert keep.dtype == bool
+    assert np.array_equal(keep, [False, True, True, True, False])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,7 @@ def _palette_color_reference(g, palettes, seed, meter):
         live_deg = np.bincount(rows[edge_live & live_mask[nbrs]], minlength=n)
         if np.any(sizes[live] < live_deg[live] + 1):
             raise PaletteDeficit("palette smaller than remaining degree + 1")
-        meter.charge("palette_color", int(edge_live.sum()) + len(live) + len(pairs))
-        meter.tick(1)
+        meter.charge("palette_color", int(edge_live.sum()) + len(live) + len(pairs), 1)
         j = np.minimum((rng.random(len(live)) * sizes[live]).astype(np.int64), sizes[live] - 1)
         rank = np.arange(len(pairs), dtype=np.int64) - seg_offsets[seg]
         t = np.searchsorted(pairs - rank, live * span + j, side="right") - seg_offsets[live]

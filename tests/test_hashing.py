@@ -96,7 +96,7 @@ def test_tab_bucket_range_and_balance():
     assert counts.max() < 2 * mean  # concentration at this load
 
 
-@pytest.mark.parametrize("n_buckets", [2, 3, 255, 256, 257, 2600, 65536, 65537, 1 << 20, (1 << 32) - 5])
+@pytest.mark.parametrize("n_buckets", [1, 2, 3, 255, 256, 257, 2600, 65536, 65537, 1 << 20, (1 << 32) - 5])
 def test_tab_bucket_matches_uint64_product(n_buckets):
     # The product is formed in uint32 up to w = 16 and in uint64 above; both
     # must equal the uint64 formula on the same tables, all-ones keys included.

@@ -18,10 +18,9 @@ def test_ceil_log2():
 
 def test_meter_charges_and_rounds():
     m = WorkMeter()
-    m.charge("a", 10)
-    m.charge("a", 5)
-    m.charge("b", 1)
-    m.tick(3)
+    m.charge("a", 10, 1)
+    m.charge("a", 5, 0)
+    m.charge("b", 1, 2)
     assert m.phase_breakdown == {"a": 15, "b": 1}
     assert m.total_ops == 16
     assert m.rounds == 3
@@ -30,16 +29,17 @@ def test_meter_charges_and_rounds():
 def test_meter_rejects_negative():
     m = WorkMeter()
     with pytest.raises(ValueError):
-        m.charge("x", -1)
+        m.charge("x", -1, 1)
     with pytest.raises(ValueError):
-        m.tick(-1)
+        m.charge("x", 1, -1)
+    assert m.phase_breakdown == {} and m.rounds == 0
 
 
 def test_meter_merge_and_snapshot():
     a = WorkMeter()
-    a.charge("x", 2)
-    a.charge("x", 3)
-    a.charge("y", 4)
+    a.charge("x", 2, 1)
+    a.charge("x", 3, 1)
+    a.charge("y", 4, 1)
     assert a.snapshot() == {"x": 5, "y": 4}
     snap = a.snapshot()
     snap["x"] = 0

@@ -228,8 +228,16 @@ def test_non_1d_arrays_rejected():
 
 
 def test_alpha_below_two_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInstance):
         PlacementInstance(np.array([0]), np.array([4]), alpha=1.5)
+    # NaN compares False with 2; accepted, it let 3 records into 1 slot.
+    with pytest.raises(InvalidInstance):
+        PlacementInstance(np.array([0, 0, 0]), np.array([1]), alpha=float("nan"))
+
+
+def test_block_size_below_one_rejected():
+    with pytest.raises(InvalidInstance):
+        PlacementInstance(np.array([0]), np.array([4]), d=0)
 
 
 def test_timeout_raises():

@@ -184,6 +184,19 @@ def test_rehash_buckets_accounting_identity(K, monkeypatch):
         assert is_semisorted(Records.from_keys(keys[seg]))
 
 
+@pytest.mark.parametrize(
+    "sizes,work,rounds", [([1, 0, 1], {"local_semisort": 2}, 1), ([0, 0], {}, 0)]
+)
+def test_rehash_buckets_without_attempts(sizes, work, rounds):
+    # No bucket needs an attempt: the singletons' one round is charged with
+    # their ops, and empty buckets charge neither work nor rounds.
+    keys = np.arange(sum(sizes), dtype=np.uint64)
+    meter = WorkMeter()
+    order, attempts = rehash_buckets(keys, sizes, 3, 5, meter)
+    assert meter.phase_breakdown == work and meter.rounds == rounds
+    assert np.array_equal(order, np.arange(len(keys))) and np.all(attempts == 1)
+
+
 def test_rehash_buckets_keeps_wrapped_buckets_apart(monkeypatch):
     # Four buckets of two equal keys at K = 62 have ranges 2^62 that total
     # 2^64, so the sort lexsorts.  Every hash value is 0, yet a bucket's
