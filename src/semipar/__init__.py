@@ -61,6 +61,7 @@ from .placement import (
     PlacementTimeout,
     default_round_cap,
     place,
+    verify_placement,
 )
 from .records import Records, group_counts, is_semisorted, same_multiset
 from .semisort import (
@@ -74,6 +75,7 @@ from .semisort import (
     integer_sort,
     local_semisort,
     semisort,
+    verify_semisort,
 )
 
 __version__ = "0.1.0"

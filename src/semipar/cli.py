@@ -33,10 +33,16 @@ from . import bounds as bounds_mod, placement as placement_mod
 from .graph import cull_partition, generate, piece_edge_counts, verify_partition
 from .graph_algos import boosted_coloring, boosted_mis, verify_coloring, verify_mis
 from .meter import WorkMeter, ceil_log2
-from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
+from .placement import (
+    PlacementInstance,
+    PlacementTimeout,
+    default_round_cap,
+    place,
+    verify_placement,
+)
 from .prng import derive, generator
-from .records import Records, group_counts, is_semisorted, same_multiset
-from .semisort import SemisortParams, integer_sort, semisort
+from .records import Records
+from .semisort import SemisortParams, integer_sort, semisort, verify_semisort
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -165,7 +171,8 @@ def _zipf_p(n: int, theta: float) -> np.ndarray:
 
 
 def gen_keys(dist: str, n: int, seed: int, theta: float = 1.0) -> Records:
-    """Seeded key generator for the benchmark distributions."""
+    """Seeded keys of the benchmark distributions, as ``Records.from_keys``:
+    payload i names record i, which ``verify_semisort`` relies on."""
     rng = generator(seed, 0xD15)
     if dist == "uniform":
         keys = rng.integers(0, max(n, 1), size=n, dtype=np.uint64)
@@ -177,8 +184,7 @@ def gen_keys(dist: str, n: int, seed: int, theta: float = 1.0) -> Records:
         keys = rng.choice(n, size=n, p=_zipf_p(n, theta)).astype(np.uint64)
     else:
         raise ConfigError(f"unknown distribution {dist!r}")
-    payloads = np.arange(n, dtype=np.uint64)
-    return Records(keys, payloads)
+    return Records.from_keys(keys)
 
 
 def tail_report(records: list[TrialRecord]) -> dict:
@@ -207,31 +213,24 @@ def _run_semisort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     data = gen_keys(cfg.dist, cfg.n, seed, cfg.theta)
     meter = WorkMeter()
     out, trace = semisort(data, cfg.semisort_params(), seed, meter)
-    ok = (
-        is_semisorted(out)
-        and same_multiset(data, out)
-        and group_counts(out) == group_counts(data)
-    )
     return TrialRecord(
         trial=trial, seed=seed, n=cfg.n, dist=cfg.dist,
         charged_work=meter.total_ops, rounds=meter.rounds,
         restarts=trace.restarts, max_bucket_size=trace.max_bucket_size,
-        max_attempts=int(trace.bucket_attempts.max(initial=1)), verified=ok,
+        max_attempts=int(trace.bucket_attempts.max(initial=1)),
+        verified=verify_semisort(data.keys, out),
     )
 
 
 def _run_intsort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive(cfg.seed, trial)
-    data = gen_keys(cfg.dist, cfg.n, seed, cfg.theta)
-    data = Records(data.keys % np.uint64(max(cfg.n, 1)), data.payloads)
+    keys = gen_keys(cfg.dist, cfg.n, seed, cfg.theta).keys % np.uint64(max(cfg.n, 1))
     meter = WorkMeter()
-    out = integer_sort(data, cfg.semisort_params(), seed, meter)
-    ok = bool(
-        np.array_equal(np.sort(data.keys), out.keys) and same_multiset(data, out)
-    )
+    out = integer_sort(Records.from_keys(keys), cfg.semisort_params(), seed, meter)
     return TrialRecord(
         trial=trial, seed=seed, n=cfg.n, dist=cfg.dist,
-        charged_work=meter.total_ops, rounds=meter.rounds, verified=ok,
+        charged_work=meter.total_ops, rounds=meter.rounds,
+        verified=verify_semisort(keys, out, sort=True),
     )
 
 
@@ -247,22 +246,14 @@ def _run_placement(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     caps[caps == 0] = 1
     inst = PlacementInstance(targets=targets, capacities=caps, alpha=2.0, d=d)
     meter = WorkMeter()
-    ok = True
+    ok = False
     rounds = 0
     try:
         res = place(inst, default_round_cap(n), seed, meter)
         rounds = res.rounds_used
-        # Every record once, at distinct slots inside its target's range.
-        order, slots = res.order, res.slots
-        t = targets[order]
-        ok = len(order) == n and bool(
-            (np.bincount(order, minlength=n) == 1).all()
-            and (slots[1:] > slots[:-1]).all()
-            and (slots >= inst.offsets[t]).all()
-            and (slots < inst.offsets[t + 1]).all()
-        )
+        ok = verify_placement(inst, res)
     except PlacementTimeout:
-        ok = False
+        pass
     return TrialRecord(
         trial=trial, seed=seed, n=n,
         charged_work=meter.total_ops, rounds=rounds, verified=ok,

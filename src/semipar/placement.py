@@ -232,6 +232,25 @@ def place(
     return PlacementResult(rounds, probes, claim.view(np.int64), slots, inst.arena_size)
 
 
+def verify_placement(inst: PlacementInstance, res: PlacementResult) -> bool:
+    """Every record sits once, at strictly increasing slots, each inside its
+    target's range.  A result of the wrong length, or with a record index
+    outside [0, n), gives False."""
+    n = len(inst.targets)
+    order, slots = res.order, res.slots
+    if len(order) != n or len(slots) != n:
+        return False
+    if n and (order.min() < 0 or order.max() >= n):
+        return False
+    t = inst.targets[order]
+    return bool(
+        (np.bincount(order, minlength=n) == 1).all()
+        and (slots[1:] > slots[:-1]).all()
+        and (slots >= inst.offsets[t]).all()
+        and (slots < inst.offsets[t + 1]).all()
+    )
+
+
 def default_round_cap(n: int) -> int:
     """8 * ceil(log2 n); 8 is the hidden constant of the Theta(log n) cap."""
     return 8 * ceil_log2(n)

@@ -30,7 +30,7 @@ from .hashing import (
 from .meter import WorkMeter, ceil_log2
 from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
 from .prng import derive, generator
-from .records import Records
+from .records import Records, is_semisorted
 
 # Attempts of the rehash loop before it gives up: each succeeds with
 # probability >= 1/2, so a valid bucket fails all of them w.p. <= 2^-64.
@@ -89,6 +89,10 @@ class SemisortParams:
             raise ValueError("alpha must be finite and >= 2")
         if not (math.isfinite(self.c_alloc) and self.c_alloc > 0):
             raise ValueError("c_alloc must be finite and positive")
+        # A block places at most one record per round, so a longer one times
+        # out on every restart.
+        if self.d > self.round_cap:
+            raise ValueError(f"d must be <= round_cap ({self.round_cap}), got {self.d}")
         # Upper limits that hold for every n: rehash_buckets needs 2^K < 2^63
         # for a bucket of two records, tab_new gives at most 32 bucket bits,
         # a placement holds fewer than 2^32 records, so no block is longer,
@@ -462,3 +466,31 @@ def integer_sort(
     semi, _ = semisort(a, params, seed, meter)
     meter.charge("integer_sort_pass", 4 * n, ceil_log2(n))
     return semi.take(stable_argsort(semi.keys))
+
+
+def verify_semisort(keys: np.ndarray, out: Records, sort: bool = False) -> bool:
+    """True iff ``out`` is ``Records.from_keys(keys)`` permuted so that each
+    key forms one run; with ``sort``, so that the keys are non-decreasing.
+
+    Payload i names input record i, so ``out`` is such a permutation iff it
+    has n records, its payloads are a permutation of [n] (one ``bincount``)
+    and each key is the input key its payload names.  For input payloads
+    0..n-1, which are distinct, this holds iff ``same_multiset`` does, and
+    then equal ``group_counts`` follow; so the check is exactly the triad
+    ``is_semisorted``, ``same_multiset`` and equal ``group_counts``, and with
+    ``sort`` exactly ``out.keys == np.sort(keys)`` plus ``same_multiset``.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    n = len(keys)
+    if len(out) != n:
+        return False
+    if n and int(out.payloads.max()) >= n:
+        return False
+    idx = out.payloads.view(np.int64)
+    if not (np.bincount(idx, minlength=n) == 1).all():
+        return False
+    if not np.array_equal(out.keys, keys[idx]):
+        return False
+    if sort:
+        return bool((out.keys[1:] >= out.keys[:-1]).all())
+    return is_semisorted(out)

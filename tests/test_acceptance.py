@@ -16,10 +16,10 @@ from semipar.cli import gen_keys
 from semipar.graph import cull_partition, cull_threshold, generate, piece_edge_counts
 from semipar.graph_algos import boosted_coloring, boosted_mis, extend_palettes, verify_coloring, verify_mis
 from semipar.meter import WorkMeter
-from semipar.placement import PlacementInstance, default_round_cap, place
+from semipar.placement import PlacementInstance, default_round_cap, place, verify_placement
 from semipar.prng import derive, generator
-from semipar.records import Records, group_counts, is_semisorted, same_multiset
-from semipar.semisort import integer_sort, semisort
+from semipar.records import Records
+from semipar.semisort import integer_sort, semisort, verify_semisort
 
 
 def _verdict(capsys, num, name, ok, detail=""):
@@ -50,7 +50,7 @@ def semisort_sweep():
             data = gen_keys("uniform", n, seed)
             meter = WorkMeter()
             result, trace = semisort(data, None, seed, meter)
-            assert is_semisorted(result)
+            assert verify_semisort(data.keys, result)
             work_per_n.append(meter.total_ops / n)
             max_bucket = max(max_bucket, trace.max_bucket_size)
             attempts.append(trace.bucket_attempts)
@@ -81,12 +81,7 @@ def test_criterion_1_semisort_correctness(capsys):
             seed = derive(0xC1, di, case)
             data = gen_keys(dist, n, seed, theta)
             result, _ = semisort(data, None, seed)
-            ok = (
-                is_semisorted(result)
-                and same_multiset(data, result)
-                and group_counts(result) == group_counts(data)
-            )
-            failures += not ok
+            failures += not verify_semisort(data.keys, result)
             total += 1
     _verdict(capsys, 1, "semisort correctness", failures == 0,
              f"{total - failures}/{total} cases")
@@ -102,11 +97,7 @@ def test_criterion_2_integer_sort(capsys):
         rng = generator(seed, 1)
         data = Records.from_keys(rng.integers(0, n, size=n, dtype=np.uint64))
         result = integer_sort(data, None, seed)
-        ok = bool(
-            np.array_equal(result.keys, np.sort(data.keys))
-            and same_multiset(data, result)
-        )
-        failures += not ok
+        failures += not verify_semisort(data.keys, result, sort=True)
     _verdict(capsys, 2, "integer sort vs comparison sort", failures == 0,
              f"{200 - failures}/200 instances")
 
@@ -148,7 +139,7 @@ def test_criterion_5_rehash_dominance(capsys, semisort_sweep):
 
 
 def test_criterion_6_placement(capsys):
-    """200 instances at n=2^16: rounds <= 8 log n, probes <= 4n, injective."""
+    """200 instances at n=2^16: rounds <= 8 log n, probes <= 4n, verify_placement."""
     n = 1 << 16
     d = 16
     failures = 0
@@ -164,7 +155,7 @@ def test_criterion_6_placement(capsys):
         ok = (
             res.rounds_used <= 8 * 16
             and res.probes <= 4 * n
-            and len(np.unique(res.slot_of)) == n
+            and verify_placement(inst, res)
         )
         failures += not ok
     _verdict(capsys, 6, "placement rounds/probes/injectivity", failures == 0,

@@ -170,6 +170,55 @@ def test_partition_rows_check_the_partition(tamper, tmp_path, monkeypatch):
     assert code == (EXIT_OK if tamper is None else cli.EXIT_VERIFY)
 
 
+def _repeat_record(out):
+    return out.take(np.r_[0, 0, 2:len(out)])
+
+
+def _input_order(out):
+    # Every record, each with its own key, but unsorted and with runs split.
+    return out.take(np.argsort(out.payloads))
+
+
+def _slot_outside_target(res):
+    slots = res.slots.copy()
+    slots[-1] = res.arena_size
+    return dataclasses.replace(res, slots=slots)
+
+
+def _repeat_placed_record(res):
+    order = res.order.copy()
+    order[1] = order[0]
+    return dataclasses.replace(res, order=order)
+
+
+@pytest.mark.parametrize(
+    "cmd,name,tamper",
+    [
+        ("semisort", "semisort", None),
+        ("semisort", "semisort", lambda r: (_repeat_record(r[0]), r[1])),
+        ("semisort", "semisort", lambda r: (_input_order(r[0]), r[1])),
+        ("intsort", "integer_sort", None),
+        ("intsort", "integer_sort", _repeat_record),
+        ("intsort", "integer_sort", _input_order),
+        ("placement", "place", None),
+        ("placement", "place", _slot_outside_target),
+        ("placement", "place", _repeat_placed_record),
+    ],
+    ids=["semisort", "semisort-repeat", "semisort-unsorted", "intsort", "intsort-repeat",
+         "intsort-unsorted", "placement", "placement-out-of-range", "placement-repeat"],
+)
+def test_sort_and_placement_rows_check_their_output(cmd, name, tamper, tmp_path, monkeypatch):
+    # The verified column re-checks what the library returned, so an output
+    # that breaks its definition reads 0 and the run exits 1.
+    real = getattr(cli, name)
+    if tamper is not None:
+        monkeypatch.setattr(cli, name, lambda *a: tamper(real(*a)))
+    out = tmp_path / "t.json"
+    code = run_cli([cmd, "--n", "4096", "--format", "json", "--out", str(out)])
+    assert json.loads(out.read_text())["trials"][0]["verified"] == (tamper is None)
+    assert code == (EXIT_OK if tamper is None else cli.EXIT_VERIFY)
+
+
 @pytest.mark.parametrize(
     "cmd,extra,header_keys",
     [
@@ -262,6 +311,7 @@ def test_exit_code_config_error(capsys, monkeypatch):
         # Values that would break placement.
         ["semisort", "--n", "4096", "--param", "d=0"],
         ["semisort", "--n", "4096", "--param", "round_cap=0"],
+        ["semisort", "--n", "4096", "--param", "d=100000"],  # d > round_cap
         ["semisort", "--n", "4096", "--param", "c_alloc=-1"],
         ["semisort", "--n", "4096", "--param", "alpha=inf"],
         # Finite, but the capacities they size overflow int64.

@@ -1,5 +1,6 @@
 """Randomized placement: injectivity, target ranges, caps, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -19,6 +20,7 @@ from semipar.placement import (
     PlacementTimeout,
     default_round_cap,
     place,
+    verify_placement,
 )
 from semipar.prng import derive, generator, mix64_array
 
@@ -34,10 +36,7 @@ def _random_instance(n, n_targets, seed, alpha=2.0, d=1, slack=None):
 
 def _check_result(inst, res):
     n = len(inst.targets)
-    assert len(np.unique(res.slot_of)) == n, "slot assignment must be injective"
-    base = inst.offsets[inst.targets]
-    end = inst.offsets[inst.targets + 1]
-    assert (res.slot_of >= base).all() and (res.slot_of < end).all()
+    assert verify_placement(inst, res)
     occupied = res.arena != EMPTY_SLOT
     assert occupied.sum() == n
     assert np.array_equal(np.sort(res.arena[occupied]), np.arange(n, dtype=np.uint64))
@@ -83,6 +82,40 @@ def test_slot_of_inverts_arena(n, n_targets, d, validate, seed):
     _check_result(inst, res)
     assert res.slot_of.dtype == np.int64
     assert np.array_equal(res.arena[res.slot_of], np.arange(n))
+
+
+def _with(res, i, order=None, slot=None):
+    # A copy of res whose position i holds another record or slot.
+    order_, slots = res.order.copy(), res.slots.copy()
+    if order is not None:
+        order_[i] = order
+    if slot is not None:
+        slots[i] = slot
+    return dataclasses.replace(res, order=order_, slots=slots)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda inst, res: _with(res, 1, order=res.order[0]),         # a record twice
+        lambda inst, res: _with(res, 0, order=len(inst.targets)),    # index >= n
+        lambda inst, res: _with(res, 0, order=-1),                   # index < 0
+        lambda inst, res: _with(res, -1, slot=inst.arena_size),      # outside its range
+        lambda inst, res: dataclasses.replace(                       # slots not increasing
+            res, order=res.order[[1, 0, *range(2, len(res.order))]],
+            slots=res.slots[[1, 0, *range(2, len(res.slots))]]),
+        lambda inst, res: dataclasses.replace(res, order=res.order[:-1]),  # short order
+        lambda inst, res: dataclasses.replace(                       # one record short
+            res, order=res.order[:-1], slots=res.slots[:-1]),
+    ],
+    ids=["repeat", "index_n", "index_negative", "out_of_range", "not_increasing",
+         "short_order", "short_both"],
+)
+def test_verify_placement_rejects_tampered_results(tamper):
+    inst = _random_instance(500, 8, seed=3, d=5)
+    res = place(inst, default_round_cap(500), seed=4)
+    assert verify_placement(inst, res)
+    assert not verify_placement(inst, tamper(inst, res))
 
 
 def _reference_place(inst, round_cap, seed):
@@ -202,7 +235,7 @@ def test_validation_rejects_undersized_capacity():
         place(inst, 100, seed=0)
     # validate=False skips the check; with 19 slots for 10 records it still fits.
     res = place(inst, 1000, seed=0, validate=False)
-    assert len(np.unique(res.slot_of)) == 10
+    assert verify_placement(inst, res)
 
 
 def test_validation_rejects_bad_target_id():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from semipar.cli import gen_keys
 from semipar.meter import WorkMeter, ceil_log2
 from semipar.prng import generator
-from semipar.records import Records, group_counts, is_semisorted, same_multiset
+from semipar.records import Records, is_semisorted
 from semipar.semisort import (
     MAX_REHASH_ATTEMPTS,
     KeyOutOfRange,
@@ -30,6 +30,7 @@ from semipar.semisort import (
     semisort,
     sorted_distinct,
     stable_argsort,
+    verify_semisort,
 )
 
 semisort_mod = importlib.import_module("semipar.semisort")
@@ -38,12 +39,6 @@ semisort_mod = importlib.import_module("semipar.semisort")
 def _random_records(n, key_range, seed):
     rng = generator(seed, 0)
     return Records.from_keys(rng.integers(0, max(key_range, 1), size=n, dtype=np.uint64))
-
-
-def _assert_valid(inp, out):
-    assert is_semisorted(out)
-    assert same_multiset(inp, out)
-    assert group_counts(out) == group_counts(inp)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +71,8 @@ def test_params_validation():
         dict(d=2.5), dict(B=10.5), dict(K=3.5), dict(round_cap=2.5), dict(K=True),
         # Upper limits that hold for every n.
         dict(K=63), dict(B=2**32 + 1), dict(d=2**32 + 1), dict(max_restarts=65),
+        # A block places at most one record per round.
+        dict(d=9, round_cap=8),
     ):
         with pytest.raises(ValueError):
             SemisortParams(p_s=0.5, tau=1, **bad)
@@ -85,7 +82,7 @@ def test_params_validation():
     p = SemisortParams.for_n(4096, K=4.0, d=np.float64(5.0), B=np.int64(7))
     assert (p.K, p.d, p.B) == (4, 5, 7)
     assert all(type(v) is int for v in (p.K, p.d, p.B))
-    p = SemisortParams.for_n(4096, K=62, B=2**32, d=2**32, max_restarts=64)
+    p = SemisortParams.for_n(4096, K=62, B=2**32, d=2**32, round_cap=2**32, max_restarts=64)
     assert (p.K, p.B, p.d, p.max_restarts) == (62, 2**32, 2**32, 64)
 
 
@@ -113,7 +110,7 @@ def test_local_semisort_groups_keys():
     rng = generator(3, 1)
     c_b = Records.from_keys(rng.integers(0, 10, size=64, dtype=np.uint64))
     out, attempts = local_semisort(c_b, K=3, seed=5)
-    _assert_valid(c_b, out)
+    assert verify_semisort(c_b.keys, out)
     assert attempts >= 1
 
 
@@ -281,7 +278,7 @@ def test_segment_index_matches_loop():
 def test_semisort_sizes(n):
     data = _random_records(n, max(n // 4, 2), seed=n)
     out, trace = semisort(data, seed=n)
-    _assert_valid(data, out)
+    assert verify_semisort(data.keys, out)
     assert trace.n == n
 
 
@@ -296,7 +293,7 @@ def test_semisort_below_cutoff_is_one_comparison_sort(n, monkeypatch):
     data = _random_records(n, max(n // 4, 2), seed=n)
     meter = WorkMeter()
     out, _ = semisort(data, seed=n, meter=meter)
-    _assert_valid(data, out)
+    assert verify_semisort(data.keys, out)
     assert meter.phase_breakdown == {"small_sort": n * ceil_log2(n)}
     assert meter.rounds == ceil_log2(n)
 
@@ -304,14 +301,14 @@ def test_semisort_below_cutoff_is_one_comparison_sort(n, monkeypatch):
 def test_semisort_all_equal_keys():
     data = Records.from_keys(np.full(20_000, 42, dtype=np.uint64))
     out, _ = semisort(data, seed=1)
-    _assert_valid(data, out)
+    assert verify_semisort(data.keys, out)
 
 
 def test_semisort_all_distinct_keys():
     rng = generator(8, 0)
     data = Records.from_keys(rng.permutation(1 << 20)[: 20_000].astype(np.uint64))
     out, _ = semisort(data, seed=2)
-    _assert_valid(data, out)
+    assert verify_semisort(data.keys, out)
 
 
 def test_semisort_keys_congruent_mod_hash_prime():
@@ -320,7 +317,7 @@ def test_semisort_keys_congruent_mod_hash_prime():
     i = np.arange(2048, dtype=np.uint64)
     data = Records.from_keys(np.concatenate([i, i + np.uint64((1 << 61) - 1)]))
     out, _ = semisort(data, seed=1)
-    _assert_valid(data, out)
+    assert verify_semisort(data.keys, out)
 
 
 def test_semisort_deterministic():
@@ -335,7 +332,7 @@ def test_semisort_trace_accounting():
     data = _random_records(40_000, 100, seed=5)
     meter = WorkMeter()
     out, trace = semisort(data, seed=6, meter=meter)
-    _assert_valid(data, out)
+    assert verify_semisort(data.keys, out)
     assert trace.heavy_count + trace.light_count == len(data)
     assert trace.allocated_space <= 60 * len(data)  # linear space, generous constant
     assert trace.restarts == 0
@@ -344,7 +341,7 @@ def test_semisort_trace_accounting():
 def test_semisort_restart_on_timeout():
     # A round cap of 1 forces placement timeouts; the restart budget must trip.
     data = _random_records(20_000, 20_000, seed=7)
-    params = SemisortParams.for_n(20_000, round_cap=1)
+    params = SemisortParams.for_n(20_000, d=1, round_cap=1)
     from semipar.semisort import RestartExceeded
 
     with pytest.raises(RestartExceeded):
@@ -356,7 +353,7 @@ def test_semisort_restart_on_timeout():
 def test_semisort_property(keys):
     data = Records.from_keys(np.array(keys, dtype=np.uint64))
     out, _ = semisort(data, seed=11)
-    _assert_valid(data, out)
+    assert verify_semisort(data.keys, out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +365,7 @@ def test_integer_sort_matches_full_sort():
     n = 30_000
     data = Records.from_keys(rng.integers(0, n, size=n, dtype=np.uint64))
     out = integer_sort(data, seed=13)
-    assert np.array_equal(out.keys, np.sort(data.keys))
-    assert same_multiset(data, out)
+    assert verify_semisort(data.keys, out, sort=True)
 
 
 def test_integer_sort_rejects_out_of_range():
