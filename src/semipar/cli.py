@@ -74,6 +74,7 @@ READS = {
     "color": (*_RUN, "m", "k", "graph"),
 }
 SORTS = ("semisort", "intsort")  # the experiments that also take --param
+FIXED_EDGES = ("star", "path")   # graph kinds whose n - 1 edges follow from n
 
 
 class ConfigError(ValueError):
@@ -91,7 +92,7 @@ class _Parser(argparse.ArgumentParser):
 class ExperimentConfig:
     algorithm: str
     n: int = 1 << 14
-    m: int = 1 << 16
+    m: int | None = None    # None means n - 1 for star and path, 2^16 otherwise
     k: int = 0              # 0 means ceil(log2 n)
     dist: str = "uniform"
     theta: float = 1.0
@@ -104,6 +105,11 @@ class ExperimentConfig:
 
     def resolved_k(self) -> int:
         return self.k if self.k > 0 else ceil_log2(self.n)
+
+    def resolved_m(self) -> int:
+        if self.graph_kind in FIXED_EDGES:
+            return self.n - 1
+        return 1 << 16 if self.m is None else self.m
 
     def semisort_params(self) -> SemisortParams:
         return SemisortParams.for_n(self.n, **self.params)
@@ -126,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"n must be below {limit} for placement")
         if self.k < 0:
             raise ConfigError("k must be >= 0 (0 means ceil(log2 n))")
+        if self.m is not None and self.graph_kind in FIXED_EDGES:
+            raise ConfigError(f"--m does not apply to graph {self.graph_kind}: it has n - 1 edges")
         names = {f.name for f in dataclasses.fields(SemisortParams)}
         for key in self.params:
             if key not in names:
@@ -262,7 +270,7 @@ def _run_placement(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
 def _run_graph(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive(cfg.seed, trial)
-    g = generate(cfg.graph_kind, cfg.n, cfg.m, seed)
+    g = generate(cfg.graph_kind, cfg.n, cfg.resolved_m(), seed)
     k = cfg.resolved_k()
     meter = WorkMeter()
     max_piece = 0
@@ -306,7 +314,7 @@ def _config_header(cfg: ExperimentConfig) -> dict:
     for key in reads:
         if key != "out":
             name = SETTINGS[key][0]
-            d[name] = getattr(cfg, name)
+            d[name] = cfg.resolved_m() if key == "m" else getattr(cfg, name)
     if cfg.algorithm in SORTS:
         d["params"] = cfg.params
         d["semisort_params"] = dataclasses.asdict(cfg.semisort_params())

@@ -18,8 +18,9 @@ def ceil_log2(x: int) -> int:
 class WorkMeter:
     """Monotone counters of charged operations, split by phase label.
 
-    Increments are plain integer additions under the GIL, so concurrent
-    bulk phases never lose counts; only totals are ever observed.
+    One thread charges a meter.  Branches that run concurrently each charge
+    a child meter of their own, and the join merges the children into the
+    parent in the order a sequential run would have charged them.
     """
 
     __slots__ = ("phase_breakdown", "rounds")
@@ -38,6 +39,13 @@ class WorkMeter:
             raise ValueError("charged ops and rounds must be non-negative")
         self.phase_breakdown[label] = self.phase_breakdown.get(label, 0) + int(ops)
         self.rounds += int(rounds)
+
+    def merge(self, other: "WorkMeter") -> None:
+        """Add ``other``'s work under each of its labels and its rounds;
+        ``other`` is left unchanged."""
+        for label, ops in other.phase_breakdown.items():
+            self.phase_breakdown[label] = self.phase_breakdown.get(label, 0) + ops
+        self.rounds += other.rounds
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.phase_breakdown)

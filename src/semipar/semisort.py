@@ -8,7 +8,9 @@ segmented pass, rehashing a bucket with a fresh multiply-shift function
 until the sort of its hash values is collision-free.  A placement timeout
 triggers a full restart with a fresh derived seed.  Inputs below
 ``small_n_cutoff`` records, and heavy or light sides below n / lg n, are
-comparison-sorted by key instead.  Integer sorting for keys in [n] follows
+comparison-sorted by key instead.  When both sides are placed, the heavy
+side runs on one helper thread beside the light side (``_fork_join``), with
+the same output, work and rounds.  Integer sorting for keys in [n] follows
 as one stable sort of the semisorted keys, charged as a counting pass.
 """
 
@@ -16,7 +18,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 import numpy as np
 
@@ -397,6 +402,7 @@ def _semisort_once(
         target = np.searchsorted(heavy_keys, a.keys)
         is_heavy = heavy_keys[np.minimum(target, len(heavy_keys) - 1)] == a.keys
     else:
+        target = None
         is_heavy = np.zeros(n, dtype=bool)
     meter.charge("classify", 2 * n, s_lg)
     # From here on the two sides are arrays of record positions in ``a``.
@@ -406,17 +412,57 @@ def _semisort_once(
     trace.light_count = len(light)
     cutoff = n / lg
 
-    # Step 4: heavy side, one target per heavy key.
+    # Steps 4 to 6 and the pack of step 7: the heavy side and the light side
+    # share nothing but the input, and each packs its own slice of ``out``.
+    out = Records(np.empty(n, np.uint64), np.empty(n, np.uint64))
+    h = len(heavy)
+    heavy_arena, (light_arena, trace.max_bucket_size, trace.bucket_attempts) = _fork_join(
+        meter,
+        lambda m: _heavy_side(
+            a, heavy, target, sigma_heavy, params, cutoff, derive(run_seed, 2),
+            Records(out.keys[:h], out.payloads[:h]), m,
+        ),
+        lambda m: _light_side(
+            a, light, sample_mask, params, cutoff, run_seed,
+            Records(out.keys[h:], out.payloads[h:]), m,
+        ),
+        fork=min(len(heavy), len(light)) >= cutoff,
+    )
+    trace.allocated_space = heavy_arena + light_arena
+    meter.charge("final_pack", n, lg)
+    return out, trace
+
+
+def _heavy_side(
+    a: Records, heavy: np.ndarray, target: np.ndarray | None, sigma: np.ndarray,
+    params: SemisortParams, cutoff: float, seed: int, out: Records, meter: WorkMeter,
+) -> int:
+    """Step 4: one target per heavy key.  Writes the heavy records of ``a``
+    (positions ``heavy``, whose heavy-key ranks are ``target[heavy]``) into
+    ``out``, each key's records contiguous; returns the arena size."""
+    n = len(a)
+    arena_size = 0
     if len(heavy) < cutoff:
         heavy = _sort_segment(heavy, a.keys, meter, "heavy_sort")
     else:
         packed, arena_size = _place_and_pack(
-            target[heavy], sigma_heavy, params, n, derive(run_seed, 2), meter, "heavy_pack"
+            target[heavy], sigma, params, n, seed, meter, "heavy_pack"
         )
-        trace.allocated_space += arena_size
         heavy = heavy[packed]
+    _take_into(a, heavy, out)
+    return arena_size
 
-    # Step 5: light side, one target per hashed bucket.
+
+def _light_side(
+    a: Records, light: np.ndarray, sample_mask: np.ndarray, params: SemisortParams,
+    cutoff: float, run_seed: int, out: Records, meter: WorkMeter,
+) -> tuple[int, int, np.ndarray]:
+    """Steps 5 and 6: one target per hashed bucket, then a local semisort of
+    every bucket.  Writes the light records of ``a`` (positions ``light``)
+    into ``out``, each key's records contiguous; returns the arena size, the
+    largest bucket and the attempts per bucket (0 and none when sorted)."""
+    n = len(a)
+    arena_size, max_bucket_size, attempts = 0, 0, np.empty(0, np.int64)
     if len(light) < cutoff:
         light = _sort_segment(light, a.keys, meter, "light_sort")
     else:
@@ -428,21 +474,76 @@ def _semisort_once(
         packed, arena_size = _place_and_pack(
             buckets, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
         )
-        trace.allocated_space += arena_size
         light = light[packed]
         sizes = np.bincount(buckets, minlength=B)
-        trace.max_bucket_size = int(sizes.max())
+        max_bucket_size = int(sizes.max())
 
         # Step 6: local semisort of every bucket (independent in parallel).
-        order, trace.bucket_attempts = rehash_buckets(
+        order, attempts = rehash_buckets(
             a.keys[light], sizes, params.K, derive(run_seed, 5), meter
         )
         light = light[order]
+    _take_into(a, light, out)
+    return arena_size, max_bucket_size, attempts
 
-    # Step 7: pack heavy segments then light buckets.
-    out = a.take(np.concatenate([heavy, light]))
-    meter.charge("final_pack", n, lg)
-    return out, trace
+
+def _take_into(a: Records, idx: np.ndarray, out: Records) -> None:
+    """``a.take(idx)`` written into ``out``'s columns.  Mode "clip" lets
+    ``np.take`` write in place (mode "raise" buffers ``out``); every index
+    is in range, so it clips nothing."""
+    np.take(a.keys, idx, out=out.keys, mode="clip")
+    np.take(a.payloads, idx, out=out.payloads, mode="clip")
+
+
+# The one helper thread on which semisort runs its heavy side beside the
+# light side: (owning pid, executor), started on first use, so importing
+# the module starts no thread.  Its tasks never submit work of their own.
+_helper: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_join(
+    meter: WorkMeter,
+    first: Callable[[WorkMeter], Any],
+    second: Callable[[WorkMeter], Any],
+    fork: bool,
+) -> tuple[Any, Any]:
+    """``(first(meter), second(meter))``, run side by side when ``fork`` holds
+    and the process may use more than one CPU; inline otherwise.
+
+    Side by side, ``first`` runs on the helper thread and ``second`` on the
+    caller, each charging a child meter.  The join then does what a
+    sequential run would: it merges ``first``'s meter, raises ``first``'s
+    exception if there is one (dropping ``second``'s meter, which that run
+    would never have charged), and otherwise merges ``second``'s meter and
+    raises its exception if there is one.
+    """
+    if not fork or _cpus() < 2:
+        return first(meter), second(meter)
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():
+        # A forked child inherits the executor but not its thread.
+        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="semisort-heavy"))
+    m1, m2 = WorkMeter(), WorkMeter()
+    future = _helper[1].submit(first, m1)
+    try:
+        r2, error = second(m2), None
+    except Exception as exc:
+        r2, error = None, exc
+    try:
+        r1 = future.result()
+    finally:
+        meter.merge(m1)
+    meter.merge(m2)
+    if error is not None:
+        raise error
+    return r1, r2
 
 
 def integer_sort(

@@ -239,6 +239,16 @@ def test_header_lists_only_what_the_subcommand_reads(cmd, extra, header_keys, tm
         assert doc["trials"][0]["dist"] == ""
 
 
+@pytest.mark.parametrize("kind", ["star", "path"])
+def test_header_records_the_edges_of_star_and_path(kind, tmp_path):
+    # Without --m the header records the n - 1 edges the kind resolves to.
+    out = tmp_path / "g.json"
+    args = ["mis", "--n", "10", "--graph", kind, "--k", "5", "--format", "json", "--out", str(out)]
+    assert run_cli(args) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["config"]["m"] == doc["trials"][0]["m"] == 9
+
+
 def test_intsort_all_equal_runs_equal_keys(tmp_path):
     # all_equal keys reduced mod n stay one key, which charges different
     # work from uniform keys in [n].
@@ -304,6 +314,9 @@ def test_exit_code_config_error(capsys, monkeypatch):
         ["bounds", "--bound", "chernoff_upper", "--param", "mu=nan", "--param", "delta=1"],
         ["semisort", "--trials", "0"],
         ["mis", "--n", "4", "--m", "100"],   # more edges than a simple graph holds
+        # Star and path graphs have n - 1 edges, so --m cannot set them.
+        ["mis", "--n", "10", "--m", "3", "--graph", "star", "--k", "5"],
+        ["color", "--n", "10", "--m", "9", "--graph", "path"],
         ["mis", "--k", "-3"],
         ["semisort", "--param", "k=9"],      # not a SemisortParams field
         ["semisort", "--param", "Kx=2"],

@@ -44,6 +44,13 @@ def test_meter_merge_and_snapshot():
     snap = a.snapshot()
     snap["x"] = 0
     assert a.phase_breakdown["x"] == 5  # snapshot is a copy
+    b = WorkMeter()
+    b.charge("z", 7, 4)
+    b.charge("x", 1, 2)
+    a.merge(b)
+    assert list(a.phase_breakdown.items()) == [("x", 6), ("y", 4), ("z", 7)]
+    assert a.rounds == 3 + 6
+    assert b.phase_breakdown == {"z": 7, "x": 1} and b.rounds == 6
 
 
 def test_mix64_bijective_looking():

@@ -4,7 +4,11 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semipar.cli import gen_keys
+from semipar.graph import generate
+from semipar.graph_algos import boosted_mis, verify_mis
 from semipar.meter import WorkMeter, ceil_log2
-from semipar.prng import generator
+from semipar.placement import PlacementTimeout
+from semipar.prng import derive, generator
 from semipar.records import Records, is_semisorted
 from semipar.semisort import (
     MAX_REHASH_ATTEMPTS,
     KeyOutOfRange,
     RehashExceeded,
+    RestartExceeded,
     SemisortParams,
     f_alloc,
     _sort_by_bucket_and_hash,
@@ -342,8 +350,6 @@ def test_semisort_restart_on_timeout():
     # A round cap of 1 forces placement timeouts; the restart budget must trip.
     data = _random_records(20_000, 20_000, seed=7)
     params = SemisortParams.for_n(20_000, d=1, round_cap=1)
-    from semipar.semisort import RestartExceeded
-
     with pytest.raises(RestartExceeded):
         semisort(data, params, seed=3)
 
@@ -488,3 +494,131 @@ def test_semisort_outputs_pinned(case, n, out_digest, total_ops, rounds, work_di
     assert _records_digest(out) == out_digest
     assert (meter.total_ops, meter.rounds) == (total_ops, rounds)
     assert _sha(json.dumps(meter.phase_breakdown, sort_keys=True).encode()) == work_digest
+
+
+# ---------------------------------------------------------------------------
+# Heavy and light sides side by side
+
+
+def _both_paths(monkeypatch, run):
+    """``run(meter)`` inline (one CPU), then side by side (two CPUs), each on
+    a fresh meter.  Per path: what ``run`` returned, or the type of what it
+    raised; the meter; and how many tasks went to the helper thread."""
+    real_submit = ThreadPoolExecutor.submit
+    paths = []
+    for cpus in (1, 2):
+        submits = []
+
+        def counting_submit(self, *args, **kwargs):
+            submits.append(1)
+            return real_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(semisort_mod, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        meter = WorkMeter()
+        try:
+            result = run(meter)
+        except Exception as exc:
+            result = type(exc)
+        paths.append((result, meter, len(submits)))
+    return paths
+
+
+def _digests(data, seed, meter):
+    out, trace = semisort(data, None, seed, meter)
+    return _records_digest(out), _trace_digest(trace), trace.light_count, trace.restarts
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 14, 1 << 16])
+def test_semisort_side_by_side_matches_inline(n, monkeypatch):
+    # Zipf keys place both sides, so the second path uses the helper thread;
+    # output bytes, trace and the meter (label order included) must not tell.
+    data = gen_keys("zipf", n, 31, 1.2)
+    (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
+    assert (s1, s2) == (0, 1)
+    assert inline == forked
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds
+
+
+@pytest.mark.parametrize("every_run", [False, True], ids=["first-run", "every-run"])
+@pytest.mark.parametrize("side,stream", [("heavy", 2), ("light", 4)])
+def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypatch):
+    # One side's placement times out after charging its rounds: on the first
+    # run only, so semisort restarts once, or on every run, so it raises
+    # RestartExceeded.  A sequential run never starts the light side after a
+    # heavy timeout, so its work must not reach the meter either.
+    n, seed = 1 << 14, 32
+    runs = SemisortParams.for_n(n).max_restarts + 1 if every_run else 1
+    timed_out = {derive(derive(seed, r), stream) for r in range(runs)}
+    real_place = semisort_mod.place
+
+    def timing_out(inst, round_cap, s, *args, **kwargs):
+        res = real_place(inst, round_cap, s, *args, **kwargs)
+        if s in timed_out:
+            raise PlacementTimeout(res.rounds_used, 0, len(inst.targets))
+        return res
+
+    monkeypatch.setattr(semisort_mod, "place", timing_out)
+    data = gen_keys("zipf", n, 31, 1.2)
+    (inline, m1, _), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, seed, m))
+    assert s2 == runs + (0 if every_run else 1)
+    assert inline == forked
+    assert inline is RestartExceeded if every_run else inline[3] == 1
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds
+
+
+def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
+    # Uniform keys have no heavy side, and the integer sorts inside
+    # reorganize have no light side: each must run with the helper thread
+    # unavailable, and each must still place its one side.
+    def no_helper(self, *args, **kwargs):
+        raise AssertionError("helper thread used")
+
+    real_place, placed = semisort_mod.place, []
+
+    def counting_place(*args, **kwargs):
+        placed.append(1)
+        return real_place(*args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", no_helper)
+    monkeypatch.setattr(semisort_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(semisort_mod, "place", counting_place)
+    n = 1 << 14
+    data = gen_keys("uniform", n, 5)
+    assert verify_semisort(data.keys, semisort(data, seed=1)[0])
+    keys = generator(5, 5).integers(0, 5, size=n, dtype=np.uint64)
+    assert verify_semisort(keys, integer_sort(Records.from_keys(keys), seed=2), sort=True)
+    g = generate("gnm", n, 1 << 16, 3)
+    assert verify_mis(g, boosted_mis(g, 4, 4))
+    assert len(placed) >= 3
+    # Both sides placed: the helper thread is asked for.
+    with pytest.raises(AssertionError, match="helper thread used"):
+        semisort(gen_keys("zipf", n, 31, 1.2), seed=32)
+
+
+def test_import_starts_no_thread():
+    code = "import threading, semipar; print(threading.active_count())"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
+
+
+def _semisort_zipf_in_child():
+    data = gen_keys("zipf", 1 << 14, 31, 1.2)
+    sys.exit(0 if verify_semisort(data.keys, semisort(data, seed=32)[0]) else 1)
+
+
+def test_forked_child_starts_its_own_helper(monkeypatch):
+    # A forked child inherits the parent's executor but not its thread; a
+    # task submitted to that executor would never run.
+    monkeypatch.setattr(semisort_mod, "_cpus", lambda: 2)
+    semisort(gen_keys("zipf", 1 << 14, 31, 1.2), seed=32)
+    child = multiprocessing.get_context("fork").Process(target=_semisort_zipf_in_child)
+    child.start()
+    child.join(30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
