@@ -67,6 +67,7 @@ from .records import Records, group_counts, is_semisorted, same_multiset
 from .semisort import (
     BucketTooLarge,
     KeyOutOfRange,
+    LightArenaExceeded,
     RehashExceeded,
     RestartExceeded,
     SemisortParams,

@@ -4,11 +4,12 @@ Graphs are undirected simple graphs in compressed adjacency form (both
 directions stored).  The culled balanced partition removes high-degree
 vertices in barrier-separated phases until the max degree drops below
 e(H)/(k^4 * ceil(log2 n)), then assigns survivors independently and
-uniformly to k pieces.  Reorganization groups vertices by piece, moves each
-adjacency row to its new position once and splits it into internal and cut
-neighbors: the internal edges form a graph on the new vertex positions,
-block-diagonal by piece, and the cut entries keep original ids, so each
-piece is a slice of both.  A vertex pair packs as the uint64 src * 2^32 + dst.
+uniformly to k pieces.  Reorganization groups vertices by piece, splits each
+adjacency row into internal and cut neighbors and moves both parts to the
+row's new position once: the internal edges form a graph on the new vertex
+positions, block-diagonal by piece, and the cut entries keep original ids,
+so each piece is a slice of both.  A vertex pair packs as the uint64
+src * 2^32 + dst.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .meter import WorkMeter, ceil_log2
 from .prng import generator
 from .records import Records
-from .semisort import integer_sort, segment_index, sorted_distinct
+from .semisort import SemisortParams, _fork_join, integer_sort, segment_index, sorted_distinct
 
 ID_LIMIT = 1 << 32  # vertex ids must fit in 32 bits to pack a pair in a uint64
 
@@ -304,6 +305,10 @@ def cull_partition(
 ) -> CulledPartition:
     """Iterative culling then uniform random assignment of survivors to [k].
 
+    Each phase's degrees come from the last phase's: a survivor loses one
+    degree per entry of it in the rows culled this phase, and every culled
+    vertex is zeroed, so a phase reads only the culled rows, not all of the
+    adjacency (``alive_degrees`` computes the same degrees from scratch).
     Checks at runtime, per phase: either the degree condition holds at phase
     exit or the edge count halved; phase count stays within ceil(log2 m)+1;
     the culled set stays within phases * 4k^4 * ceil(log2 n).
@@ -323,11 +328,14 @@ def cull_partition(
         if meets_cull_rule(deg, k, n0):
             break
         edges = int(deg.sum()) // 2
-        alive[phase_cull(deg, k, n0)] = False
+        culled = phase_cull(deg, k, n0)
+        alive[culled] = False
         phases += 1
         # Phase-progress check: degree condition met or edges halved.  The
         # next phase starts from these degrees.
-        deg = alive_degrees(g, alive)
+        rows = segment_index(g.offsets[culled], g.degrees()[culled])
+        deg -= np.bincount(g.neighbors[rows], minlength=g.n)
+        deg[~alive] = 0
         new_edges = int(deg.sum()) // 2
         if not (meets_cull_rule(deg, k, n0) or new_edges <= edges / 2):
             raise InvariantViolation(
@@ -436,12 +444,18 @@ def reorganize(
     """Group vertices by piece id and split adjacency lists at the cut.
 
     The vertex permutation comes from the linear-work integer sort (culled
-    vertices keyed as piece k).  One segmented gather moves every adjacency
-    row to its vertex's new position; one mask on the moved entries marks
-    the internal ones, and counting the internal entries before each row
-    start gives both offset arrays.  The internal entries (as new positions)
-    and the cut entries (original ids) are each compacted in entry order.
-    Nothing sorts the adjacency entries.
+    vertices keyed as piece k).  Whether an entry is internal or cut depends
+    only on the partition, so two branches run side by side (semisort's
+    ``_fork_join``): the helper thread compacts the internal and the cut
+    neighbours, each in original entry order, and counts each vertex's
+    internal entries, while the caller integer-sorts the vertices.  After
+    the join, segmented gathers move both streams into the new row order,
+    the internal one mapped to new positions, again as two branches: the
+    helper takes the first rows of the cut stream, the caller the internal
+    stream and the other cut rows.  Below ``small_n_cutoff`` adjacency
+    entries, or on one CPU, the branches run in turn on the caller.  Only
+    the caller's branches charge, so the meter sees the same charges in the
+    same order either way.  Nothing sorts the adjacency entries.
     """
     if meter is None:
         meter = WorkMeter()
@@ -460,10 +474,28 @@ def reorganize(
         piece_ids = sorted_distinct(piece_of)
         keys = np.searchsorted(piece_ids, piece_of)
         meter.charge("reorganize.rank", g.n * ceil_log2(g.n), ceil_log2(g.n))
-    recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
-    perm = integer_sort(recs, None, seed, meter).payloads.astype(np.int64)
-    inv = np.empty(g.n, dtype=np.int64)
-    inv[perm] = np.arange(g.n)
+
+    def sort_vertices(m: WorkMeter) -> tuple[np.ndarray, np.ndarray]:
+        recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
+        perm = integer_sort(recs, None, seed, m).payloads.astype(np.int64)
+        inv = np.empty(g.n, dtype=np.int64)
+        inv[perm] = np.arange(g.n)
+        return perm, inv
+
+    # The helper thread writes what it keeps into arrays allocated here: an
+    # array it allocated itself would come from its own malloc arena, which
+    # hands the pages back to the system once the caller frees the array, so
+    # every call would fault them in afresh.
+    fork = len(g.neighbors) >= SemisortParams.small_n_cutoff
+    streams = np.empty(len(g.neighbors), dtype=np.int64)
+    internal_start = np.empty(g.n + 1, dtype=np.int64)
+    internal_count, (perm, inv) = _fork_join(
+        meter,
+        lambda m: _split_at_cut(g, keys, len(piece_ids), streams, internal_start),
+        sort_vertices,
+        fork,
+    )
+    internal_nbrs, cut_nbrs = streams[:internal_count], streams[internal_count:]
 
     # Both branches bound the key range by n, so this count never grows with k.
     sizes = np.bincount(keys, minlength=len(piece_ids))
@@ -471,14 +503,61 @@ def reorganize(
     piece_ids = piece_ids[present]
     piece_boundaries = np.concatenate(([0], np.cumsum(sizes[present])))
 
-    deg = g.degrees()[perm]
-    row_offsets = np.concatenate(([0], np.cumsum(deg)))
-    moved = g.neighbors[segment_index(g.offsets[perm], deg)]
-    internal = piece_of[moved] == np.repeat(piece_of[perm], deg)
-    internal_at = np.flatnonzero(internal)
-    offsets = np.searchsorted(internal_at, row_offsets)
-    cut_offsets = row_offsets - offsets
-    nbrs, cut = inv[moved[internal_at]], moved[~internal]
+    # Row i of the new order is vertex v = perm[i]: its internal entries
+    # start at internal_start[v] in their stream, its cut entries at
+    # g.offsets[v] - internal_start[v] in theirs.
+    internal_deg = np.diff(internal_start)[perm]
+    cut_deg = g.degrees()[perm] - internal_deg
+    offsets = np.concatenate(([0], np.cumsum(internal_deg)))
+    cut_offsets = np.concatenate(([0], np.cumsum(cut_deg)))
+    cut_start = (g.offsets[:-1] - internal_start[:-1])[perm]
+    nbrs = np.empty(offsets[-1], dtype=np.int64)
+    cut = np.empty(cut_offsets[-1], dtype=np.int64)
+
+    def gather_cut(lo: int, hi: int) -> None:
+        idx = segment_index(cut_start[lo:hi], cut_deg[lo:hi])
+        np.take(cut_nbrs, idx, out=cut[cut_offsets[lo] : cut_offsets[hi]], mode="clip")
+
+    def gather_internal_and_cut_tail(split: int) -> None:
+        idx = segment_index(internal_start[:-1][perm], internal_deg)
+        np.take(inv, internal_nbrs[idx], out=nbrs, mode="clip")
+        gather_cut(split, g.n)
+
+    # An internal entry costs two gathers, a cut entry one: the helper takes
+    # the first rows of the cut stream, up to half of that total.
+    split = min(int(np.searchsorted(cut_offsets, (len(cut) + 2 * len(nbrs)) // 2)), g.n)
+    _fork_join(
+        meter,
+        lambda m: gather_cut(0, split),
+        lambda m: gather_internal_and_cut_tail(split),
+        fork,
+    )
     meter.charge("reorganize.adjacency", 4 * g.m, ceil_log2(2 * g.m))
     internal_graph = Graph(g.n, offsets, nbrs)
     return ReorganizedGraph(perm, inv, internal_graph, cut_offsets, cut, piece_ids, piece_boundaries)
+
+
+def _split_at_cut(
+    g: Graph, keys: np.ndarray, key_count: int, streams: np.ndarray, internal_start: np.ndarray
+) -> int:
+    """Split every adjacency row at the cut of the piece keys ``keys``.
+
+    Writes the internal neighbours, then the cut neighbours (original ids),
+    each in original entry order, into ``streams`` (one slot per entry), and
+    for each vertex v where its internal entries start in the internal
+    stream into ``internal_start`` (n + 1 entries, the last the stream
+    length); returns the internal stream's length.  Keys are compared in
+    their narrowest dtype.
+    """
+    piece = keys.astype(np.min_scalar_type(max(key_count - 1, 0)))
+    internal = piece[g.neighbors] == np.repeat(piece, g.degrees())
+    at = np.flatnonzero(internal)
+    internal_start[:] = np.searchsorted(at, g.offsets)
+    count = len(at)
+    # "clip" writes straight into ``out`` (mode "raise" buffers it); every
+    # index is in range.
+    np.take(g.neighbors, at, out=streams[:count], mode="clip")
+    del at
+    np.logical_not(internal, out=internal)
+    np.take(g.neighbors, np.flatnonzero(internal), out=streams[count:], mode="clip")
+    return count

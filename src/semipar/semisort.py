@@ -11,7 +11,8 @@ triggers a full restart with a fresh derived seed.  Inputs below
 comparison-sorted by key instead.  When both sides are placed, the heavy
 side runs on one helper thread beside the light side (``_fork_join``), with
 the same output, work and rounds.  Integer sorting for keys in [n] follows
-as one stable sort of the semisorted keys, charged as a counting pass.
+as one stable sort of the semisorted keys, charged as a counting pass and
+skipped when they already ascend.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ class RehashExceeded(RuntimeError):
 
 class BucketTooLarge(ValueError):
     """A light bucket of m_b records has m_b^K >= 2^63, beyond the hash range."""
+
+
+class LightArenaExceeded(ValueError):
+    """The light side's B buckets would get more arena slots than its budget."""
+
+
+# Slots the B light buckets may claim at least, in all (``_light_side``).
+LIGHT_ARENA_BASE = 1 << 24
+LIGHT_ARENA_PER_RECORD = 64
 
 
 @dataclass
@@ -203,6 +213,12 @@ def f_alloc(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np
         raise ValueError("sample count must be non-negative")
     cl = params.c_alloc * math.log2(max(n, 2))
     return (s + cl + np.sqrt(cl * cl + 2.0 * s * cl)) / params.p_s
+
+
+def light_arena_floor(params: SemisortParams, n: int) -> float:
+    """Arena slots the B light buckets get at least: B * ceil(alpha *
+    f_alloc(0)).  A float, so a floor beyond int64 (or inf) still compares."""
+    return params.B * float(np.ceil(params.alpha * f_alloc(0, params, n)))
 
 
 def local_semisort(
@@ -460,13 +476,26 @@ def _light_side(
     """Steps 5 and 6: one target per hashed bucket, then a local semisort of
     every bucket.  Writes the light records of ``a`` (positions ``light``)
     into ``out``, each key's records contiguous; returns the arena size, the
-    largest bucket and the attempts per bucket (0 and none when sorted)."""
+    largest bucket and the attempts per bucket (0 and none when sorted).
+
+    Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
+    before it allocates anything per bucket it raises LightArenaExceeded
+    when those floors sum past LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
+    slots; the defaults (B = ceil(n / lg^2 n)) sum to about 12n.
+    """
     n = len(a)
     arena_size, max_bucket_size, attempts = 0, 0, np.empty(0, np.int64)
     if len(light) < cutoff:
         light = _sort_segment(light, a.keys, meter, "light_sort")
     else:
         B = params.B
+        floor = light_arena_floor(params, n)
+        budget = LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
+        if not floor <= budget:
+            raise LightArenaExceeded(
+                f"B={B} light buckets need at least {floor:.3g} arena slots, "
+                f"over the budget of {budget} for n={n}; lower B"
+            )
         th = tab_new(derive(run_seed, 3), ceil_log2(B))
         buckets = tab_bucket(th, a.keys[light], B)
         meter.charge("light_hash", len(light), 1)
@@ -496,8 +525,9 @@ def _take_into(a: Records, idx: np.ndarray, out: Records) -> None:
 
 
 # The one helper thread on which semisort runs its heavy side beside the
-# light side: (owning pid, executor), started on first use, so importing
-# the module starts no thread.  Its tasks never submit work of their own.
+# light side, and reorganize one branch beside another: (owning pid,
+# executor), started on first use, so importing the module starts no
+# thread.  Its tasks never submit work of their own.
 _helper: tuple[int, ThreadPoolExecutor] | None = None
 
 
@@ -522,14 +552,17 @@ def _fork_join(
     sequential run would: it merges ``first``'s meter, raises ``first``'s
     exception if there is one (dropping ``second``'s meter, which that run
     would never have charged), and otherwise merges ``second``'s meter and
-    raises its exception if there is one.
+    raises its exception if there is one.  ``first`` must not fork, but
+    ``second`` may: its own ``first`` then waits on the helper thread until
+    this one's ``first`` is done (``reorganize`` integer-sorts in its
+    ``second``, and the sort's semisort may fork).
     """
     if not fork or _cpus() < 2:
         return first(meter), second(meter)
     global _helper
     if _helper is None or _helper[0] != os.getpid():
         # A forked child inherits the executor but not its thread.
-        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="semisort-heavy"))
+        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="semipar-helper"))
     m1, m2 = WorkMeter(), WorkMeter()
     future = _helper[1].submit(first, m1)
     try:
@@ -555,7 +588,9 @@ def integer_sort(
     """Unstable sort of records with keys in [n] via semisort + one pass.
 
     The pass is charged as a counting pass over the semisorted records; it
-    runs as a stable sort of their keys, so each key's run keeps its order.
+    runs as a stable sort of their keys, so each key's run keeps its order,
+    and is skipped when the semisorted keys already ascend (as they do
+    whenever every key is heavy, since heavy keys are placed in key order).
     """
     n = len(a)
     if meter is None:
@@ -566,6 +601,8 @@ def integer_sort(
         raise KeyOutOfRange(f"keys must lie in [0, {n})")
     semi, _ = semisort(a, params, seed, meter)
     meter.charge("integer_sort_pass", 4 * n, ceil_log2(n))
+    if (semi.keys[1:] >= semi.keys[:-1]).all():
+        return semi
     return semi.take(stable_argsort(semi.keys))
 
 

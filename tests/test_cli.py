@@ -367,6 +367,14 @@ def test_bucket_too_large_exits_config(K, capsys):
     assert err.startswith("config error: bucket of ") and err.count("\n") == 1, err
 
 
+def test_light_arena_budget_exits_config(capsys):
+    # B passes SemisortParams (<= 2^32) but its buckets' arena would not fit
+    # a budget linear in n, which only the run's n can tell.
+    assert run_cli(["semisort", "--n", "4096", "--param", "B=4294967296"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: B=4294967296 ") and err.count("\n") == 1, err
+
+
 def test_dense_graph_request_exits_config(capsys):
     # Valid m, but too dense for rejection sampling to finish.
     assert run_cli(["mis", "--n", "300", "--m", "44850", "--graph", "power_law"]) == EXIT_CONFIG

@@ -254,6 +254,30 @@ def test_cull_partition_edgeless():
     assert part.phases == 0 and len(part.culled) == 0
 
 
+def test_cull_degrees_equal_alive_degrees_after_every_phase(monkeypatch):
+    # Culling updates each phase's degrees from the rows it culled; every
+    # degree vector the rules see must equal the one recomputed from scratch.
+    g = generate("power_law", 4096, 1 << 15, seed=3)
+    real_phase_cull, real_rule = graph_mod.phase_cull, graph_mod.meets_cull_rule
+    alive, checked = np.ones(g.n, dtype=bool), []
+
+    def recording_cull(deg, k, n0):
+        culled = real_phase_cull(deg, k, n0)
+        alive[culled] = False
+        return culled
+
+    def checking_rule(deg, k, n0):
+        checked.append(np.array_equal(deg, alive_degrees(g, alive)))
+        return real_rule(deg, k, n0)
+
+    monkeypatch.setattr(graph_mod, "phase_cull", recording_cull)
+    monkeypatch.setattr(graph_mod, "meets_cull_rule", checking_rule)
+    part = cull_partition(g, 3, seed=1)
+    assert part.phases >= 2
+    assert len(checked) == 2 * part.phases + 1 and all(checked)
+    assert np.array_equal(np.flatnonzero(~alive), part.culled)
+
+
 def test_piece_edge_counts():
     g = from_edges(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
     part = CulledPartition(

@@ -8,7 +8,9 @@ import multiprocessing
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,21 +18,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semipar.cli import gen_keys
-from semipar.graph import generate
+from semipar.graph import Graph, cull_partition, generate, reorganize
 from semipar.graph_algos import boosted_mis, verify_mis
 from semipar.meter import WorkMeter, ceil_log2
 from semipar.placement import PlacementTimeout
 from semipar.prng import derive, generator
 from semipar.records import Records, is_semisorted
 from semipar.semisort import (
+    LIGHT_ARENA_BASE,
+    LIGHT_ARENA_PER_RECORD,
     MAX_REHASH_ATTEMPTS,
     KeyOutOfRange,
+    LightArenaExceeded,
     RehashExceeded,
     RestartExceeded,
     SemisortParams,
     f_alloc,
     _sort_by_bucket_and_hash,
     integer_sort,
+    light_arena_floor,
     local_semisort,
     rehash_buckets,
     run_heads,
@@ -108,6 +114,34 @@ def test_f_alloc_monotone_and_oversized():
     assert all(f_alloc(s, p, 1 << 14) > s / p.p_s for s in range(200))
     with pytest.raises(ValueError):
         f_alloc(-1, p, 1 << 14)
+
+
+def test_light_arena_budget_raises_before_allocating():
+    # 2^32 light buckets at n = 4,096 would each get about 1,700 slots,
+    # terabytes in all: the run must refuse them by name, fast and small.
+    data = _random_records(4096, 4096, 3)
+    params = SemisortParams.for_n(4096, B=1 << 32)
+    assert light_arena_floor(params, 4096) > LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * 4096
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(LightArenaExceeded, match="B=4294967296"):
+            semisort(data, params, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 4 << 20
+
+
+def test_default_params_stay_within_light_arena_budget():
+    # Defaults give about 12n slots; the budget is LIGHT_ARENA_BASE + 64n.
+    ns = {e + d for e in (1 << b for b in range(10, 21)) for d in (-1, 0, 1)}
+    ns |= set(range(1 << 10, (1 << 20) + 1, 4999))
+    for n in sorted(ns):
+        floor = light_arena_floor(SemisortParams.for_n(n), n)
+        assert floor <= LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n, n
+        assert floor <= 13 * n, n
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +418,30 @@ def test_integer_sort_empty():
     assert len(integer_sort(Records.empty())) == 0
 
 
+def test_integer_sort_skips_pass_on_ascending_keys(monkeypatch):
+    # Five keys at n = 2^14 are all heavy, and heavy keys are placed in key
+    # order, so the semisorted keys already ascend: no stable sort runs, and
+    # the pass is charged all the same.
+    n = 1 << 14
+    data = Records.from_keys(generator(5, 5).integers(0, 5, size=n, dtype=np.uint64))
+    real_argsort, sorts = semisort_mod.stable_argsort, []
+
+    def counting_argsort(v):
+        sorts.append(len(v))
+        return real_argsort(v)
+
+    monkeypatch.setattr(semisort_mod, "stable_argsort", counting_argsort)
+    meter = WorkMeter()
+    out = integer_sort(data, seed=2, meter=meter)
+    assert verify_semisort(data.keys, out, sort=True)
+    assert n not in sorts
+    assert meter.phase_breakdown["integer_sort_pass"] == 4 * n
+    # Light keys come out of semisort unordered, so the pass sorts them.
+    light = Records.from_keys(generator(6, 6).integers(0, n, size=n, dtype=np.uint64))
+    assert verify_semisort(light.keys, integer_sort(light, seed=2), sort=True)
+    assert n in sorts
+
+
 def test_integer_sort_charges_linear():
     work_per_n = []
     for n in (1 << 14, 1 << 16):
@@ -570,8 +628,8 @@ def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypat
 
 
 def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
-    # Uniform keys have no heavy side, and the integer sorts inside
-    # reorganize have no light side: each must run with the helper thread
+    # Uniform keys have no heavy side, and an integer sort of a few distinct
+    # keys has no light side: each must run with the helper thread
     # unavailable, and each must still place its one side.
     def no_helper(self, *args, **kwargs):
         raise AssertionError("helper thread used")
@@ -590,12 +648,65 @@ def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
     assert verify_semisort(data.keys, semisort(data, seed=1)[0])
     keys = generator(5, 5).integers(0, 5, size=n, dtype=np.uint64)
     assert verify_semisort(keys, integer_sort(Records.from_keys(keys), seed=2), sort=True)
-    g = generate("gnm", n, 1 << 16, 3)
-    assert verify_mis(g, boosted_mis(g, 4, 4))
-    assert len(placed) >= 3
+    assert len(placed) >= 2
     # Both sides placed: the helper thread is asked for.
     with pytest.raises(AssertionError, match="helper thread used"):
         semisort(gen_keys("zipf", n, 31, 1.2), seed=32)
+
+
+def _reorganized_bytes(ro):
+    """Every field of a ReorganizedGraph, the internal graph's arrays
+    included, as (dtype, bytes)."""
+    arrays = []
+    for f in fields(ro):
+        value = getattr(ro, f.name)
+        arrays += [value.offsets, value.neighbors] if isinstance(value, Graph) else [value]
+    return ro.internal.n, [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize(
+    "kind,n,m",
+    [
+        ("gnm", 4096, 1 << 14),
+        ("power_law", 4096, 1 << 14),
+        ("star", 4096, 0),
+        ("path", 4096, 0),
+        ("gnm", 4096, 600),  # mostly isolated vertices
+        ("gnm", 4096, 0),  # edgeless, below the cutoff
+        ("path", 300, 0),  # below the cutoff
+    ],
+)
+@pytest.mark.parametrize("k", [1, 4, None], ids=["k=1", "k=4", "k>=n"])
+def test_reorganize_side_by_side_matches_inline(kind, n, m, k, monkeypatch):
+    # Above the cutoff, two CPUs classify the adjacency on the helper thread
+    # while the caller integer-sorts the vertices; no field, label, work
+    # count or round may tell which way it ran.
+    g = generate(kind, n, m, 7)
+    k = n + 3 if k is None else k
+
+    def run(meter):
+        return _reorganized_bytes(reorganize(g, cull_partition(g, k, 5, meter), 6, meter))
+
+    (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
+    assert s1 == 0
+    assert s2 >= 1 if 2 * g.m >= SemisortParams.small_n_cutoff else s2 == 0
+    assert inline == forked
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds
+
+
+def test_boosted_mis_side_by_side_matches_inline(monkeypatch):
+    # The boosted MIS forks only inside reorganize (its integer sort has no
+    # light side), and its answer must not tell either.
+    g = generate("gnm", 1 << 14, 1 << 16, 3)
+    (inline, m1, s1), (forked, m2, s2) = _both_paths(
+        monkeypatch, lambda m: boosted_mis(g, 4, 4, m).tobytes()
+    )
+    assert s1 == 0 and s2 >= 1
+    assert inline == forked
+    assert verify_mis(g, np.frombuffer(inline, dtype=bool))
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds
 
 
 def test_import_starts_no_thread():
