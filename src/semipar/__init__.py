@@ -65,6 +65,7 @@ from .placement import (
 )
 from .records import Records, group_counts, is_semisorted, same_multiset
 from .semisort import (
+    ArenaExceeded,
     BucketTooLarge,
     KeyOutOfRange,
     LightArenaExceeded,

@@ -92,9 +92,9 @@ class Graph:
         rows = self.edge_rows()
         sel = keep[rows] & keep[self.neighbors]
         # Kept rows stay non-decreasing, so the entries are already in CSR order.
-        deg = np.bincount(remap[rows[sel]], minlength=len(old_ids))
+        deg = np.bincount(remap[np.compress(sel, rows)], minlength=len(old_ids))
         offsets = np.concatenate(([0], np.cumsum(deg)))
-        sub = Graph(len(old_ids), offsets, remap[self.neighbors[sel]])
+        sub = Graph(len(old_ids), offsets, remap[np.compress(sel, self.neighbors)])
         return sub, old_ids
 
 
@@ -133,7 +133,7 @@ def edge_list(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Each undirected edge once, as (u, v) with u < v."""
     rows = g.edge_rows()
     mask = rows < g.neighbors
-    return rows[mask], g.neighbors[mask]
+    return np.compress(mask, rows), np.compress(mask, g.neighbors)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def luby_mis(g: Graph, seed: int, meter: WorkMeter | None = None) -> np.ndarray:
         dead[nbrs[winners[rows]]] = True
         live &= ~dead
         keep = live[rows] & live[nbrs]
-        rows, nbrs = rows[keep], nbrs[keep]
+        rows, nbrs = np.compress(keep, rows), np.compress(keep, nbrs)
     return in_set
 
 
@@ -261,7 +261,7 @@ def palette_color(
         colors[done] = proposal[done]
         live_mask = conflicted
         still = live_mask[rows]
-        rows, nbrs = rows[still], nbrs[still]
+        rows, nbrs = np.compress(still, rows), np.compress(still, nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,8 @@ def boosted_coloring(
         cut_colors = colors[cut_nbrs]
         colored_sel = cut_colors != UNCOLORED
         palettes = extend_palettes(
-            local.n, cut_rows[colored_sel], cut_colors[colored_sel], num_colors, meter
+            local.n, np.compress(colored_sel, cut_rows), np.compress(colored_sel, cut_colors),
+            num_colors, meter,
         )
         colors[verts] = palette_color(local, palettes, piece_seed, meter)
         return int(colored_sel.sum())

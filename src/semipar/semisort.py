@@ -8,10 +8,14 @@ segmented pass, rehashing a bucket with a fresh multiply-shift function
 until the sort of its hash values is collision-free.  A placement timeout
 triggers a full restart with a fresh derived seed.  Inputs below
 ``small_n_cutoff`` records, and heavy or light sides below n / lg n, are
-comparison-sorted by key instead.  When both sides are placed, the heavy
-side runs on one helper thread beside the light side (``_fork_join``), with
-the same output, work and rounds.  Integer sorting for keys in [n] follows
-as one stable sort of the semisorted keys, charged as a counting pass and
+comparison-sorted by key instead.  On two CPUs three steps run on one
+helper thread beside the caller (``_fork_join``), with the same output,
+work and rounds: from ``CLASSIFY_FORK_MIN`` records the heavy/light
+classification runs over two halves of the keys; when both sides are
+placed, the heavy side runs beside the light side, which packs its own
+records into the output; and after them the heavy records' keys are
+packed beside their payloads.  Integer sorting for keys in [n] follows as
+one stable sort of the semisorted keys, charged as a counting pass and
 skipped when they already ascend.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
@@ -59,13 +64,27 @@ class BucketTooLarge(ValueError):
     """A light bucket of m_b records has m_b^K >= 2^63, beyond the hash range."""
 
 
-class LightArenaExceeded(ValueError):
-    """The light side's B buckets would get more arena slots than its budget."""
+class ArenaExceeded(ValueError):
+    """A placement arena would hold more slots than the arena budget."""
 
 
-# Slots the B light buckets may claim at least, in all (``_light_side``).
+class LightArenaExceeded(ArenaExceeded):
+    """The light side's B buckets would get more arena slots than the arena
+    budget even if each got only its floor."""
+
+
+# The arena budget for n records: the slots one placement arena may hold
+# (``_place_and_pack``), and the B light buckets' floors in all
+# (``_light_side``).  The defaults use about 16n slots.
 LIGHT_ARENA_BASE = 1 << 24
 LIGHT_ARENA_PER_RECORD = 64
+
+# Step 3 splits the keys into two halves, one on the helper thread, from
+# this many records: the split then saves milliseconds, against a hand-off
+# of about 50 us (an empty fork on a 2-CPU VM).  Each half goes in chunks
+# of CLASSIFY_CHUNK keys, so its temporaries stay small.
+CLASSIFY_FORK_MIN = 1 << 17
+CLASSIFY_CHUNK = 1 << 16
 
 
 @dataclass
@@ -212,13 +231,23 @@ def f_alloc(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np
     if np.any(s < 0):
         raise ValueError("sample count must be non-negative")
     cl = params.c_alloc * math.log2(max(n, 2))
+    if math.isinf(cl):  # past the float range, where 0 * cl would give NaN
+        return s + math.inf
     return (s + cl + np.sqrt(cl * cl + 2.0 * s * cl)) / params.p_s
+
+
+def _slots(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np.ndarray:
+    """Arena slots of a target with sample count s: ceil(alpha * f_alloc(s)),
+    as floats.  A count past the float range is inf, without a warning: the
+    callers compare it against a budget or reject it by name."""
+    with np.errstate(over="ignore"):
+        return np.ceil(params.alpha * f_alloc(s, params, n))
 
 
 def light_arena_floor(params: SemisortParams, n: int) -> float:
     """Arena slots the B light buckets get at least: B * ceil(alpha *
     f_alloc(0)).  A float, so a floor beyond int64 (or inf) still compares."""
-    return params.B * float(np.ceil(params.alpha * f_alloc(0, params, n)))
+    return params.B * float(_slots(0, params, n))
 
 
 def local_semisort(
@@ -365,23 +394,54 @@ def _sort_segment(pos: np.ndarray, keys: np.ndarray, meter: WorkMeter, label: st
 
 
 def _place_and_pack(
-    targets: np.ndarray, sigma: np.ndarray, params: SemisortParams, n: int,
-    seed: int, meter: WorkMeter, label: str,
+    targets: np.ndarray, counts: np.ndarray, sigma: np.ndarray, params: SemisortParams,
+    n: int, seed: int, meter: WorkMeter, label: str,
 ) -> tuple[np.ndarray, int]:
     """Place records at random into targets sized from their sample counts.
 
-    Target t gets ceil(alpha * f_alloc(sigma[t])) slots, which
-    ``PlacementInstance`` rejects when one overflows int64.  Returns the
-    record indices (into ``targets``) in arena order, so each target's
-    records are contiguous and the targets appear in id order, and the arena
-    size.  The order is ``PlacementResult.order``, which ``place`` builds by
-    sorting its claims by slot; packing charges one op per arena slot.
+    Target t, which ``counts[t]`` records name, gets ceil(alpha *
+    f_alloc(sigma[t])) slots, which ``PlacementInstance`` rejects when one
+    overflows int64; an arena over the budget raises ArenaExceeded before
+    ``place`` allocates it.  Returns the record indices (into ``targets``)
+    in arena order, so each target's records are contiguous and the targets
+    appear in id order, and the arena size.  The order is
+    ``PlacementResult.order``, which ``place`` builds by sorting its claims
+    by slot; packing charges one op per arena slot.  A target with fewer
+    slots than records never fills, so its placement could only time out at
+    ``round_cap``, however large: it raises PlacementTimeout before the
+    first round instead.
     """
-    caps = np.ceil(params.alpha * f_alloc(sigma, params, n))
-    inst = PlacementInstance(targets=targets, capacities=caps, alpha=params.alpha, d=params.d)
+    inst = PlacementInstance(
+        targets=targets, capacities=_slots(sigma, params, n), alpha=params.alpha, d=params.d
+    )
+    budget = LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
+    if inst.arena_size > budget:
+        raise ArenaExceeded(
+            f"{label} arena of {inst.arena_size} slots is over the budget of {budget} "
+            f"for n={n}; lower alpha or c_alloc, or raise p_s"
+        )
+    if (counts > inst.capacities).any():
+        raise PlacementTimeout(0, 0, len(targets))
     order = place(inst, params.round_cap, seed, meter, validate=False).order
     meter.charge(label, inst.arena_size, ceil_log2(inst.arena_size))
     return order, inst.arena_size
+
+
+def _classify(
+    keys: np.ndarray, heavy_keys: np.ndarray, target: np.ndarray, is_heavy: np.ndarray,
+    lo: int, hi: int,
+) -> None:
+    """Step 3 on keys[lo:hi], CLASSIFY_CHUNK keys at a time: writes each
+    key's rank among the sorted ``heavy_keys``, clipped to the last one, into
+    ``target`` and whether it is a heavy key into ``is_heavy``.  The clipped
+    rank is the key's insertion point in heavy_keys[:-1]; only a heavy key's
+    rank is ever read, and it needs no clip."""
+    below_last = heavy_keys[:-1]
+    for c0 in range(lo, hi, CLASSIFY_CHUNK):
+        c1 = min(c0 + CLASSIFY_CHUNK, hi)
+        rank = target[c0:c1]
+        rank[:] = np.searchsorted(below_last, keys[c0:c1])
+        np.equal(heavy_keys.take(rank), keys[c0:c1], out=is_heavy[c0:c1])
 
 
 def _semisort_once(
@@ -411,72 +471,85 @@ def _semisort_once(
     sampled_keys = sample_keys[starts]
     sigma = np.diff(starts, append=len(sample_keys))
 
-    # Step 3: heavy/light partition; target[i] is record i's heavy-key rank.
+    # Step 3: heavy/light partition over two halves of the keys; target[i]
+    # is record i's heavy-key rank.
     heavy_keys = sampled_keys[sigma >= params.tau]
     sigma_heavy = sigma[sigma >= params.tau]
     if len(heavy_keys):
-        target = np.searchsorted(heavy_keys, a.keys)
-        is_heavy = heavy_keys[np.minimum(target, len(heavy_keys) - 1)] == a.keys
+        target, is_heavy = np.empty(n, np.int64), np.empty(n, bool)
+        half = n // 2
+        _fork_join(
+            meter,
+            lambda m: _classify(a.keys, heavy_keys, target, is_heavy, 0, half),
+            lambda m: _classify(a.keys, heavy_keys, target, is_heavy, half, n),
+            fork=n >= CLASSIFY_FORK_MIN,
+        )
     else:
-        target = None
-        is_heavy = np.zeros(n, dtype=bool)
+        target, is_heavy = None, np.zeros(n, dtype=bool)
     meter.charge("classify", 2 * n, s_lg)
-    # From here on the two sides are arrays of record positions in ``a``.
-    heavy = np.flatnonzero(is_heavy)
-    light = np.flatnonzero(~is_heavy)
-    trace.heavy_count = len(heavy)
-    trace.light_count = len(light)
+    h = int(np.count_nonzero(is_heavy))
+    trace.heavy_count = h
+    trace.light_count = n - h
     cutoff = n / lg
 
-    # Steps 4 to 6 and the pack of step 7: the heavy side and the light side
-    # share nothing but the input, and each packs its own slice of ``out``.
-    out = Records(np.empty(n, np.uint64), np.empty(n, np.uint64))
-    h = len(heavy)
-    heavy_arena, (light_arena, trace.max_bucket_size, trace.bucket_attempts) = _fork_join(
+    # Steps 4 to 6, and step 7's pack of the light records: the two sides
+    # share nothing but the input.  The heavy side writes its records'
+    # positions, each key's contiguous, into ``heavy``; the light side packs
+    # its records into the tail of the output while the heavy side runs.
+    heavy = np.empty(h, np.int64)
+    fork = min(h, n - h) >= cutoff
+    heavy_arena, (out, light_arena, trace.max_bucket_size, trace.bucket_attempts) = _fork_join(
         meter,
         lambda m: _heavy_side(
-            a, heavy, target, sigma_heavy, params, cutoff, derive(run_seed, 2),
-            Records(out.keys[:h], out.payloads[:h]), m,
+            a.keys, is_heavy, target, sigma_heavy, params, cutoff, derive(run_seed, 2), heavy, m,
         ),
-        lambda m: _light_side(
-            a, light, sample_mask, params, cutoff, run_seed,
-            Records(out.keys[h:], out.payloads[h:]), m,
-        ),
-        fork=min(len(heavy), len(light)) >= cutoff,
+        lambda m: _light_side(a, is_heavy, sample_mask, params, cutoff, run_seed, m),
+        fork,
     )
     trace.allocated_space = heavy_arena + light_arena
+
+    # Step 7: the heavy records fill the head of the output, keys beside
+    # payloads when the sides ran side by side.
+    _fork_join(
+        meter,
+        lambda m: _take_into(a.keys, heavy, out.keys[:h]),
+        lambda m: _take_into(a.payloads, heavy, out.payloads[:h]),
+        fork,
+    )
     meter.charge("final_pack", n, lg)
     return out, trace
 
 
 def _heavy_side(
-    a: Records, heavy: np.ndarray, target: np.ndarray | None, sigma: np.ndarray,
-    params: SemisortParams, cutoff: float, seed: int, out: Records, meter: WorkMeter,
+    keys: np.ndarray, is_heavy: np.ndarray, target: np.ndarray | None, sigma: np.ndarray,
+    params: SemisortParams, cutoff: float, seed: int, out: np.ndarray, meter: WorkMeter,
 ) -> int:
-    """Step 4: one target per heavy key.  Writes the heavy records of ``a``
-    (positions ``heavy``, whose heavy-key ranks are ``target[heavy]``) into
+    """Step 4: one target per heavy key.  Writes the positions of the heavy
+    records (where ``is_heavy``, with heavy-key ranks ``target``) into
     ``out``, each key's records contiguous; returns the arena size."""
-    n = len(a)
-    arena_size = 0
+    heavy = np.flatnonzero(is_heavy)
     if len(heavy) < cutoff:
-        heavy = _sort_segment(heavy, a.keys, meter, "heavy_sort")
-    else:
-        packed, arena_size = _place_and_pack(
-            target[heavy], sigma, params, n, seed, meter, "heavy_pack"
-        )
-        heavy = heavy[packed]
-    _take_into(a, heavy, out)
+        out[:] = _sort_segment(heavy, keys, meter, "heavy_sort")
+        return 0
+    target = target[heavy]
+    counts = np.bincount(target, minlength=len(sigma))
+    packed, arena_size = _place_and_pack(
+        target, counts, sigma, params, len(keys), seed, meter, "heavy_pack"
+    )
+    _take_into(heavy, packed, out)
     return arena_size
 
 
 def _light_side(
-    a: Records, light: np.ndarray, sample_mask: np.ndarray, params: SemisortParams,
-    cutoff: float, run_seed: int, out: Records, meter: WorkMeter,
-) -> tuple[int, int, np.ndarray]:
+    a: Records, is_heavy: np.ndarray, sample_mask: np.ndarray, params: SemisortParams,
+    cutoff: float, run_seed: int, meter: WorkMeter,
+) -> tuple[Records, int, int, np.ndarray]:
     """Steps 5 and 6: one target per hashed bucket, then a local semisort of
-    every bucket.  Writes the light records of ``a`` (positions ``light``)
-    into ``out``, each key's records contiguous; returns the arena size, the
-    largest bucket and the attempts per bucket (0 and none when sorted).
+    every bucket.  Returns the output records with the light records of
+    ``a`` (where not ``is_heavy``) packed into its tail, each key's records
+    contiguous, then the arena size, the largest bucket and the attempts per
+    bucket (0 and none when sorted).  ``_fork_join`` runs this side on the
+    caller, so the output comes from the caller's malloc arena.
 
     Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
     before it allocates anything per bucket it raises LightArenaExceeded
@@ -484,6 +557,7 @@ def _light_side(
     slots; the defaults (B = ceil(n / lg^2 n)) sum to about 12n.
     """
     n = len(a)
+    light = np.flatnonzero(~is_heavy)
     arena_size, max_bucket_size, attempts = 0, 0, np.empty(0, np.int64)
     if len(light) < cutoff:
         light = _sort_segment(light, a.keys, meter, "light_sort")
@@ -500,11 +574,11 @@ def _light_side(
         buckets = tab_bucket(th, a.keys[light], B)
         meter.charge("light_hash", len(light), 1)
         sigma_b = np.bincount(buckets[sample_mask[light]], minlength=B)
+        sizes = np.bincount(buckets, minlength=B)
         packed, arena_size = _place_and_pack(
-            buckets, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
+            buckets, sizes, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
         )
         light = light[packed]
-        sizes = np.bincount(buckets, minlength=B)
         max_bucket_size = int(sizes.max())
 
         # Step 6: local semisort of every bucket (independent in parallel).
@@ -512,23 +586,24 @@ def _light_side(
             a.keys[light], sizes, params.K, derive(run_seed, 5), meter
         )
         light = light[order]
-    _take_into(a, light, out)
-    return arena_size, max_bucket_size, attempts
+    out = Records(np.empty(n, np.uint64), np.empty(n, np.uint64))
+    h = n - len(light)
+    _take_into(a.keys, light, out.keys[h:])
+    _take_into(a.payloads, light, out.payloads[h:])
+    return out, arena_size, max_bucket_size, attempts
 
 
-def _take_into(a: Records, idx: np.ndarray, out: Records) -> None:
-    """``a.take(idx)`` written into ``out``'s columns.  Mode "clip" lets
-    ``np.take`` write in place (mode "raise" buffers ``out``); every index
-    is in range, so it clips nothing."""
-    np.take(a.keys, idx, out=out.keys, mode="clip")
-    np.take(a.payloads, idx, out=out.payloads, mode="clip")
+def _take_into(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """``x[idx]`` written into ``out``.  Mode "clip" lets ``np.take`` write in
+    place (mode "raise" buffers ``out``); every index is in range, so it
+    clips nothing."""
+    np.take(x, idx, out=out, mode="clip")
 
 
-# The one helper thread on which semisort runs its heavy side beside the
-# light side, and reorganize one branch beside another: (owning pid,
-# executor), started on first use, so importing the module starts no
-# thread.  Its tasks never submit work of their own.
-_helper: tuple[int, ThreadPoolExecutor] | None = None
+# The one helper thread on which semisort and reorganize run one branch
+# beside another: (owning pid, executor, lock held while a fork is in
+# flight), started on first use, so importing the module starts no thread.
+_helper: tuple[int, ThreadPoolExecutor, threading.Lock] | None = None
 
 
 def _cpus() -> int:
@@ -544,35 +619,47 @@ def _fork_join(
     second: Callable[[WorkMeter], Any],
     fork: bool,
 ) -> tuple[Any, Any]:
-    """``(first(meter), second(meter))``, run side by side when ``fork`` holds
-    and the process may use more than one CPU; inline otherwise.
+    """``(first(meter), second(meter))``, run side by side when ``fork`` holds,
+    the process may use more than one CPU and no other fork is in flight;
+    inline otherwise.
 
     Side by side, ``first`` runs on the helper thread and ``second`` on the
     caller, each charging a child meter.  The join then does what a
     sequential run would: it merges ``first``'s meter, raises ``first``'s
     exception if there is one (dropping ``second``'s meter, which that run
     would never have charged), and otherwise merges ``second``'s meter and
-    raises its exception if there is one.  ``first`` must not fork, but
-    ``second`` may: its own ``first`` then waits on the helper thread until
-    this one's ``first`` is done (``reorganize`` integer-sorts in its
-    ``second``, and the sort's semisort may fork).
+    raises its exception if there is one.  A fork requested inside either
+    branch, or by another thread meanwhile, runs inline, so no branch ever
+    waits for the helper thread (``reorganize`` integer-sorts in a branch,
+    and the sort's semisort asks to fork).
     """
     if not fork or _cpus() < 2:
         return first(meter), second(meter)
     global _helper
     if _helper is None or _helper[0] != os.getpid():
-        # A forked child inherits the executor but not its thread.
-        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="semipar-helper"))
+        # A forked child inherits the executor but not its thread, and the
+        # lock as another thread may have held it.
+        _helper = (
+            os.getpid(),
+            ThreadPoolExecutor(1, thread_name_prefix="semipar-helper"),
+            threading.Lock(),
+        )
+    _, executor, in_flight = _helper
+    if not in_flight.acquire(blocking=False):
+        return first(meter), second(meter)
     m1, m2 = WorkMeter(), WorkMeter()
-    future = _helper[1].submit(first, m1)
     try:
-        r2, error = second(m2), None
-    except Exception as exc:
-        r2, error = None, exc
-    try:
-        r1 = future.result()
+        future = executor.submit(first, m1)
+        try:
+            r2, error = second(m2), None
+        except Exception as exc:
+            r2, error = None, exc
+        try:
+            r1 = future.result()
+        finally:
+            meter.merge(m1)
     finally:
-        meter.merge(m1)
+        in_flight.release()
     meter.merge(m2)
     if error is not None:
         raise error

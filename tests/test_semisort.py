@@ -7,10 +7,12 @@ import math
 import multiprocessing
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -21,13 +23,15 @@ from semipar.cli import gen_keys
 from semipar.graph import Graph, cull_partition, generate, reorganize
 from semipar.graph_algos import boosted_mis, verify_mis
 from semipar.meter import WorkMeter, ceil_log2
-from semipar.placement import PlacementTimeout
+from semipar.placement import InvalidInstance, PlacementTimeout
 from semipar.prng import derive, generator
 from semipar.records import Records, is_semisorted
 from semipar.semisort import (
     LIGHT_ARENA_BASE,
     LIGHT_ARENA_PER_RECORD,
     MAX_REHASH_ATTEMPTS,
+    ArenaExceeded,
+    BucketTooLarge,
     KeyOutOfRange,
     LightArenaExceeded,
     RehashExceeded,
@@ -98,6 +102,47 @@ def test_params_validation():
     assert all(type(v) is int for v in (p.K, p.d, p.B))
     p = SemisortParams.for_n(4096, K=62, B=2**32, d=2**32, round_cap=2**32, max_restarts=64)
     assert (p.K, p.B, p.d, p.max_restarts) == (62, 2**32, 2**32, 64)
+
+
+@st.composite
+def _any_params(draw):
+    """Every SemisortParams the constructor accepts, extremes included: a
+    field it leaves unbounded is drawn unbounded, and the floats reach the
+    smallest positive double and the largest finite one."""
+    round_cap = draw(st.integers(min_value=1))
+    return SemisortParams(
+        p_s=draw(st.floats(0, 1, exclude_min=True)),
+        tau=draw(st.integers(min_value=1)),
+        alpha=draw(st.floats(min_value=2, allow_infinity=False)),
+        c_alloc=draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
+        K=draw(st.integers(3, 62)),
+        B=draw(st.integers(1, 2**32)),
+        d=draw(st.integers(1, min(round_cap, 2**32))),
+        round_cap=round_cap,
+        max_restarts=draw(st.integers(1, MAX_REHASH_ATTEMPTS)),
+        small_n_cutoff=draw(st.integers()),
+    )
+
+
+# What a run with valid parameters may raise instead of answering.
+NAMED_FAILURES = (
+    ArenaExceeded, BucketTooLarge, InvalidInstance, RehashExceeded, RestartExceeded,
+)
+
+
+@given(
+    _any_params(),
+    st.sampled_from([1, 100, 4096]),
+    st.sampled_from(["uniform", "zipf", "all_equal"]),
+)
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+def test_any_valid_params_answer_or_fail_by_name(params, n, dist):
+    data = gen_keys(dist, n, 7, 1.2)
+    try:
+        out, _ = semisort(data, params, seed=3)
+    except NAMED_FAILURES:
+        return
+    assert verify_semisort(data.keys, out)
 
 
 def test_f_alloc_value():
@@ -589,11 +634,12 @@ def _digests(data, seed, meter):
 
 @pytest.mark.parametrize("n", [1 << 12, 1 << 14, 1 << 16])
 def test_semisort_side_by_side_matches_inline(n, monkeypatch):
-    # Zipf keys place both sides, so the second path uses the helper thread;
-    # output bytes, trace and the meter (label order included) must not tell.
+    # Zipf keys place both sides, so the second path uses the helper thread,
+    # once for the sides and once for the final pack; output bytes, trace and
+    # the meter (label order included) must not tell.
     data = gen_keys("zipf", n, 31, 1.2)
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
-    assert (s1, s2) == (0, 1)
+    assert (s1, s2) == (0, 2)
     assert inline == forked
     assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
     assert m1.rounds == m2.rounds
@@ -605,7 +651,8 @@ def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypat
     # One side's placement times out after charging its rounds: on the first
     # run only, so semisort restarts once, or on every run, so it raises
     # RestartExceeded.  A sequential run never starts the light side after a
-    # heavy timeout, so its work must not reach the meter either.
+    # heavy timeout, so its work must not reach the meter either.  Each run
+    # forks its sides, and the run that succeeds forks its final pack too.
     n, seed = 1 << 14, 32
     runs = SemisortParams.for_n(n).max_restarts + 1 if every_run else 1
     timed_out = {derive(derive(seed, r), stream) for r in range(runs)}
@@ -620,11 +667,112 @@ def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypat
     monkeypatch.setattr(semisort_mod, "place", timing_out)
     data = gen_keys("zipf", n, 31, 1.2)
     (inline, m1, _), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, seed, m))
-    assert s2 == runs + (0 if every_run else 1)
+    assert s2 == runs + (0 if every_run else 2)
     assert inline == forked
     assert inline is RestartExceeded if every_run else inline[3] == 1
     assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
     assert m1.rounds == m2.rounds
+
+
+@pytest.mark.parametrize("case", ["zipf", "all-heavy-intsort"])
+def test_classify_halves_match_inline(case, monkeypatch):
+    # From CLASSIFY_FORK_MIN records the helper thread classifies the first
+    # half of the keys.  Zipf keys then fork three times (classify, sides,
+    # final pack); an integer sort of a few keys has no light side, so only
+    # its classify forks.  No byte, label, work count or round may tell.
+    n = semisort_mod.CLASSIFY_FORK_MIN
+    if case == "zipf":
+        data = gen_keys("zipf", n, 31, 1.2)
+        run, submits = (lambda m: _digests(data, 32, m)), 3
+    else:
+        keys = generator(6, 6).integers(0, 9, size=n, dtype=np.uint64)
+
+        def run(m):
+            return _records_digest(integer_sort(Records.from_keys(keys), None, 4, m))
+
+        submits = 1
+    (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
+    assert (s1, s2) == (0, submits)
+    assert inline == forked
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds
+
+
+def test_fork_inside_a_branch_runs_inline(monkeypatch):
+    # A fork asked for while another is in flight, from either thread, runs
+    # its branches in turn on the thread that asked: it submits nothing, so
+    # no branch waits for the helper, and the results and charges are those
+    # of a sequential run.
+    def leaf(name):
+        def branch(m):
+            m.charge(name, len(name), 1)
+            return name
+
+        return branch
+
+    def nested(tag):
+        return lambda m: semisort_mod._fork_join(m, leaf(tag + "1"), leaf(tag + "2"), True)
+
+    def run(m):
+        return semisort_mod._fork_join(m, nested("helper"), nested("caller"), True)
+
+    (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
+    assert (s1, s2) == (0, 1)
+    assert inline == forked == (("helper1", "helper2"), ("caller1", "caller2"))
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds == 4
+    # The lock is free again: the next fork uses the helper thread.
+    (_, _, s1), (_, _, s2) = _both_paths(monkeypatch, run)
+    assert (s1, s2) == (0, 1)
+
+
+def test_caller_threads_share_the_helper_without_queueing(monkeypatch):
+    # More caller threads than CPUs semisort at once, with a short switch
+    # interval: only the caller holding the fork lock may hand the helper a
+    # task, so it never holds two, and every answer and meter equals a
+    # sequential run's.
+    data = gen_keys("zipf", 1 << 14, 31, 1.2)
+
+    def run(seed):
+        m = WorkMeter()
+        return _digests(data, seed, m), list(m.phase_breakdown.items()), m.rounds
+
+    expect = [run(seed) for seed in range(6)]
+    monkeypatch.setattr(semisort_mod, "_cpus", lambda: 2)
+    real_submit, lock, held, most = ThreadPoolExecutor.submit, threading.Lock(), [0], [0]
+
+    def counting_submit(self, fn, *args):
+        def task(*a):
+            try:
+                return fn(*a)
+            finally:
+                with lock:
+                    held[0] -= 1
+
+        with lock:
+            held[0] += 1
+            most[0] = max(most[0], held[0])
+        return real_submit(self, task, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    got = [None] * 6
+
+    def caller(seed):
+        got[seed] = run(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expect
+    assert most[0] == 1
 
 
 def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
