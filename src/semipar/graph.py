@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meter import WorkMeter, ceil_log2
+from .parallel import fork_join
 from .prng import generator
 from .records import Records
-from .semisort import SemisortParams, _fork_join, integer_sort, segment_index, sorted_distinct
+from .semisort import SemisortParams, integer_sort, segment_index, sorted_distinct
 
 ID_LIMIT = 1 << 32  # vertex ids must fit in 32 bits to pack a pair in a uint64
 
@@ -445,17 +446,17 @@ def reorganize(
 
     The vertex permutation comes from the linear-work integer sort (culled
     vertices keyed as piece k).  Whether an entry is internal or cut depends
-    only on the partition, so two branches run side by side (semisort's
-    ``_fork_join``): the helper thread compacts the internal and the cut
-    neighbours, each in original entry order, and counts each vertex's
-    internal entries, while the caller integer-sorts the vertices.  After
-    the join, segmented gathers move both streams into the new row order,
-    the internal one mapped to new positions, again as two branches: the
-    helper takes the first rows of the cut stream, the caller the internal
-    stream and the other cut rows.  Below ``small_n_cutoff`` adjacency
-    entries, or on one CPU, the branches run in turn on the caller.  Only
-    the caller's branches charge, so the meter sees the same charges in the
-    same order either way.  Nothing sorts the adjacency entries.
+    only on the partition, so two branches run side by side (``fork_join``):
+    the helper thread compacts the internal and the cut neighbours, each in
+    original entry order, and counts each vertex's internal entries, while
+    the caller integer-sorts the vertices.  After the join, segmented
+    gathers move both streams into the new row order, the internal one
+    mapped to new positions, again as two branches: the helper takes the
+    first rows of the cut stream, the caller the internal stream and the
+    other cut rows.  Below ``small_n_cutoff`` adjacency entries, or on one
+    CPU, the branches run in turn on the caller.  Only the caller's branches
+    charge, so the meter sees the same charges in the same order either
+    way.  Nothing sorts the adjacency entries.
     """
     if meter is None:
         meter = WorkMeter()
@@ -489,7 +490,7 @@ def reorganize(
     fork = len(g.neighbors) >= SemisortParams.small_n_cutoff
     streams = np.empty(len(g.neighbors), dtype=np.int64)
     internal_start = np.empty(g.n + 1, dtype=np.int64)
-    internal_count, (perm, inv) = _fork_join(
+    internal_count, (perm, inv) = fork_join(
         meter,
         lambda m: _split_at_cut(g, keys, len(piece_ids), streams, internal_start),
         sort_vertices,
@@ -526,7 +527,7 @@ def reorganize(
     # An internal entry costs two gathers, a cut entry one: the helper takes
     # the first rows of the cut stream, up to half of that total.
     split = min(int(np.searchsorted(cut_offsets, (len(cut) + 2 * len(nbrs)) // 2)), g.n)
-    _fork_join(
+    fork_join(
         meter,
         lambda m: gather_cut(0, split),
         lambda m: gather_internal_and_cut_tail(split),

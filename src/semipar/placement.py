@@ -10,9 +10,10 @@ the same slot in a round, exactly one wins, the last in block order.
 A round sorts its probes by slot, so equal slots sit side by side and the
 winner of each is the last of its run (the priority write of deterministic
 reservations).  The loop keeps only a one-byte occupancy map of the arena
-and appends each claim as a ``slot << rb | record`` word; one sort of those
-words at the end gives ``PlacementResult.order``, the records in arena
-order, beside their ``slots``.  The probe and claim words need
+and appends each claim as a ``slot << rb | record`` word; a round's claims
+ascend.  ``PlacementResult.span`` sorts the claims of one slot range into
+the records in arena order, beside their slots, and ``order`` and ``slots``
+are the span of the whole arena.  The probe and claim words need
 bits(arena_size - 1) + bits(n - 1) <= 64, and ``PlacementInstance`` raises
 ``InvalidInstance`` beyond that.
 
@@ -25,6 +26,7 @@ than ``RECORD_LIMIT`` (2^32 - 1) records and ``PlacementInstance`` raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,9 +123,43 @@ class PlacementInstance:
 class PlacementResult:
     rounds_used: int
     probes: int
-    order: np.ndarray     # record indices in arena order, int64
-    slots: np.ndarray     # their slots, strictly increasing, int64
+    claims: list[np.ndarray] = field(repr=False)  # per round, ascending claim words
+    record_bits: int      # claim word = slot << record_bits | record index
     arena_size: int
+
+    def span(self, lo_slot: int, hi_slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """The records placed in slots [lo_slot, hi_slot) in arena order, and
+        their slots, both int64.  Each round's claims ascend, so the span's
+        claims are one slice of each round's; only they are sorted."""
+        rb = self.record_bits
+        lo, hi = max(int(lo_slot), 0), min(int(hi_slot), self.arena_size)
+        parts = [np.empty(0, dtype=np.uint64)]
+        if lo < hi:
+            # hi << rb can pass 64 bits at hi = arena_size, above every claim.
+            first = np.uint64(lo << rb)
+            last = np.uint64(hi << rb) if hi < self.arena_size else None
+            for c in self.claims:
+                stop = None if last is None else c.searchsorted(last)
+                parts.append(c[c.searchsorted(first) : stop])
+        claim = np.concatenate(parts)
+        claim.sort()
+        slots = (claim >> np.uint64(rb)).view(np.int64)
+        claim &= np.uint64((1 << rb) - 1)
+        return claim.view(np.int64), slots
+
+    @cached_property
+    def _arena_order(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.span(0, self.arena_size)
+
+    @property
+    def order(self) -> np.ndarray:
+        """Record indices in arena order, int64."""
+        return self._arena_order[0]
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Their slots, strictly increasing, int64."""
+        return self._arena_order[1]
 
     @property
     def slot_of(self) -> np.ndarray:
@@ -166,8 +202,7 @@ def place(
         inst.validate()
     n = len(inst.targets)
     if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return PlacementResult(0, 0, empty, empty, inst.arena_size)
+        return PlacementResult(0, 0, [], 0, inst.arena_size)
 
     d = inst.d
     n_blocks = max(1, n // d)                 # final block absorbs the remainder
@@ -224,12 +259,7 @@ def place(
 
     if len(ptr):
         raise PlacementTimeout(rounds, n - int((end - ptr).sum()), n)
-    del occupied  # freed before the final sort's copies
-    claim = np.concatenate(claims)
-    claim.sort()
-    slots = (claim >> rb).view(np.int64)
-    claim &= (np.uint64(1) << rb) - np.uint64(1)
-    return PlacementResult(rounds, probes, claim.view(np.int64), slots, inst.arena_size)
+    return PlacementResult(rounds, probes, claims, int(rb), inst.arena_size)
 
 
 def verify_placement(inst: PlacementInstance, res: PlacementResult) -> bool:

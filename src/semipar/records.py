@@ -40,8 +40,9 @@ class Records:
         return cls(keys, np.arange(len(keys), dtype=np.uint64))
 
     @classmethod
-    def empty(cls) -> "Records":
-        return cls(np.empty(0, np.uint64), np.empty(0, np.uint64))
+    def empty(cls, n: int = 0) -> "Records":
+        """n records with uninitialised keys and payloads."""
+        return cls(np.empty(n, np.uint64), np.empty(n, np.uint64))
 
 
 def same_multiset(a: Records, b: Records) -> bool:

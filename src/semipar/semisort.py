@@ -3,29 +3,30 @@
 The pipeline samples records to estimate key multiplicities, gives each
 heavy key a dedicated destination array and light records shared hashed
 buckets (sized by the allocation function ``f_alloc``), distributes records
-by randomized placement, then semisorts all packed light buckets in one
-segmented pass, rehashing a bucket with a fresh multiply-shift function
+by randomized placement, then semisorts the packed light buckets in
+segmented passes, rehashing a bucket with a fresh multiply-shift function
 until the sort of its hash values is collision-free.  A placement timeout
 triggers a full restart with a fresh derived seed.  Inputs below
 ``small_n_cutoff`` records, and heavy or light sides below n / lg n, are
-comparison-sorted by key instead.  On two CPUs three steps run on one
-helper thread beside the caller (``_fork_join``), with the same output,
-work and rounds: from ``CLASSIFY_FORK_MIN`` records the heavy/light
-classification runs over two halves of the keys; when both sides are
+comparison-sorted by key instead.  On two CPUs some steps run on one
+helper thread beside the caller (``parallel.fork_join``), with the same
+output, work and rounds.  From ``FORK_MIN`` records the heavy/light
+classification runs over two halves of the keys.  When both sides are
 placed, the heavy side runs beside the light side, which packs its own
-records into the output; and after them the heavy records' keys are
-packed beside their payloads.  Integer sorting for keys in [n] follows as
-one stable sort of the semisorted keys, charged as a counting pass and
-skipped when they already ascend.
+records into the output, and after them the heavy records' keys are
+packed beside their payloads.  From ``FORK_MIN`` light records, when the
+light side does not run beside the heavy side (as on uniform keys, which
+have no heavy side), it hashes two halves of its records side by side
+and, after placement, semisorts and packs two ranges of buckets side by
+side.  Integer sorting for keys in [n] follows as one stable sort of the
+semisorted keys, charged as a counting pass and skipped when they already
+ascend.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
@@ -39,7 +40,14 @@ from .hashing import (
     universal_new,
 )
 from .meter import WorkMeter, ceil_log2
-from .placement import PlacementInstance, PlacementTimeout, default_round_cap, place
+from .parallel import can_fork, fork_join
+from .placement import (
+    PlacementInstance,
+    PlacementResult,
+    PlacementTimeout,
+    default_round_cap,
+    place,
+)
 from .prng import derive, generator
 from .records import Records, is_semisorted
 
@@ -79,11 +87,12 @@ class LightArenaExceeded(ArenaExceeded):
 LIGHT_ARENA_BASE = 1 << 24
 LIGHT_ARENA_PER_RECORD = 64
 
-# Step 3 splits the keys into two halves, one on the helper thread, from
-# this many records: the split then saves milliseconds, against a hand-off
-# of about 50 us (an empty fork on a 2-CPU VM).  Each half goes in chunks
-# of CLASSIFY_CHUNK keys, so its temporaries stay small.
-CLASSIFY_FORK_MIN = 1 << 17
+# Step 3 splits the keys, and the light side its records and buckets, into
+# two halves, one on the helper thread, from this many records: a split then
+# saves milliseconds, against a hand-off of about 50 us (an empty fork on a
+# 2-CPU VM).  Each classify half goes in chunks of CLASSIFY_CHUNK keys, so
+# its temporaries stay small.
+FORK_MIN = 1 << 17
 CLASSIFY_CHUNK = 1 << 16
 
 
@@ -273,37 +282,75 @@ def rehash_buckets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Semisort consecutive buckets of ``keys`` in one segmented pass.
 
-    Bucket b holds the next ``sizes[b]`` keys.  Each attempt draws a fresh
+    Bucket b holds the next ``sizes[b]`` keys.  Each attempt j draws a fresh
     multiply-shift hash into [2^l_b], l_b = ceil(log2(m_b^K)), for every
-    pending bucket, sorts all their records by (bucket, hash value), and
-    retries only the buckets where two distinct keys share a hash value.
-    Returns the permutation of ``keys`` that semisorts every bucket within
-    its own range, and the attempts per bucket (1 for an empty or singleton
-    bucket).
+    pending bucket from (seed, j, b), sorts all their records by (bucket,
+    hash value), and retries only the buckets where two distinct keys share
+    a hash value (``_rehash``, which semisorts a range of the buckets under
+    their own ids as this call does).  Returns the permutation of ``keys``
+    that semisorts every bucket within its own range, and the attempts per
+    bucket (1 for an empty or singleton bucket), and charges them
+    (``_charge_rehash``).
 
-    Cost model per bucket, as if each ran alone: an attempt on m_b >= 2
-    records charges (2K+2)*m_b (hash, K counting-sort passes at base m_b,
-    collision scan) and K+2 rounds; a singleton charges 1 op and 1 round.
-    Rounds advance by the maximum over buckets: every pending bucket runs
-    attempt j in the same K+2 rounds, and the singletons' round runs beside
-    the first attempt when there is one.  Two distinct keys collide
-    with probability at most 2^(1-l_b) <= 2/m_b^K, so by a union bound over
-    the C(m_b, 2) pairs an attempt fails with probability below
-    m_b^(2-K) <= 1/2 for K >= 3 and m_b >= 2; a bucket that fails
-    MAX_REHASH_ATTEMPTS attempts raises RehashExceeded.  Buckets with
-    m_b^K >= 2^63 raise BucketTooLarge, which keeps l_b <= 63.
+    Two distinct keys collide with probability at most 2^(1-l_b) <= 2/m_b^K,
+    so by a union bound over the C(m_b, 2) pairs an attempt fails with
+    probability below m_b^(2-K) <= 1/2 for K >= 3 and m_b >= 2; when a
+    bucket fails MAX_REHASH_ATTEMPTS attempts, the attempts made are charged
+    and RehashExceeded is raised.  Buckets with m_b^K >= 2^63 raise
+    BucketTooLarge before any attempt, which keeps l_b <= 63.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    attempts = np.ones(len(sizes), dtype=np.int64)
-    singles = int(np.count_nonzero(sizes == 1))
-    pending = np.flatnonzero(sizes >= 2)
-    if singles:
-        meter.charge("local_semisort", singles, 0 if len(pending) else 1)
-    if len(pending) == 0:
-        return np.arange(len(keys), dtype=np.int64), attempts
-    m_max = int(sizes[pending].max())
+    _check_bucket_sizes(sizes, K)
+    order, attempts, failed = _rehash(keys, sizes, K, seed, 0)
+    _charge_rehash(meter, sizes, attempts, K, failed)
+    return order, attempts
+
+
+def _check_bucket_sizes(sizes: np.ndarray, K: int) -> None:
+    """Raise BucketTooLarge when the largest bucket's m_b^K reaches 2^63."""
+    m_max = int(np.max(sizes, initial=0))
     if m_max ** K >= 1 << 63:
         raise BucketTooLarge(f"bucket of {m_max} records: {m_max}^{K} >= 2^63; lower K")
+
+
+def _charge_rehash(
+    meter: WorkMeter, sizes: np.ndarray, attempts: np.ndarray, K: int, failed: int
+) -> None:
+    """Charge rehashing buckets of ``sizes`` records that took ``attempts``
+    attempts each, as if each bucket ran alone; then raise RehashExceeded if
+    ``failed`` buckets collided in every attempt.
+
+    An attempt on m_b >= 2 records costs (2K+2)*m_b ops (hash, K counting-
+    sort passes at base m_b, collision scan) and K+2 rounds; a singleton
+    costs 1 op and 1 round, an empty bucket nothing.  Rounds are the maximum
+    over buckets: every pending bucket runs attempt j in the same K+2
+    rounds, and the singletons' round runs beside the first attempt.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    multi = sizes >= 2
+    singles = int(np.count_nonzero(sizes == 1))
+    if multi.any():
+        work = (2 * K + 2) * int(np.dot(sizes[multi], attempts[multi])) + singles
+        meter.charge("local_semisort", work, (K + 2) * int(attempts[multi].max()))
+    elif singles:
+        meter.charge("local_semisort", singles, 1)
+    if failed:
+        raise RehashExceeded(
+            f"{failed} bucket(s) collided in all {MAX_REHASH_ATTEMPTS} rehash attempts"
+        )
+
+
+def _rehash(
+    keys: np.ndarray, sizes: np.ndarray, K: int, seed: int, first_id: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The attempts of ``rehash_buckets`` on buckets with ids first_id,
+    first_id + 1, ..., uncharged and with their sizes checked: the order,
+    the attempts per bucket, and how many buckets collided in all
+    MAX_REHASH_ATTEMPTS."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    attempts = np.ones(len(sizes), dtype=np.int64)
+    pending = np.flatnonzero(sizes >= 2)
+    if len(pending) == 0:
+        return np.arange(len(keys), dtype=np.int64), attempts, 0
     starts = np.cumsum(sizes) - sizes
     # The first attempt hashes every bucket, so its records are ``keys`` as
     # they stand; a singleton hashes into [1] and cannot collide.
@@ -311,15 +358,12 @@ def rehash_buckets(
     attempt = 0
     while len(pending):
         if attempt == MAX_REHASH_ATTEMPTS:
-            raise RehashExceeded(
-                f"{len(pending)} bucket(s) collided in all {attempt} rehash attempts"
-            )
+            return order, attempts, len(pending)
         attempt += 1
         attempts[pending] = attempt
-        meter.charge("local_semisort", (2 * K + 2) * int(sizes[pending].sum()), K + 2)
         m_b = sizes[batch]
         ranges = m_b.astype(np.uint64) ** np.uint64(K)
-        g = universal_new(derive(seed, attempt), ranges, batch)
+        g = universal_new(derive(seed, attempt), ranges, batch + first_id)
         if attempt == 1:
             kp = keys
         else:
@@ -336,7 +380,7 @@ def rehash_buckets(
         # i lies in the bucket whose end first exceeds i; ``hit`` ascends.
         hit_bucket = np.searchsorted(np.cumsum(m_b), hit, side="right")
         batch = pending = batch[hit_bucket[run_heads(hit_bucket)]]
-    return order, attempts
+    return order, attempts, 0
 
 
 def _sort_by_bucket_and_hash(
@@ -396,17 +440,17 @@ def _sort_segment(pos: np.ndarray, keys: np.ndarray, meter: WorkMeter, label: st
 def _place_and_pack(
     targets: np.ndarray, counts: np.ndarray, sigma: np.ndarray, params: SemisortParams,
     n: int, seed: int, meter: WorkMeter, label: str,
-) -> tuple[np.ndarray, int]:
+) -> tuple[PlacementResult, np.ndarray]:
     """Place records at random into targets sized from their sample counts.
 
     Target t, which ``counts[t]`` records name, gets ceil(alpha *
     f_alloc(sigma[t])) slots, which ``PlacementInstance`` rejects when one
     overflows int64; an arena over the budget raises ArenaExceeded before
-    ``place`` allocates it.  Returns the record indices (into ``targets``)
-    in arena order, so each target's records are contiguous and the targets
-    appear in id order, and the arena size.  The order is
-    ``PlacementResult.order``, which ``place`` builds by sorting its claims
-    by slot; packing charges one op per arena slot.  A target with fewer
+    ``place`` allocates it.  Returns the placement and the targets' slot
+    offsets (one more than the targets): in arena order, from its ``order``
+    or a ``span`` of targets, each target's records (indices into
+    ``targets``) are contiguous and the targets appear in id order.
+    Packing charges one op per arena slot.  A target with fewer
     slots than records never fills, so its placement could only time out at
     ``round_cap``, however large: it raises PlacementTimeout before the
     first round instead.
@@ -422,9 +466,9 @@ def _place_and_pack(
         )
     if (counts > inst.capacities).any():
         raise PlacementTimeout(0, 0, len(targets))
-    order = place(inst, params.round_cap, seed, meter, validate=False).order
+    res = place(inst, params.round_cap, seed, meter, validate=False)
     meter.charge(label, inst.arena_size, ceil_log2(inst.arena_size))
-    return order, inst.arena_size
+    return res, inst.offsets
 
 
 def _classify(
@@ -478,11 +522,11 @@ def _semisort_once(
     if len(heavy_keys):
         target, is_heavy = np.empty(n, np.int64), np.empty(n, bool)
         half = n // 2
-        _fork_join(
+        fork_join(
             meter,
             lambda m: _classify(a.keys, heavy_keys, target, is_heavy, 0, half),
             lambda m: _classify(a.keys, heavy_keys, target, is_heavy, half, n),
-            fork=n >= CLASSIFY_FORK_MIN,
+            fork=n >= FORK_MIN,
         )
     else:
         target, is_heavy = None, np.zeros(n, dtype=bool)
@@ -498,7 +542,7 @@ def _semisort_once(
     # its records into the tail of the output while the heavy side runs.
     heavy = np.empty(h, np.int64)
     fork = min(h, n - h) >= cutoff
-    heavy_arena, (out, light_arena, trace.max_bucket_size, trace.bucket_attempts) = _fork_join(
+    heavy_arena, (out, light_arena, trace.max_bucket_size, trace.bucket_attempts) = fork_join(
         meter,
         lambda m: _heavy_side(
             a.keys, is_heavy, target, sigma_heavy, params, cutoff, derive(run_seed, 2), heavy, m,
@@ -510,7 +554,7 @@ def _semisort_once(
 
     # Step 7: the heavy records fill the head of the output, keys beside
     # payloads when the sides ran side by side.
-    _fork_join(
+    fork_join(
         meter,
         lambda m: _take_into(a.keys, heavy, out.keys[:h]),
         lambda m: _take_into(a.payloads, heavy, out.payloads[:h]),
@@ -533,11 +577,9 @@ def _heavy_side(
         return 0
     target = target[heavy]
     counts = np.bincount(target, minlength=len(sigma))
-    packed, arena_size = _place_and_pack(
-        target, counts, sigma, params, len(keys), seed, meter, "heavy_pack"
-    )
-    _take_into(heavy, packed, out)
-    return arena_size
+    res, _ = _place_and_pack(target, counts, sigma, params, len(keys), seed, meter, "heavy_pack")
+    _take_into(heavy, res.order, out)
+    return res.arena_size
 
 
 def _light_side(
@@ -548,8 +590,22 @@ def _light_side(
     every bucket.  Returns the output records with the light records of
     ``a`` (where not ``is_heavy``) packed into its tail, each key's records
     contiguous, then the arena size, the largest bucket and the attempts per
-    bucket (0 and none when sorted).  ``_fork_join`` runs this side on the
+    bucket (0 and none when sorted).  ``fork_join`` runs this side on the
     caller, so the output comes from the caller's malloc arena.
+
+    From FORK_MIN light records, when ``fork_join`` would fork
+    (``can_fork``: two CPUs, and this side not running beside the heavy
+    side), two steps split in two, one half on the helper thread beside the
+    other on the caller: bucket
+    hashing, over two halves of the records; and after placement, which
+    runs alone on the caller, the local semisorts, over two ranges of
+    buckets split where half of the records lie before.  Each range sorts
+    its own span of the placement, gathers its keys, rehashes its buckets
+    under their own ids and packs its records into its slice of the output.
+    Hashing is charged after its join, and the rehash attempts once after
+    theirs, so work and rounds are those of one range; bucket sizes are
+    checked for BucketTooLarge once, before the ranges start, so either way
+    raises the same error having rehashed nothing.
 
     Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
     before it allocates anything per bucket it raises LightArenaExceeded
@@ -558,39 +614,88 @@ def _light_side(
     """
     n = len(a)
     light = np.flatnonzero(~is_heavy)
-    arena_size, max_bucket_size, attempts = 0, 0, np.empty(0, np.int64)
+    h = n - len(light)
     if len(light) < cutoff:
         light = _sort_segment(light, a.keys, meter, "light_sort")
-    else:
-        B = params.B
-        floor = light_arena_floor(params, n)
-        budget = LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
-        if not floor <= budget:
-            raise LightArenaExceeded(
-                f"B={B} light buckets need at least {floor:.3g} arena slots, "
-                f"over the budget of {budget} for n={n}; lower B"
-            )
-        th = tab_new(derive(run_seed, 3), ceil_log2(B))
-        buckets = tab_bucket(th, a.keys[light], B)
-        meter.charge("light_hash", len(light), 1)
-        sigma_b = np.bincount(buckets[sample_mask[light]], minlength=B)
-        sizes = np.bincount(buckets, minlength=B)
-        packed, arena_size = _place_and_pack(
-            buckets, sizes, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
+        out = Records.empty(n)
+        _take_into(a.keys, light, out.keys[h:])
+        _take_into(a.payloads, light, out.payloads[h:])
+        return out, 0, 0, np.empty(0, np.int64)
+    B = params.B
+    floor = light_arena_floor(params, n)
+    budget = LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
+    if not floor <= budget:
+        raise LightArenaExceeded(
+            f"B={B} light buckets need at least {floor:.3g} arena slots, "
+            f"over the budget of {budget} for n={n}; lower B"
         )
-        light = light[packed]
-        max_bucket_size = int(sizes.max())
+    fork = len(light) >= FORK_MIN and can_fork()
+    th = tab_new(derive(run_seed, 3), ceil_log2(B))
+    buckets = np.empty(len(light), np.int64)
 
-        # Step 6: local semisort of every bucket (independent in parallel).
-        order, attempts = rehash_buckets(
-            a.keys[light], sizes, params.K, derive(run_seed, 5), meter
+    def hash_records(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # Records lo..hi-1 of ``light``: their buckets, and the partial
+        # sample counts and sizes per bucket.
+        part = light[lo:hi]
+        b = buckets[lo:hi]
+        b[:] = tab_bucket(th, a.keys[part], B)
+        return np.bincount(b[sample_mask[part]], minlength=B), np.bincount(b, minlength=B)
+
+    if fork:
+        mid = len(light) // 2
+        counts = fork_join(
+            meter, lambda m: hash_records(0, mid), lambda m: hash_records(mid, len(light)), True
         )
-        light = light[order]
-    out = Records(np.empty(n, np.uint64), np.empty(n, np.uint64))
-    h = n - len(light)
-    _take_into(a.keys, light, out.keys[h:])
-    _take_into(a.payloads, light, out.payloads[h:])
-    return out, arena_size, max_bucket_size, attempts
+    else:
+        counts = [hash_records(0, len(light))]
+    sigma_b, sizes = np.sum(counts, axis=0)
+    meter.charge("light_hash", len(light), 1)
+    res, offsets = _place_and_pack(
+        buckets, sizes, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
+    )
+    del buckets
+
+    # Step 6: local semisort of every bucket (independent in parallel).
+    _check_bucket_sizes(sizes, params.K)
+    ends = np.cumsum(sizes)
+    attempts = np.empty(B, np.int64)
+    seed = derive(run_seed, 5)
+
+    def sort_buckets(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        # Buckets lo..hi-1: their records' positions and keys in arena order,
+        # the order that semisorts them, and how many buckets failed.
+        pos = light[res.span(offsets[lo], offsets[hi])[0]]
+        keys = a.keys[pos]
+        order, attempts[lo:hi], failed = _rehash(keys, sizes[lo:hi], params.K, seed, lo)
+        return pos, keys, order, failed
+
+    def pack(out: Records, lo: int, pos: np.ndarray, keys: np.ndarray, order: np.ndarray) -> None:
+        # Buckets from lo fill the output from h + ends[lo - 1].
+        start = h + (int(ends[lo - 1]) if lo else 0)
+        _take_into(keys, order, out.keys[start : start + len(pos)])
+        _take_into(a.payloads, pos[order], out.payloads[start : start + len(pos)])
+
+    if fork:
+        out = Records.empty(n)
+
+        def sort_and_pack(lo: int, hi: int) -> int:
+            pos, keys, order, failed = sort_buckets(lo, hi)
+            pack(out, lo, pos, keys, order)
+            return failed
+
+        b_mid = int(np.searchsorted(ends, len(light) // 2))
+        failed = sum(fork_join(
+            meter, lambda m: sort_and_pack(0, b_mid), lambda m: sort_and_pack(b_mid, B), True
+        ))
+    else:
+        # The output comes after the rehash: allocated before it, it pushes
+        # the rehash's temporaries onto pages that are faulted in afresh on
+        # every call (about 7,000 a call on 2^20 zipf keys).
+        pos, keys, order, failed = sort_buckets(0, B)
+        out = Records.empty(n)
+        pack(out, 0, pos, keys, order)
+    _charge_rehash(meter, sizes, attempts, params.K, failed)
+    return out, res.arena_size, int(sizes.max()), attempts
 
 
 def _take_into(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
@@ -598,72 +703,6 @@ def _take_into(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     place (mode "raise" buffers ``out``); every index is in range, so it
     clips nothing."""
     np.take(x, idx, out=out, mode="clip")
-
-
-# The one helper thread on which semisort and reorganize run one branch
-# beside another: (owning pid, executor, lock held while a fork is in
-# flight), started on first use, so importing the module starts no thread.
-_helper: tuple[int, ThreadPoolExecutor, threading.Lock] | None = None
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_join(
-    meter: WorkMeter,
-    first: Callable[[WorkMeter], Any],
-    second: Callable[[WorkMeter], Any],
-    fork: bool,
-) -> tuple[Any, Any]:
-    """``(first(meter), second(meter))``, run side by side when ``fork`` holds,
-    the process may use more than one CPU and no other fork is in flight;
-    inline otherwise.
-
-    Side by side, ``first`` runs on the helper thread and ``second`` on the
-    caller, each charging a child meter.  The join then does what a
-    sequential run would: it merges ``first``'s meter, raises ``first``'s
-    exception if there is one (dropping ``second``'s meter, which that run
-    would never have charged), and otherwise merges ``second``'s meter and
-    raises its exception if there is one.  A fork requested inside either
-    branch, or by another thread meanwhile, runs inline, so no branch ever
-    waits for the helper thread (``reorganize`` integer-sorts in a branch,
-    and the sort's semisort asks to fork).
-    """
-    if not fork or _cpus() < 2:
-        return first(meter), second(meter)
-    global _helper
-    if _helper is None or _helper[0] != os.getpid():
-        # A forked child inherits the executor but not its thread, and the
-        # lock as another thread may have held it.
-        _helper = (
-            os.getpid(),
-            ThreadPoolExecutor(1, thread_name_prefix="semipar-helper"),
-            threading.Lock(),
-        )
-    _, executor, in_flight = _helper
-    if not in_flight.acquire(blocking=False):
-        return first(meter), second(meter)
-    m1, m2 = WorkMeter(), WorkMeter()
-    try:
-        future = executor.submit(first, m1)
-        try:
-            r2, error = second(m2), None
-        except Exception as exc:
-            r2, error = None, exc
-        try:
-            r1 = future.result()
-        finally:
-            meter.merge(m1)
-    finally:
-        in_flight.release()
-    meter.merge(m2)
-    if error is not None:
-        raise error
-    return r1, r2
 
 
 def integer_sort(

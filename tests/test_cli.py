@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,16 +180,25 @@ def _input_order(out):
     return out.take(np.argsort(out.payloads))
 
 
+def _placed(res, order, slots):
+    # A stand-in for res with another order and slots: a PlacementResult
+    # derives both from its claims, which cannot hold a tampered order.
+    return SimpleNamespace(
+        rounds_used=res.rounds_used, probes=res.probes, arena_size=res.arena_size,
+        order=order, slots=slots,
+    )
+
+
 def _slot_outside_target(res):
     slots = res.slots.copy()
     slots[-1] = res.arena_size
-    return dataclasses.replace(res, slots=slots)
+    return _placed(res, res.order, slots)
 
 
 def _repeat_placed_record(res):
     order = res.order.copy()
     order[1] = order[0]
-    return dataclasses.replace(res, order=order)
+    return _placed(res, order, res.slots)
 
 
 @pytest.mark.parametrize(

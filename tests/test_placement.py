@@ -1,10 +1,10 @@
 """Randomized placement: injectivity, target ranges, caps, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from semipar.placement import (
     EMPTY_SLOT,
     InvalidInstance,
     PlacementInstance,
+    PlacementResult,
     PlacementTimeout,
     default_round_cap,
     place,
@@ -84,6 +85,46 @@ def test_slot_of_inverts_arena(n, n_targets, d, validate, seed):
     assert np.array_equal(res.arena[res.slot_of], np.arange(n))
 
 
+@given(
+    st.integers(0, 3000), st.integers(1, 80), st.integers(1, 16), st.integers(0, 2**32),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_spans_concatenate_to_the_arena_order(n, n_targets, d, seed, data):
+    # Spans of consecutive slot ranges, empty ones and ones past either end
+    # of the arena included, laid end to end give the whole arena order.
+    inst = _random_instance(n, n_targets, seed, d=d)
+    res = place(inst, 2000, seed=seed + 1)
+    size = inst.arena_size
+    cuts = data.draw(st.lists(st.integers(-2, size + 2), max_size=6), label="cuts")
+    bounds = [-3, *sorted(cuts), size + 3]
+    spans = [res.span(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert np.array_equal(np.concatenate([o for o, _ in spans]), res.order)
+    assert np.array_equal(np.concatenate([s for _, s in spans]), res.slots)
+    assert len(res.order) == n and res.order.dtype == res.slots.dtype == np.int64
+
+
+def test_span_reaches_the_end_of_a_64_bit_arena():
+    # bits(arena_size - 1) + record bits = 64: the arena's end shifted above
+    # the record bits is 2^64, past every claim word, and still bounds a span.
+    top = 1 << 62
+    claims = [np.array([(top - 3) << 2 | 3, (top - 1) << 2], dtype=np.uint64)]
+    res = PlacementResult(1, 2, claims, 2, top)
+    order, slots = res.span(top - 2, top)
+    assert order.tolist() == [0] and slots.tolist() == [top - 1]
+    assert res.order.tolist() == [3, 0] and res.slots.tolist() == [top - 3, top - 1]
+
+
+def _tampered(res, order=None, slots=None):
+    # A stand-in for res with its order or slots replaced: a PlacementResult
+    # derives both from its claims, which cannot hold a tampered order.
+    return SimpleNamespace(
+        rounds_used=res.rounds_used, probes=res.probes, arena_size=res.arena_size,
+        order=res.order if order is None else order,
+        slots=res.slots if slots is None else slots,
+    )
+
+
 def _with(res, i, order=None, slot=None):
     # A copy of res whose position i holds another record or slot.
     order_, slots = res.order.copy(), res.slots.copy()
@@ -91,7 +132,7 @@ def _with(res, i, order=None, slot=None):
         order_[i] = order
     if slot is not None:
         slots[i] = slot
-    return dataclasses.replace(res, order=order_, slots=slots)
+    return _tampered(res, order=order_, slots=slots)
 
 
 @pytest.mark.parametrize(
@@ -101,11 +142,11 @@ def _with(res, i, order=None, slot=None):
         lambda inst, res: _with(res, 0, order=len(inst.targets)),    # index >= n
         lambda inst, res: _with(res, 0, order=-1),                   # index < 0
         lambda inst, res: _with(res, -1, slot=inst.arena_size),      # outside its range
-        lambda inst, res: dataclasses.replace(                       # slots not increasing
+        lambda inst, res: _tampered(                                 # slots not increasing
             res, order=res.order[[1, 0, *range(2, len(res.order))]],
             slots=res.slots[[1, 0, *range(2, len(res.slots))]]),
-        lambda inst, res: dataclasses.replace(res, order=res.order[:-1]),  # short order
-        lambda inst, res: dataclasses.replace(                       # one record short
+        lambda inst, res: _tampered(res, order=res.order[:-1]),     # short order
+        lambda inst, res: _tampered(                                 # one record short
             res, order=res.order[:-1], slots=res.slots[:-1]),
     ],
     ids=["repeat", "index_n", "index_negative", "out_of_range", "not_increasing",

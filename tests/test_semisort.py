@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semipar import parallel
 from semipar.cli import gen_keys
 from semipar.graph import Graph, cull_partition, generate, reorganize
 from semipar.graph_algos import boosted_mis, verify_mis
@@ -279,6 +280,24 @@ def test_rehash_buckets_without_attempts(sizes, work, rounds):
     order, attempts = rehash_buckets(keys, sizes, 3, 5, meter)
     assert meter.phase_breakdown == work and meter.rounds == rounds
     assert np.array_equal(order, np.arange(len(keys))) and np.all(attempts == 1)
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 14), (0, 4), (3, 10), (8, 14), (5, 5), (14, 14)])
+def test_rehash_buckets_range_matches_the_whole_call(lo, hi):
+    # Every hash function comes from (seed, attempt, bucket id), so buckets
+    # lo..hi-1 under their own ids take the order and attempts they take in
+    # the call on all buckets.  At K = 2 small buckets retry often: buckets
+    # 3, 8 and 12 do here.
+    sizes = np.array([0, 1, 2, 3, 2, 0, 2, 300, 2, 3, 2, 150, 2, 0])
+    keys = generator(1, 9).integers(0, 120, size=int(sizes.sum()), dtype=np.uint64)
+    whole_order, whole_attempts = rehash_buckets(keys, sizes, 2, 17, WorkMeter())
+    assert np.flatnonzero(whole_attempts >= 2).tolist() == [3, 8, 12]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    s0, s1 = bounds[lo], bounds[hi]
+    order, attempts, failed = semisort_mod._rehash(keys[s0:s1], sizes[lo:hi], 2, 17, lo)
+    assert np.array_equal(order, whole_order[s0:s1] - s0)
+    assert np.array_equal(attempts, whole_attempts[lo:hi])
+    assert failed == 0
 
 
 def test_rehash_buckets_keeps_wrapped_buckets_apart(monkeypatch):
@@ -616,7 +635,7 @@ def _both_paths(monkeypatch, run):
             submits.append(1)
             return real_submit(self, *args, **kwargs)
 
-        monkeypatch.setattr(semisort_mod, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(parallel, "_cpus", lambda cpus=cpus: cpus)
         monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
         meter = WorkMeter()
         try:
@@ -676,11 +695,11 @@ def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypat
 
 @pytest.mark.parametrize("case", ["zipf", "all-heavy-intsort"])
 def test_classify_halves_match_inline(case, monkeypatch):
-    # From CLASSIFY_FORK_MIN records the helper thread classifies the first
+    # From FORK_MIN records the helper thread classifies the first
     # half of the keys.  Zipf keys then fork three times (classify, sides,
     # final pack); an integer sort of a few keys has no light side, so only
     # its classify forks.  No byte, label, work count or round may tell.
-    n = semisort_mod.CLASSIFY_FORK_MIN
+    n = semisort_mod.FORK_MIN
     if case == "zipf":
         data = gen_keys("zipf", n, 31, 1.2)
         run, submits = (lambda m: _digests(data, 32, m)), 3
@@ -698,6 +717,73 @@ def test_classify_halves_match_inline(case, monkeypatch):
     assert m1.rounds == m2.rounds
 
 
+def test_uniform_light_side_halves_match_inline(monkeypatch):
+    # From FORK_MIN light records the helper thread hashes the first half of
+    # the records, then semisorts the first range of buckets: uniform keys
+    # have no heavy side, so these are the only two submits.  Neither the
+    # split nor the thread may tell: no byte, attempt, label, work count or
+    # round differs from a run as one range.
+    n = semisort_mod.FORK_MIN
+    data = gen_keys("uniform", n, 31)
+    (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
+    assert (s1, s2) == (0, 2)
+    monkeypatch.setattr(semisort_mod, "FORK_MIN", n + 1)
+    m3 = WorkMeter()
+    assert inline == forked == _digests(data, 32, m3)
+    assert inline[2] == n
+    for m in (m1, m2):
+        assert list(m.phase_breakdown.items()) == list(m3.phase_breakdown.items())
+        assert m.rounds == m3.rounds
+
+
+def test_light_side_splits_only_when_it_can_fork(monkeypatch):
+    # Run inline, two ranges would cost two span sorts and two rehash passes
+    # where one range does one, so the light side splits only when
+    # fork_join would fork: on two CPUs, with no fork in flight.
+    n = semisort_mod.FORK_MIN
+    data = gen_keys("uniform", n, 31)
+    B = SemisortParams.for_n(n).B
+    real_rehash = semisort_mod._rehash
+    ranges = []
+
+    def counting(keys, sizes, *args):
+        ranges.append(len(sizes))
+        return real_rehash(keys, sizes, *args)
+
+    monkeypatch.setattr(semisort_mod, "_rehash", counting)
+    (inline, _, _), (forked, _, _) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
+    assert inline == forked
+    assert ranges[0] == B and len(ranges) == 3 and sum(ranges[1:]) == B
+    ranges.clear()
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    in_branch, _ = parallel.fork_join(
+        WorkMeter(), lambda m: _digests(data, 32, m), lambda m: None, True
+    )
+    assert in_branch == inline and ranges == [B]
+
+
+def test_light_side_bucket_too_large_matches_inline(monkeypatch):
+    # At K = 62 every bucket of three or more records is too large.  The
+    # sizes are checked once, before the ranges start, so a forked run
+    # raises the inline run's error, naming the largest of all buckets,
+    # having charged the same and rehashed nothing.
+    n = semisort_mod.FORK_MIN
+    data = gen_keys("uniform", n, 31)
+    params = SemisortParams.for_n(n, K=62)
+
+    def run(m):
+        with pytest.raises(BucketTooLarge) as err:
+            semisort(data, params, 32, m)
+        return str(err.value)
+
+    (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
+    assert (s1, s2) == (0, 1)  # the hashing halves only
+    assert inline == forked
+    assert "local_semisort" not in m1.phase_breakdown
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds
+
+
 def test_fork_inside_a_branch_runs_inline(monkeypatch):
     # A fork asked for while another is in flight, from either thread, runs
     # its branches in turn on the thread that asked: it submits nothing, so
@@ -711,10 +797,10 @@ def test_fork_inside_a_branch_runs_inline(monkeypatch):
         return branch
 
     def nested(tag):
-        return lambda m: semisort_mod._fork_join(m, leaf(tag + "1"), leaf(tag + "2"), True)
+        return lambda m: parallel.fork_join(m, leaf(tag + "1"), leaf(tag + "2"), True)
 
     def run(m):
-        return semisort_mod._fork_join(m, nested("helper"), nested("caller"), True)
+        return parallel.fork_join(m, nested("helper"), nested("caller"), True)
 
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
     assert (s1, s2) == (0, 1)
@@ -738,7 +824,7 @@ def test_caller_threads_share_the_helper_without_queueing(monkeypatch):
         return _digests(data, seed, m), list(m.phase_breakdown.items()), m.rounds
 
     expect = [run(seed) for seed in range(6)]
-    monkeypatch.setattr(semisort_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
     real_submit, lock, held, most = ThreadPoolExecutor.submit, threading.Lock(), [0], [0]
 
     def counting_submit(self, fn, *args):
@@ -776,9 +862,10 @@ def test_caller_threads_share_the_helper_without_queueing(monkeypatch):
 
 
 def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
-    # Uniform keys have no heavy side, and an integer sort of a few distinct
-    # keys has no light side: each must run with the helper thread
-    # unavailable, and each must still place its one side.
+    # Below FORK_MIN records, uniform keys (no heavy side) and an integer
+    # sort of a few distinct keys (no light side) fork nothing: each must run
+    # with the helper thread unavailable, and each must still place its one
+    # side.
     def no_helper(self, *args, **kwargs):
         raise AssertionError("helper thread used")
 
@@ -789,7 +876,7 @@ def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
         return real_place(*args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", no_helper)
-    monkeypatch.setattr(semisort_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
     monkeypatch.setattr(semisort_mod, "place", counting_place)
     n = 1 << 14
     data = gen_keys("uniform", n, 5)
@@ -872,7 +959,7 @@ def _semisort_zipf_in_child():
 def test_forked_child_starts_its_own_helper(monkeypatch):
     # A forked child inherits the parent's executor but not its thread; a
     # task submitted to that executor would never run.
-    monkeypatch.setattr(semisort_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
     semisort(gen_keys("zipf", 1 << 14, 31, 1.2), seed=32)
     child = multiprocessing.get_context("fork").Process(target=_semisort_zipf_in_child)
     child.start()
