@@ -72,9 +72,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def row(self, v: int) -> np.ndarray:
-        return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
-
     def edge_rows(self) -> np.ndarray:
         """Source vertex of each directed adjacency entry (cached)."""
         rows = getattr(self, "_rows", None)
@@ -454,9 +451,10 @@ def reorganize(
     mapped to new positions, again as two branches: the helper takes the
     first rows of the cut stream, the caller the internal stream and the
     other cut rows.  Below ``small_n_cutoff`` adjacency entries, or on one
-    CPU, the branches run in turn on the caller.  Only the caller's branches
-    charge, so the meter sees the same charges in the same order either
-    way.  Nothing sorts the adjacency entries.
+    CPU, the branches run in turn on the caller.  Only the integer sort
+    charges inside a branch, so each join adds the sort's work and rounds
+    and the meter sees the same charges either way.  Nothing sorts the
+    adjacency entries.
     """
     if meter is None:
         meter = WorkMeter()

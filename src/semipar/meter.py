@@ -5,6 +5,9 @@ linear-work claims can be checked independently of interpreter or hardware
 speed.  One ``charge(label, ops, rounds)`` call records a barrier-separated
 bulk phase: its work under its label and its depth on the round counter; a
 primitive of logarithmic depth charges logarithmically many rounds.
+Phases in sequence add their rounds; independent branches joined side by
+side (``join``) add the rounds of the deepest, so rounds are the critical
+path of the work-depth model.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ def ceil_log2(x: int) -> int:
 class WorkMeter:
     """Monotone counters of charged operations, split by phase label.
 
-    One thread charges a meter.  Branches that run concurrently each charge
-    a child meter of their own, and the join merges the children into the
-    parent in the order a sequential run would have charged them.
+    One thread charges a meter.  Each branch of a fork charges a child meter
+    of its own, and ``join`` composes the children into the parent.
     """
 
     __slots__ = ("phase_breakdown", "rounds")
@@ -40,12 +42,15 @@ class WorkMeter:
         self.phase_breakdown[label] = self.phase_breakdown.get(label, 0) + int(ops)
         self.rounds += int(rounds)
 
-    def merge(self, other: "WorkMeter") -> None:
-        """Add ``other``'s work under each of its labels and its rounds;
-        ``other`` is left unchanged."""
-        for label, ops in other.phase_breakdown.items():
-            self.phase_breakdown[label] = self.phase_breakdown.get(label, 0) + ops
-        self.rounds += other.rounds
+    def join(self, *branches: "WorkMeter") -> None:
+        """Compose independent branches after this meter's phases: add their
+        work under each label, in the order a sequential run would charge
+        it, and the rounds of the deepest branch; the branches are left
+        unchanged."""
+        for branch in branches:
+            for label, ops in branch.phase_breakdown.items():
+                self.phase_breakdown[label] = self.phase_breakdown.get(label, 0) + ops
+        self.rounds += max((branch.rounds for branch in branches), default=0)
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.phase_breakdown)

@@ -4,9 +4,10 @@
 branches and hand them to ``fork_join``.  On two or more CPUs the first
 branch runs on one helper thread while the caller runs the second; the
 numpy calls in either branch release the interpreter lock, so the two
-overlap.  The join merges the branches' charges in the order a sequential
-run would have made them, so work and rounds never tell which way a fork
-ran.  A branch writes whatever outlives the join into arrays the caller
+overlap.  On either path each branch charges a child meter of its own,
+and the join adds their work in sequential order and the rounds of the
+deeper branch, so work and rounds never tell which way a fork ran.  A
+branch writes whatever outlives the join into arrays the caller
 allocated: an array the helper allocated itself comes from the helper's
 own malloc arena, which hands freed pages back to the system, so each call
 would fault them in afresh.
@@ -48,22 +49,52 @@ def fork_join(
     second: Callable[[WorkMeter], Any],
     fork: bool,
 ) -> tuple[Any, Any]:
-    """``(first(meter), second(meter))``, run side by side when ``fork`` holds,
-    the process may use more than one CPU and no other fork is in flight;
-    inline otherwise.
+    """``(first(m1), second(m2))``, each branch charging a fresh child meter,
+    run side by side when ``fork`` holds, the process may use more than one
+    CPU and no other fork is in flight; in turn on the caller otherwise.
 
     Side by side, ``first`` runs on the helper thread and ``second`` on the
-    caller, each charging a child meter.  The join then does what a
-    sequential run would: it merges ``first``'s meter, raises ``first``'s
-    exception if there is one (dropping ``second``'s meter, which that run
-    would never have charged), and otherwise merges ``second``'s meter and
-    raises its exception if there is one.  A fork requested inside either
-    branch, or by another thread meanwhile, runs inline, so no branch ever
-    waits for the helper thread (``reorganize`` integer-sorts in a branch,
-    and the sort's semisort asks to fork).
+    caller.  Either way the join does what a sequential run would: if
+    ``first`` raised, it joins only ``first``'s meter into ``meter`` and
+    raises that exception (a sequential run would never have started
+    ``second``); otherwise it joins both meters (``WorkMeter.join``: work
+    in order, the deeper branch's rounds) and raises ``second``'s exception
+    if there is one.  A fork requested inside either branch, or by another
+    thread meanwhile, runs in turn, so no branch ever waits for the helper
+    thread (``reorganize`` integer-sorts in a branch, and the sort's
+    semisort asks to fork).
     """
-    if not fork or _cpus() < 2:
-        return first(meter), second(meter)
+    m1, m2 = WorkMeter(), WorkMeter()
+    in_flight = _claim_helper() if fork and _cpus() >= 2 else None
+    if in_flight is None:
+        r1, e1 = _run(first, m1)
+        r2, e2 = _run(second, m2) if e1 is None else (None, None)
+    else:
+        try:
+            future = _helper[1].submit(_run, first, m1)
+            r2, e2 = _run(second, m2)
+            r1, e1 = future.result()
+        finally:
+            in_flight.release()
+    if e1 is not None:
+        meter.join(m1)
+        raise e1
+    meter.join(m1, m2)
+    if e2 is not None:
+        raise e2
+    return r1, r2
+
+
+def _run(branch: Callable[[WorkMeter], Any], meter: WorkMeter) -> tuple[Any, Exception | None]:
+    """``branch(meter)`` and None, or None and the exception it raised."""
+    try:
+        return branch(meter), None
+    except Exception as exc:
+        return None, exc
+
+
+def _claim_helper() -> threading.Lock | None:
+    """The helper's in-flight lock, acquired, or None if a fork is in flight."""
     global _helper
     if _helper is None or _helper[0] != os.getpid():
         # A forked child inherits the executor but not its thread, and the
@@ -73,23 +104,5 @@ def fork_join(
             ThreadPoolExecutor(1, thread_name_prefix="semipar-helper"),
             threading.Lock(),
         )
-    _, executor, in_flight = _helper
-    if not in_flight.acquire(blocking=False):
-        return first(meter), second(meter)
-    m1, m2 = WorkMeter(), WorkMeter()
-    try:
-        future = executor.submit(first, m1)
-        try:
-            r2, error = second(m2), None
-        except Exception as exc:
-            r2, error = None, exc
-        try:
-            r1 = future.result()
-        finally:
-            meter.merge(m1)
-    finally:
-        in_flight.release()
-    meter.merge(m2)
-    if error is not None:
-        raise error
-    return r1, r2
+    in_flight = _helper[2]
+    return in_flight if in_flight.acquire(blocking=False) else None

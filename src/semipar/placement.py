@@ -14,13 +14,9 @@ and appends each claim as a ``slot << rb | record`` word; a round's claims
 ascend.  ``PlacementResult.span`` sorts the claims of one slot range into
 the records in arena order, beside their slots, and ``order`` and ``slots``
 are the span of the whole arena.  The probe and claim words need
-bits(arena_size - 1) + bits(n - 1) <= 64, and ``PlacementInstance`` raises
-``InvalidInstance`` beyond that.
-
-``PlacementResult.arena`` is derived as ``uint32``: each slot holds a record
-index, or ``EMPTY_SLOT`` (2^32 - 1) if vacant, so an instance holds fewer
-than ``RECORD_LIMIT`` (2^32 - 1) records and ``PlacementInstance`` raises
-``InvalidInstance`` beyond that too.
+bits(arena_size - 1) + bits(n - 1) <= 64, and an instance holds fewer than
+``RECORD_LIMIT`` (2^32 - 1) records; ``PlacementInstance`` raises
+``InvalidInstance`` beyond either limit.
 """
 
 from __future__ import annotations
@@ -33,9 +29,9 @@ import numpy as np
 from .meter import WorkMeter, ceil_log2
 from .prng import derive, mix64_array
 
-EMPTY_SLOT = np.uint32(0xFFFFFFFF)
-# Derived arena entries are uint32 record indices, which stay below EMPTY_SLOT.
-RECORD_LIMIT = int(EMPTY_SLOT)
+# An instance holds fewer records than this, so every record index, and
+# with it every block length (SemisortParams caps d at 2^32), fits in 32 bits.
+RECORD_LIMIT = (1 << 32) - 1
 
 
 def _bits(x: int) -> int:
@@ -160,20 +156,6 @@ class PlacementResult:
     def slots(self) -> np.ndarray:
         """Their slots, strictly increasing, int64."""
         return self._arena_order[1]
-
-    @property
-    def slot_of(self) -> np.ndarray:
-        """Record index -> arena slot (injective), int64."""
-        slot_of = np.empty(len(self.order), dtype=np.int64)
-        slot_of[self.order] = self.slots
-        return slot_of
-
-    @property
-    def arena(self) -> np.ndarray:
-        """Arena slot -> record index as ``uint32``, EMPTY_SLOT if vacant."""
-        arena = np.full(self.arena_size, EMPTY_SLOT, dtype=np.uint32)
-        arena[self.slots] = self.order
-        return arena
 
 
 def place(

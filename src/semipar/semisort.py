@@ -8,10 +8,11 @@ segmented passes, rehashing a bucket with a fresh multiply-shift function
 until the sort of its hash values is collision-free.  A placement timeout
 triggers a full restart with a fresh derived seed.  Inputs below
 ``small_n_cutoff`` records, and heavy or light sides below n / lg n, are
-comparison-sorted by key instead.  On two CPUs some steps run on one
-helper thread beside the caller (``parallel.fork_join``), with the same
-output, work and rounds.  From ``FORK_MIN`` records the heavy/light
-classification runs over two halves of the keys.  When both sides are
+comparison-sorted by key instead.  Independent steps are the two
+branches of a ``parallel.fork_join``, which charges the deeper branch's
+rounds; on two CPUs some run on one helper thread beside the caller, with
+the same output, work and rounds.  From ``FORK_MIN`` records the
+heavy/light classification runs over two halves of the keys.  When both sides are
 placed, the heavy side runs beside the light side, which packs its own
 records into the output, and after them the heavy records' keys are
 packed beside their payloads.  From ``FORK_MIN`` light records, when the
@@ -278,19 +279,25 @@ def local_semisort(
 
 
 def rehash_buckets(
-    keys: np.ndarray, sizes: np.ndarray, K: int, seed: int, meter: WorkMeter
+    keys: np.ndarray, sizes: np.ndarray, K: int, seed: int, meter: WorkMeter, first_id: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Semisort consecutive buckets of ``keys`` in one segmented pass.
 
-    Bucket b holds the next ``sizes[b]`` keys.  Each attempt j draws a fresh
-    multiply-shift hash into [2^l_b], l_b = ceil(log2(m_b^K)), for every
-    pending bucket from (seed, j, b), sorts all their records by (bucket,
-    hash value), and retries only the buckets where two distinct keys share
-    a hash value (``_rehash``, which semisorts a range of the buckets under
-    their own ids as this call does).  Returns the permutation of ``keys``
-    that semisorts every bucket within its own range, and the attempts per
-    bucket (1 for an empty or singleton bucket), and charges them
-    (``_charge_rehash``).
+    Bucket b, with id first_id + b, holds the next ``sizes[b]`` keys.  Each
+    attempt j draws a fresh multiply-shift hash into [2^l_b], l_b =
+    ceil(log2(m_b^K)), for every pending bucket from (seed, j, id), sorts
+    all their records by (bucket, hash value), and retries only the buckets
+    where two distinct keys share a hash value; so a range of buckets under
+    their own ids takes the order and attempts it takes in a call on all of
+    them.  Returns the permutation of ``keys`` that semisorts every bucket
+    within its own range, and the attempts per bucket (1 for an empty or
+    singleton bucket).
+
+    An attempt on m_b >= 2 records costs (2K+2)*m_b ops (hash, K counting-
+    sort passes at base m_b, collision scan) and K+2 rounds; a singleton
+    costs 1 op and 1 round, an empty bucket nothing.  Rounds are the maximum
+    over buckets: every pending bucket runs attempt j in the same K+2
+    rounds, and the singletons' round runs beside the first attempt.
 
     Two distinct keys collide with probability at most 2^(1-l_b) <= 2/m_b^K,
     so by a union bound over the C(m_b, 2) pairs an attempt fails with
@@ -300,65 +307,16 @@ def rehash_buckets(
     BucketTooLarge before any attempt, which keeps l_b <= 63.
     """
     _check_bucket_sizes(sizes, K)
-    order, attempts, failed = _rehash(keys, sizes, K, seed, 0)
-    _charge_rehash(meter, sizes, attempts, K, failed)
-    return order, attempts
-
-
-def _check_bucket_sizes(sizes: np.ndarray, K: int) -> None:
-    """Raise BucketTooLarge when the largest bucket's m_b^K reaches 2^63."""
-    m_max = int(np.max(sizes, initial=0))
-    if m_max ** K >= 1 << 63:
-        raise BucketTooLarge(f"bucket of {m_max} records: {m_max}^{K} >= 2^63; lower K")
-
-
-def _charge_rehash(
-    meter: WorkMeter, sizes: np.ndarray, attempts: np.ndarray, K: int, failed: int
-) -> None:
-    """Charge rehashing buckets of ``sizes`` records that took ``attempts``
-    attempts each, as if each bucket ran alone; then raise RehashExceeded if
-    ``failed`` buckets collided in every attempt.
-
-    An attempt on m_b >= 2 records costs (2K+2)*m_b ops (hash, K counting-
-    sort passes at base m_b, collision scan) and K+2 rounds; a singleton
-    costs 1 op and 1 round, an empty bucket nothing.  Rounds are the maximum
-    over buckets: every pending bucket runs attempt j in the same K+2
-    rounds, and the singletons' round runs beside the first attempt.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    multi = sizes >= 2
-    singles = int(np.count_nonzero(sizes == 1))
-    if multi.any():
-        work = (2 * K + 2) * int(np.dot(sizes[multi], attempts[multi])) + singles
-        meter.charge("local_semisort", work, (K + 2) * int(attempts[multi].max()))
-    elif singles:
-        meter.charge("local_semisort", singles, 1)
-    if failed:
-        raise RehashExceeded(
-            f"{failed} bucket(s) collided in all {MAX_REHASH_ATTEMPTS} rehash attempts"
-        )
-
-
-def _rehash(
-    keys: np.ndarray, sizes: np.ndarray, K: int, seed: int, first_id: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The attempts of ``rehash_buckets`` on buckets with ids first_id,
-    first_id + 1, ..., uncharged and with their sizes checked: the order,
-    the attempts per bucket, and how many buckets collided in all
-    MAX_REHASH_ATTEMPTS."""
     sizes = np.asarray(sizes, dtype=np.int64)
     attempts = np.ones(len(sizes), dtype=np.int64)
     pending = np.flatnonzero(sizes >= 2)
-    if len(pending) == 0:
-        return np.arange(len(keys), dtype=np.int64), attempts, 0
+    order = None if len(pending) else np.arange(len(keys), dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     # The first attempt hashes every bucket, so its records are ``keys`` as
     # they stand; a singleton hashes into [1] and cannot collide.
     batch = np.flatnonzero(sizes)
     attempt = 0
-    while len(pending):
-        if attempt == MAX_REHASH_ATTEMPTS:
-            return order, attempts, len(pending)
+    while len(pending) and attempt < MAX_REHASH_ATTEMPTS:
         attempt += 1
         attempts[pending] = attempt
         m_b = sizes[batch]
@@ -380,7 +338,25 @@ def _rehash(
         # i lies in the bucket whose end first exceeds i; ``hit`` ascends.
         hit_bucket = np.searchsorted(np.cumsum(m_b), hit, side="right")
         batch = pending = batch[hit_bucket[run_heads(hit_bucket)]]
-    return order, attempts, 0
+    multi = sizes >= 2
+    singles = int(np.count_nonzero(sizes == 1))
+    if multi.any():
+        work = (2 * K + 2) * int(np.dot(sizes[multi], attempts[multi])) + singles
+        meter.charge("local_semisort", work, (K + 2) * int(attempts[multi].max()))
+    elif singles:
+        meter.charge("local_semisort", singles, 1)
+    if len(pending):
+        raise RehashExceeded(
+            f"{len(pending)} bucket(s) collided in all {MAX_REHASH_ATTEMPTS} rehash attempts"
+        )
+    return order, attempts
+
+
+def _check_bucket_sizes(sizes: np.ndarray, K: int) -> None:
+    """Raise BucketTooLarge when the largest bucket's m_b^K reaches 2^63."""
+    m_max = int(np.max(sizes, initial=0))
+    if m_max ** K >= 1 << 63:
+        raise BucketTooLarge(f"bucket of {m_max} records: {m_max}^{K} >= 2^63; lower K")
 
 
 def _sort_by_bucket_and_hash(
@@ -431,8 +407,9 @@ def semisort(
 
 
 def _sort_segment(pos: np.ndarray, keys: np.ndarray, meter: WorkMeter, label: str) -> np.ndarray:
-    """Comparison-sort record positions by key (mergesort cost model)."""
-    lg = ceil_log2(len(pos))
+    """Comparison-sort record positions by key (mergesort cost model); an
+    empty side charges its label 0 ops and 0 rounds."""
+    lg = ceil_log2(len(pos)) if len(pos) else 0
     meter.charge(label, len(pos) * lg, lg)
     return pos[stable_argsort(keys[pos])]
 
@@ -596,16 +573,17 @@ def _light_side(
     From FORK_MIN light records, when ``fork_join`` would fork
     (``can_fork``: two CPUs, and this side not running beside the heavy
     side), two steps split in two, one half on the helper thread beside the
-    other on the caller: bucket
-    hashing, over two halves of the records; and after placement, which
-    runs alone on the caller, the local semisorts, over two ranges of
-    buckets split where half of the records lie before.  Each range sorts
-    its own span of the placement, gathers its keys, rehashes its buckets
-    under their own ids and packs its records into its slice of the output.
-    Hashing is charged after its join, and the rehash attempts once after
-    theirs, so work and rounds are those of one range; bucket sizes are
-    checked for BucketTooLarge once, before the ranges start, so either way
-    raises the same error having rehashed nothing.
+    other on the caller: bucket hashing, over two halves of the records;
+    and after placement, which runs alone on the caller, the local
+    semisorts, over two ranges of buckets split where half of the records
+    lie before.  Each range sorts its own span of the placement, gathers
+    its keys, rehashes its buckets under their own ids on its own branch
+    meter and packs its records into its slice of the output.  Hashing is
+    charged after its join; the join of the ranges adds their rehash work
+    and the rounds of the deeper range, which are the rounds of one range,
+    the maximum over all buckets.  Bucket sizes are checked for
+    BucketTooLarge once, before the ranges start, so either way raises the
+    same error having rehashed nothing.
 
     Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
     before it allocates anything per bucket it raises LightArenaExceeded
@@ -661,13 +639,13 @@ def _light_side(
     attempts = np.empty(B, np.int64)
     seed = derive(run_seed, 5)
 
-    def sort_buckets(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def sort_buckets(m: WorkMeter, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Buckets lo..hi-1: their records' positions and keys in arena order,
-        # the order that semisorts them, and how many buckets failed.
+        # and the order that semisorts them.
         pos = light[res.span(offsets[lo], offsets[hi])[0]]
         keys = a.keys[pos]
-        order, attempts[lo:hi], failed = _rehash(keys, sizes[lo:hi], params.K, seed, lo)
-        return pos, keys, order, failed
+        order, attempts[lo:hi] = rehash_buckets(keys, sizes[lo:hi], params.K, seed, m, lo)
+        return pos, keys, order
 
     def pack(out: Records, lo: int, pos: np.ndarray, keys: np.ndarray, order: np.ndarray) -> None:
         # Buckets from lo fill the output from h + ends[lo - 1].
@@ -678,23 +656,20 @@ def _light_side(
     if fork:
         out = Records.empty(n)
 
-        def sort_and_pack(lo: int, hi: int) -> int:
-            pos, keys, order, failed = sort_buckets(lo, hi)
-            pack(out, lo, pos, keys, order)
-            return failed
+        def sort_and_pack(m: WorkMeter, lo: int, hi: int) -> None:
+            pack(out, lo, *sort_buckets(m, lo, hi))
 
         b_mid = int(np.searchsorted(ends, len(light) // 2))
-        failed = sum(fork_join(
-            meter, lambda m: sort_and_pack(0, b_mid), lambda m: sort_and_pack(b_mid, B), True
-        ))
+        fork_join(
+            meter, lambda m: sort_and_pack(m, 0, b_mid), lambda m: sort_and_pack(m, b_mid, B), True
+        )
     else:
         # The output comes after the rehash: allocated before it, it pushes
         # the rehash's temporaries onto pages that are faulted in afresh on
         # every call (about 7,000 a call on 2^20 zipf keys).
-        pos, keys, order, failed = sort_buckets(0, B)
+        pos, keys, order = sort_buckets(meter, 0, B)
         out = Records.empty(n)
         pack(out, 0, pos, keys, order)
-    _charge_rehash(meter, sizes, attempts, params.K, failed)
     return out, res.arena_size, int(sizes.max()), attempts
 
 

@@ -35,7 +35,7 @@ def test_meter_rejects_negative():
     assert m.phase_breakdown == {} and m.rounds == 0
 
 
-def test_meter_merge_and_snapshot():
+def test_meter_join_and_snapshot():
     a = WorkMeter()
     a.charge("x", 2, 1)
     a.charge("x", 3, 1)
@@ -44,13 +44,18 @@ def test_meter_merge_and_snapshot():
     snap = a.snapshot()
     snap["x"] = 0
     assert a.phase_breakdown["x"] == 5  # snapshot is a copy
-    b = WorkMeter()
+    b, c = WorkMeter(), WorkMeter()
     b.charge("z", 7, 4)
     b.charge("x", 1, 2)
-    a.merge(b)
-    assert list(a.phase_breakdown.items()) == [("x", 6), ("y", 4), ("z", 7)]
-    assert a.rounds == 3 + 6
+    c.charge("w", 1, 5)
+    c.charge("z", 2, 0)
+    # Work adds label by label in sequential order, rounds by the deeper branch.
+    a.join(b, c)
+    assert list(a.phase_breakdown.items()) == [("x", 6), ("y", 4), ("z", 9), ("w", 1)]
+    assert a.rounds == 3 + max(6, 5)
     assert b.phase_breakdown == {"z": 7, "x": 1} and b.rounds == 6
+    a.join()
+    assert a.rounds == 9 and a.total_ops == 20
 
 
 def test_mix64_bijective_looking():

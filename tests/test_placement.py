@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from semipar import placement
 from semipar.meter import WorkMeter
 from semipar.placement import (
-    EMPTY_SLOT,
     InvalidInstance,
     PlacementInstance,
     PlacementResult,
@@ -35,12 +34,23 @@ def _random_instance(n, n_targets, seed, alpha=2.0, d=1, slack=None):
     return PlacementInstance(targets=targets, capacities=caps, alpha=alpha, d=d)
 
 
+def _slot_of_and_arena(res):
+    # Record index -> slot, and slot -> record index or -1 if vacant, both
+    # int64, from the result's order and slots.
+    slot_of = np.empty(len(res.order), dtype=np.int64)
+    slot_of[res.order] = res.slots
+    arena = np.full(res.arena_size, -1, dtype=np.int64)
+    arena[res.slots] = res.order
+    return slot_of, arena
+
+
 def _check_result(inst, res):
     n = len(inst.targets)
     assert verify_placement(inst, res)
-    occupied = res.arena != EMPTY_SLOT
+    arena = _slot_of_and_arena(res)[1]
+    occupied = arena >= 0
     assert occupied.sum() == n
-    assert np.array_equal(np.sort(res.arena[occupied]), np.arange(n, dtype=np.uint64))
+    assert np.array_equal(np.sort(arena[occupied]), np.arange(n))
 
 
 def test_basic_placement():
@@ -65,10 +75,10 @@ def test_deterministic_replay():
     inst = _random_instance(2000, 64, seed=9, d=8)
     r1 = place(inst, default_round_cap(2000), seed=11)
     r2 = place(inst, default_round_cap(2000), seed=11)
-    assert np.array_equal(r1.slot_of, r2.slot_of)
+    assert np.array_equal(r1.order, r2.order) and np.array_equal(r1.slots, r2.slots)
     assert r1.probes == r2.probes and r1.rounds_used == r2.rounds_used
     r3 = place(inst, default_round_cap(2000), seed=12)
-    assert not np.array_equal(r1.slot_of, r3.slot_of)
+    assert not np.array_equal(_slot_of_and_arena(r1)[0], _slot_of_and_arena(r3)[0])
 
 
 @given(
@@ -76,13 +86,12 @@ def test_deterministic_replay():
     st.booleans(), st.integers(0, 2**32),
 )
 @settings(max_examples=40, deadline=None)
-def test_slot_of_inverts_arena(n, n_targets, d, validate, seed):
+def test_random_instances_place_verifiably(n, n_targets, d, validate, seed):
     # Unvalidated instances get capacity 1.25 * count, below alpha * count.
     inst = _random_instance(n, n_targets, seed, d=d, slack=None if validate else 1.25)
     res = place(inst, 2000, seed=seed + 1, validate=validate)
-    _check_result(inst, res)
-    assert res.slot_of.dtype == np.int64
-    assert np.array_equal(res.arena[res.slot_of], np.arange(n))
+    assert verify_placement(inst, res)
+    assert res.order.dtype == res.slots.dtype == np.int64
 
 
 @given(
@@ -160,11 +169,11 @@ def test_verify_placement_rejects_tampered_results(tamper):
 
 
 def _reference_place(inst, round_cap, seed):
-    # The round loop on a uint32 arena of record ids: a probe of an empty
-    # slot writes its record, the last writer of a slot in block order wins,
-    # and each record's slot is recorded as it claims one.
+    # The round loop on an arena of record ids, -1 if vacant: a probe of an
+    # empty slot writes its record, the last writer of a slot in block order
+    # wins, and each record's slot is recorded as it claims one.
     n = len(inst.targets)
-    arena = np.full(inst.arena_size, EMPTY_SLOT, dtype=np.uint32)
+    arena = np.full(inst.arena_size, -1, dtype=np.int64)
     slot_of = np.empty(n, dtype=np.int64)
     n_blocks = max(1, n // inst.d)
     ptr = np.arange(n_blocks, dtype=np.int64) * inst.d
@@ -180,7 +189,7 @@ def _reference_place(inst, round_cap, seed):
         raw = mix64_array(key ^ np.uint64(rounds))
         t = inst.targets[ptr]
         slots = inst.offsets[t] + (raw % caps[t]).view(np.int64)
-        empty = arena[slots] == EMPTY_SLOT
+        empty = arena[slots] == -1
         arena[slots[empty]] = ptr[empty]
         slot_of[ptr[empty]] = slots[empty]
         ptr += arena[slots] == ptr
@@ -209,8 +218,9 @@ def test_place_matches_reference_round_loop(n, n_targets, data, round_cap, seed)
             place(inst, round_cap, seed + 1)
         return
     res = place(inst, round_cap, seed + 1)
-    assert np.array_equal(res.slot_of, expected[0])
-    assert np.array_equal(res.arena, expected[1])
+    slot_of, arena = _slot_of_and_arena(res)
+    assert np.array_equal(slot_of, expected[0])
+    assert np.array_equal(arena, expected[1])
     assert (res.rounds_used, res.probes) == expected[2:]
 
 
@@ -286,8 +296,8 @@ def test_validation_rejects_bad_target_id():
 
 
 def test_record_limit_rejected(monkeypatch):
-    # The uint32 arena holds record indices below EMPTY_SLOT; a lowered
-    # limit stands in for the 2^32 - 1 records that would not fit in memory.
+    # An instance holds fewer than RECORD_LIMIT records; a lowered limit
+    # stands in for the 2^32 - 1 records that would not fit in memory.
     monkeypatch.setattr(placement, "RECORD_LIMIT", 8)
     PlacementInstance(np.zeros(7, np.int64), np.array([14]))
     with pytest.raises(InvalidInstance, match="records"):
@@ -359,8 +369,9 @@ PIN_INSTANCES = {
 }
 
 # Placement seed 42, round cap 4 * default_round_cap(n).  Digests: sha256 of
-# slot_of as little-endian int64; of the arena as little-endian int64 with
-# EMPTY_SLOT read as -1; of the sorted-key JSON of the meter's per-label work.
+# record index -> slot and of slot -> record index (-1 if vacant), both as
+# little-endian int64 (_slot_of_and_arena); of the sorted-key JSON of the
+# meter's per-label work.
 PINNED_PLACEMENT = [
     ("d1", "afee3be3d0dd6faf04432830477d3a698e9084557a9c9e6c77783da9f3b5047e", "9ecd60e8d4e9f32a8e5e391f2b9f2b8465f1549958e3ba2399a43c8f3210b3fb", 9, 4129, "943885875055082590efbce888fc332eec539eca33297658f2da453a3fa003dc"),
     ("d_lg", "a127d217d12316a264e572cfae8c2cc046cab4b1b72232626cbbcbda8d3650bb", "4fd57f7e988b48e400d0d7bcf73ace034f61878b01f25c0b7c0fc18c70f2d20a", 30, 5631, "dab60b0488d8f28a0fc6a2fa924afc52a7b33204b4993a8b6ada0a586a15c6c0"),
@@ -388,8 +399,8 @@ def test_place_outputs_pinned(case, slot_digest, arena_digest, rounds, probes, w
     meter = WorkMeter()
     res = place(inst, 4 * default_round_cap(len(inst.targets)), seed=42, meter=meter,
                 validate=case != "tight_unvalidated")
-    arena = np.where(res.arena == EMPTY_SLOT, -1, res.arena.astype(np.int64))
-    assert _sha(res.slot_of) == slot_digest
+    slot_of, arena = _slot_of_and_arena(res)
+    assert _sha(slot_of) == slot_digest
     assert _sha(arena) == arena_digest
     assert (res.rounds_used, res.probes) == (rounds, probes)
     work = json.dumps(meter.phase_breakdown, sort_keys=True).encode()

@@ -287,17 +287,23 @@ def test_rehash_buckets_range_matches_the_whole_call(lo, hi):
     # Every hash function comes from (seed, attempt, bucket id), so buckets
     # lo..hi-1 under their own ids take the order and attempts they take in
     # the call on all buckets.  At K = 2 small buckets retry often: buckets
-    # 3, 8 and 12 do here.
+    # 3, 8 and 12 do here.  Joined side by side, the range and the buckets
+    # after it charge what the call on buckets lo.. charges.
     sizes = np.array([0, 1, 2, 3, 2, 0, 2, 300, 2, 3, 2, 150, 2, 0])
     keys = generator(1, 9).integers(0, 120, size=int(sizes.sum()), dtype=np.uint64)
     whole_order, whole_attempts = rehash_buckets(keys, sizes, 2, 17, WorkMeter())
     assert np.flatnonzero(whole_attempts >= 2).tolist() == [3, 8, 12]
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     s0, s1 = bounds[lo], bounds[hi]
-    order, attempts, failed = semisort_mod._rehash(keys[s0:s1], sizes[lo:hi], 2, 17, lo)
+    meters = [WorkMeter() for _ in range(3)]
+    order, attempts = rehash_buckets(keys[s0:s1], sizes[lo:hi], 2, 17, meters[0], lo)
     assert np.array_equal(order, whole_order[s0:s1] - s0)
     assert np.array_equal(attempts, whole_attempts[lo:hi])
-    assert failed == 0
+    rehash_buckets(keys[s1:], sizes[hi:], 2, 17, meters[1], hi)
+    rehash_buckets(keys[s0:], sizes[lo:], 2, 17, meters[2], lo)
+    joined = WorkMeter()
+    joined.join(meters[0], meters[1])
+    assert (joined.phase_breakdown, joined.rounds) == (meters[2].phase_breakdown, meters[2].rounds)
 
 
 def test_rehash_buckets_keeps_wrapped_buckets_apart(monkeypatch):
@@ -402,6 +408,15 @@ def test_semisort_below_cutoff_is_one_comparison_sort(n, monkeypatch):
     assert verify_semisort(data.keys, out)
     assert meter.phase_breakdown == {"small_sort": n * ceil_log2(n)}
     assert meter.rounds == ceil_log2(n)
+
+
+def test_empty_side_sort_keeps_its_label_and_no_rounds():
+    # A side with no records (the light side when every key is heavy) sorts
+    # nothing in no rounds; its 0-op label keeps the per-label work the same.
+    meter = WorkMeter()
+    empty = np.empty(0, np.int64)
+    assert len(semisort_mod._sort_segment(empty, empty.view(np.uint64), meter, "light_sort")) == 0
+    assert (meter.phase_breakdown, meter.rounds) == ({"light_sort": 0}, 0)
 
 
 def test_semisort_all_equal_keys():
@@ -564,16 +579,16 @@ def test_stable_argsort_empty_and_signed():
 # order of records within each key, not on the order semisort gives the
 # keys, which below small_n_cutoff (the n = 1000 case) is a comparison sort's.
 PINNED_SEMISORT = [
-    ("uniform", 4096, "0fdc71becc7c251f2bb1269f876705f31b5b4ce15243b30d450963dfa34d961c", 124839, 71, "0d66d861183e7d3c6aaf0bb8e76ccd79ea672ee84ac6e686e0ca51c9dabed6cb", "215ac58ffd7bd4d48ab53f0b868b5c3d1cf55f60cc35953aacd9a60e52574d2b"),
-    ("zipf", 4096, "3f6bbc3029ab33fe76f5a409b7a0380bdbd53ead0daf9b15d8587342c5f54bd1", 116324, 109, "5573c2ee148c995c74e065f41385490b83536a9f4f427f7b707d9c228058e2dc", "c3bec17e6bcbbfa9ca2078994306ef7c15814b467354b6c9d269a332a136d8eb"),
-    ("all_equal", 4096, "f58f596f446250e08dc32f0b30362f7ffea5d43cd3300779ac9149b7a0f5e22f", 36528, 68, "94c5cfe8af384ea47fbe387a392d4f2c342df75d1da72c750b8452c4f603c4c5", "459f576b6d60ff60609be229bf5f2f08d9f90d1b3038f591369f9463bcbc1078"),
-    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 124877, 70, "eaf23ece50b9ec2f51e4ac0fa3c36004e5fd8d6d68b29bdac10d02d2f6ba029f", "01d7f23905fbd60cf578305d6c17fe200f1c3f3caf3ef3ac9b97949a6d82e56e"),
-    ("uniform", 16384, "c276beb59c4de263b049f592a302b24019aa1ea8391f3deec5da2e08eda7aa56", 500161, 80, "960f54f25b8ef9f3838de9e8b41d65db70d4b4129fe2086687634df0778907ee", "dd0b3f04503f654c07cbcb39c8ebef7db555a40bdb2d4f5737df52059bdd1803"),
-    ("zipf", 16384, "30233ec5f64dc2524902648bfe810a6a18ad9bad6303141085d94d299b30b52b", 447718, 129, "606f6456d068c87f28cec2247616c5233226f577649a8ac8f83b26788b7d4694", "8459aed746317f8125106004dce948e273e79bd897913f02478e090889852e95"),
-    ("all_equal", 16384, "6ddb58425123e570e3eab71faf5a583666380190670cd1c112e96e2c83009527", 140999, 83, "a5652d98bca4bcf0abb2b14339e885593f27c70a3d23b62c660678417cf8a2ec", "8606c17d69ed0270665a344d0ff7eadc44191cd33bce15a24c731fcc5660b023"),
-    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 500169, 81, "7ddd0f045fe5b53cb3230ceab19d7fba57041df1f933acaa03b0a0205b1e2ed4", "d1fff5fc5ddc1a7c4cbfd71e846634d117afd005a9d4856ae3cde1aed13da96a"),
-    ("heavy_below_cutoff", 16384, "0dd5009c458d81afde56efe952853b8a332c2f1c7294ed4ed7e935279fd8d60e", 497934, 94, "ac72525ee9dc7873ac574d32ea4c8e9660f567e1af4b747b96d258da478c7e92", "76fee19459bcf114d9ea7d213b1cd099f4b84b0ef15776a110241a6254ac6fe5"),
-    ("intsort", 16384, "1c3499f0ccde366a27d1afdce0c623e47d6dda2a3f2677e59af9840fbca963aa", 565697, 94, "7783f48393b22b4af89b2b4cd85aaf056add846de7867fdc4aef06a5b8334356", None),
+    ("uniform", 4096, "0fdc71becc7c251f2bb1269f876705f31b5b4ce15243b30d450963dfa34d961c", 124839, 70, "0d66d861183e7d3c6aaf0bb8e76ccd79ea672ee84ac6e686e0ca51c9dabed6cb", "215ac58ffd7bd4d48ab53f0b868b5c3d1cf55f60cc35953aacd9a60e52574d2b"),
+    ("zipf", 4096, "3f6bbc3029ab33fe76f5a409b7a0380bdbd53ead0daf9b15d8587342c5f54bd1", 116324, 75, "5573c2ee148c995c74e065f41385490b83536a9f4f427f7b707d9c228058e2dc", "c3bec17e6bcbbfa9ca2078994306ef7c15814b467354b6c9d269a332a136d8eb"),
+    ("all_equal", 4096, "f58f596f446250e08dc32f0b30362f7ffea5d43cd3300779ac9149b7a0f5e22f", 36528, 67, "94c5cfe8af384ea47fbe387a392d4f2c342df75d1da72c750b8452c4f603c4c5", "459f576b6d60ff60609be229bf5f2f08d9f90d1b3038f591369f9463bcbc1078"),
+    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 124877, 69, "eaf23ece50b9ec2f51e4ac0fa3c36004e5fd8d6d68b29bdac10d02d2f6ba029f", "01d7f23905fbd60cf578305d6c17fe200f1c3f3caf3ef3ac9b97949a6d82e56e"),
+    ("uniform", 16384, "c276beb59c4de263b049f592a302b24019aa1ea8391f3deec5da2e08eda7aa56", 500161, 79, "960f54f25b8ef9f3838de9e8b41d65db70d4b4129fe2086687634df0778907ee", "dd0b3f04503f654c07cbcb39c8ebef7db555a40bdb2d4f5737df52059bdd1803"),
+    ("zipf", 16384, "30233ec5f64dc2524902648bfe810a6a18ad9bad6303141085d94d299b30b52b", 447718, 88, "606f6456d068c87f28cec2247616c5233226f577649a8ac8f83b26788b7d4694", "8459aed746317f8125106004dce948e273e79bd897913f02478e090889852e95"),
+    ("all_equal", 16384, "6ddb58425123e570e3eab71faf5a583666380190670cd1c112e96e2c83009527", 140999, 82, "a5652d98bca4bcf0abb2b14339e885593f27c70a3d23b62c660678417cf8a2ec", "8606c17d69ed0270665a344d0ff7eadc44191cd33bce15a24c731fcc5660b023"),
+    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 500169, 80, "7ddd0f045fe5b53cb3230ceab19d7fba57041df1f933acaa03b0a0205b1e2ed4", "d1fff5fc5ddc1a7c4cbfd71e846634d117afd005a9d4856ae3cde1aed13da96a"),
+    ("heavy_below_cutoff", 16384, "0dd5009c458d81afde56efe952853b8a332c2f1c7294ed4ed7e935279fd8d60e", 497934, 85, "ac72525ee9dc7873ac574d32ea4c8e9660f567e1af4b747b96d258da478c7e92", "76fee19459bcf114d9ea7d213b1cd099f4b84b0ef15776a110241a6254ac6fe5"),
+    ("intsort", 16384, "1c3499f0ccde366a27d1afdce0c623e47d6dda2a3f2677e59af9840fbca963aa", 565697, 93, "7783f48393b22b4af89b2b4cd85aaf056add846de7867fdc4aef06a5b8334356", None),
     ("intsort", 1000, "29257b74f8bbed78e2374f55c2c1961d7bf0e0d0cdf3d32dca475d1d55885bf6", 14000, 20, "40e2e8c737f01f0599465dfb9d775588ae9afaa2b06f17c356896757303e449a", None),
 ]
 
@@ -664,6 +679,49 @@ def test_semisort_side_by_side_matches_inline(n, monkeypatch):
     assert m1.rounds == m2.rounds
 
 
+def test_semisort_rounds_take_the_deeper_side(monkeypatch):
+    # Zipf keys place both sides, which run as the two branches of one fork:
+    # rounds are those charged before the fork, then the deeper side's, then
+    # the final pack's, on either path.  The sides' rounds never add.
+    n = 1 << 14
+    data = gen_keys("zipf", n, 31, 1.2)
+    real = {f: getattr(semisort_mod, f) for f in ("_heavy_side", "_light_side", "fork_join")}
+
+    def run(meter):
+        sides, forks = {}, []
+
+        def side(name):
+            def wrapped(*args):
+                out = real[name](*args)
+                sides[name] = args[-1].rounds  # the branch's own meter
+                return out
+
+            return wrapped
+
+        def fork_join(m, *args, **kwargs):
+            start = m.rounds
+            out = real["fork_join"](m, *args, **kwargs)
+            if m is meter:
+                forks.append((start, m.rounds))
+            return out
+
+        for name in ("_heavy_side", "_light_side"):
+            monkeypatch.setattr(semisort_mod, name, side(name))
+        monkeypatch.setattr(semisort_mod, "fork_join", fork_join)
+        semisort(data, None, 32, meter)
+        return sides["_heavy_side"], sides["_light_side"], forks
+
+    paths = _both_paths(monkeypatch, run)
+    assert [submits for _, _, submits in paths] == [0, 2]
+    for (heavy, light, forks), meter, _ in paths:
+        # The forks: classification, the sides, the final pack's gathers.
+        _, (prefix, joined), (pack, packed) = forks
+        assert min(heavy, light) > 0
+        assert joined == prefix + max(heavy, light) < prefix + heavy + light
+        assert pack == packed == joined
+        assert meter.rounds == prefix + max(heavy, light) + ceil_log2(n)
+
+
 @pytest.mark.parametrize("every_run", [False, True], ids=["first-run", "every-run"])
 @pytest.mark.parametrize("side,stream", [("heavy", 2), ("light", 4)])
 def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypatch):
@@ -743,14 +801,14 @@ def test_light_side_splits_only_when_it_can_fork(monkeypatch):
     n = semisort_mod.FORK_MIN
     data = gen_keys("uniform", n, 31)
     B = SemisortParams.for_n(n).B
-    real_rehash = semisort_mod._rehash
+    real_rehash = semisort_mod.rehash_buckets
     ranges = []
 
     def counting(keys, sizes, *args):
         ranges.append(len(sizes))
         return real_rehash(keys, sizes, *args)
 
-    monkeypatch.setattr(semisort_mod, "_rehash", counting)
+    monkeypatch.setattr(semisort_mod, "rehash_buckets", counting)
     (inline, _, _), (forked, _, _) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
     assert inline == forked
     assert ranges[0] == B and len(ranges) == 3 and sum(ranges[1:]) == B
@@ -788,7 +846,8 @@ def test_fork_inside_a_branch_runs_inline(monkeypatch):
     # A fork asked for while another is in flight, from either thread, runs
     # its branches in turn on the thread that asked: it submits nothing, so
     # no branch waits for the helper, and the results and charges are those
-    # of a sequential run.
+    # of a sequential run.  Two nested forks of one-round leaves are one
+    # round deep.
     def leaf(name):
         def branch(m):
             m.charge(name, len(name), 1)
@@ -806,7 +865,7 @@ def test_fork_inside_a_branch_runs_inline(monkeypatch):
     assert (s1, s2) == (0, 1)
     assert inline == forked == (("helper1", "helper2"), ("caller1", "caller2"))
     assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
-    assert m1.rounds == m2.rounds == 4
+    assert m1.rounds == m2.rounds == 1
     # The lock is free again: the next fork uses the helper thread.
     (_, _, s1), (_, _, s2) = _both_paths(monkeypatch, run)
     assert (s1, s2) == (0, 1)
