@@ -11,8 +11,9 @@ default.  ``--param KEY=VALUE`` overrides one ``SemisortParams`` field, and
 ``SemisortParams`` itself rejects a value its field cannot take.
 
 Exit codes: 0 success; 1 a verifier or assertion failed, or a randomized
-run used up its budget (``RuntimeError``); 2 a flag the CLI rejects, or a
-``ValueError`` a library function raised for the request (one
+run used up its budget (``RuntimeError``); 2 a flag the CLI rejects, a
+``ValueError`` a library function raised for the request, or a
+``MemoryError``, a request too large for the host's memory (one
 ``config error:`` line); 3 I/O error.
 """
 
@@ -134,14 +135,17 @@ class ExperimentConfig:
             raise ConfigError("k must be >= 0 (0 means ceil(log2 n))")
         if self.m is not None and self.graph_kind in FIXED_EDGES:
             raise ConfigError(f"--m does not apply to graph {self.graph_kind}: it has n - 1 edges")
-        names = {f.name for f in dataclasses.fields(SemisortParams)}
-        for key in self.params:
-            if key not in names:
-                raise ConfigError(f"unknown --param {key!r}; expected one of {sorted(names)}")
-        try:
-            self.semisort_params()
-        except ValueError as exc:
-            raise ConfigError(f"--param: {exc}") from None
+        if self.algorithm in SORTS:
+            names = {f.name for f in dataclasses.fields(SemisortParams)}
+            for key in self.params:
+                if key not in names:
+                    raise ConfigError(f"unknown --param {key!r}; expected one of {sorted(names)}")
+            try:
+                self.semisort_params()
+            except ValueError as exc:
+                # Without a --param, the defaults for n are what failed.
+                source = "--param" if self.params else f"n={self.n}"
+                raise ConfigError(f"{source}: {exc}") from None
 
 
 @dataclass
@@ -397,8 +401,9 @@ def _run_bounds(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     # A ValueError is a rejected request: a ConfigError from the flags, or a
-    # library input error (the library's named ones all subclass it).  A
-    # RuntimeError is a randomized run that used up its budget.
+    # library input error (the library's named ones all subclass it); so is
+    # a MemoryError, a request too large for this host.  A RuntimeError is a
+    # randomized run that used up its budget.
     try:
         args = build_parser().parse_args(argv)
         if args.command == "bounds":
@@ -410,6 +415,10 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - t0
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError names the allocation that failed.
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
     except (AssertionError, RuntimeError) as exc:
         print(f"hard failure: {exc}", file=sys.stderr)

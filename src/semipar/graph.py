@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meter import WorkMeter, ceil_log2
-from .parallel import fork_join
+from .parallel import fork_join, take_into
 from .prng import generator
 from .records import Records
-from .semisort import SemisortParams, integer_sort, segment_index, sorted_distinct
+from .semisort import integer_sort, segment_index, sorted_distinct
 
 ID_LIMIT = 1 << 32  # vertex ids must fit in 32 bits to pack a pair in a uint64
 
@@ -443,18 +443,18 @@ def reorganize(
 
     The vertex permutation comes from the linear-work integer sort (culled
     vertices keyed as piece k).  Whether an entry is internal or cut depends
-    only on the partition, so two branches run side by side (``fork_join``):
-    the helper thread compacts the internal and the cut neighbours, each in
-    original entry order, and counts each vertex's internal entries, while
-    the caller integer-sorts the vertices.  After the join, segmented
-    gathers move both streams into the new row order, the internal one
-    mapped to new positions, again as two branches: the helper takes the
-    first rows of the cut stream, the caller the internal stream and the
-    other cut rows.  Below ``small_n_cutoff`` adjacency entries, or on one
-    CPU, the branches run in turn on the caller.  Only the integer sort
-    charges inside a branch, so each join adds the sort's work and rounds
-    and the meter sees the same charges either way.  Nothing sorts the
-    adjacency entries.
+    only on the partition, so two branches of a ``parallel.fork_join`` do
+    the two: the helper thread compacts the internal and the cut
+    neighbours, each in original entry order, and counts each vertex's
+    internal entries, while the caller integer-sorts the vertices.  After
+    the join, segmented gathers move both streams into the new row order,
+    the internal one mapped to new positions, again as two branches: the
+    helper takes the first rows of the cut stream, the caller the internal
+    stream and the other cut rows.  Both forks give ``fork_join`` the
+    smaller of n and the adjacency length, from which it decides whether
+    they run side by side.  Only the integer sort charges inside a branch,
+    so each join adds the sort's work and rounds and the meter sees the
+    same charges either way.  Nothing sorts the adjacency entries.
     """
     if meter is None:
         meter = WorkMeter()
@@ -485,14 +485,14 @@ def reorganize(
     # array it allocated itself would come from its own malloc arena, which
     # hands the pages back to the system once the caller frees the array, so
     # every call would fault them in afresh.
-    fork = len(g.neighbors) >= SemisortParams.small_n_cutoff
+    size = min(g.n, len(g.neighbors))
     streams = np.empty(len(g.neighbors), dtype=np.int64)
     internal_start = np.empty(g.n + 1, dtype=np.int64)
     internal_count, (perm, inv) = fork_join(
         meter,
         lambda m: _split_at_cut(g, keys, len(piece_ids), streams, internal_start),
         sort_vertices,
-        fork,
+        size,
     )
     internal_nbrs, cut_nbrs = streams[:internal_count], streams[internal_count:]
 
@@ -515,11 +515,11 @@ def reorganize(
 
     def gather_cut(lo: int, hi: int) -> None:
         idx = segment_index(cut_start[lo:hi], cut_deg[lo:hi])
-        np.take(cut_nbrs, idx, out=cut[cut_offsets[lo] : cut_offsets[hi]], mode="clip")
+        take_into(cut_nbrs, idx, cut[cut_offsets[lo] : cut_offsets[hi]])
 
     def gather_internal_and_cut_tail(split: int) -> None:
         idx = segment_index(internal_start[:-1][perm], internal_deg)
-        np.take(inv, internal_nbrs[idx], out=nbrs, mode="clip")
+        take_into(inv, internal_nbrs[idx], nbrs)
         gather_cut(split, g.n)
 
     # An internal entry costs two gathers, a cut entry one: the helper takes
@@ -529,7 +529,7 @@ def reorganize(
         meter,
         lambda m: gather_cut(0, split),
         lambda m: gather_internal_and_cut_tail(split),
-        fork,
+        size,
     )
     meter.charge("reorganize.adjacency", 4 * g.m, ceil_log2(2 * g.m))
     internal_graph = Graph(g.n, offsets, nbrs)
@@ -553,10 +553,8 @@ def _split_at_cut(
     at = np.flatnonzero(internal)
     internal_start[:] = np.searchsorted(at, g.offsets)
     count = len(at)
-    # "clip" writes straight into ``out`` (mode "raise" buffers it); every
-    # index is in range.
-    np.take(g.neighbors, at, out=streams[:count], mode="clip")
+    take_into(g.neighbors, at, streams[:count])
     del at
     np.logical_not(internal, out=internal)
-    np.take(g.neighbors, np.flatnonzero(internal), out=streams[count:], mode="clip")
+    take_into(g.neighbors, np.flatnonzero(internal), streams[count:])
     return count

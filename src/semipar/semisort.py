@@ -9,17 +9,12 @@ until the sort of its hash values is collision-free.  A placement timeout
 triggers a full restart with a fresh derived seed.  Inputs below
 ``small_n_cutoff`` records, and heavy or light sides below n / lg n, are
 comparison-sorted by key instead.  Independent steps are the two
-branches of a ``parallel.fork_join``, which charges the deeper branch's
-rounds; on two CPUs some run on one helper thread beside the caller, with
-the same output, work and rounds.  From ``FORK_MIN`` records the
-heavy/light classification runs over two halves of the keys.  When both sides are
-placed, the heavy side runs beside the light side, which packs its own
-records into the output, and after them the heavy records' keys are
-packed beside their payloads.  From ``FORK_MIN`` light records, when the
-light side does not run beside the heavy side (as on uniform keys, which
-have no heavy side), it hashes two halves of its records side by side
-and, after placement, semisorts and packs two ranges of buckets side by
-side.  Integer sorting for keys in [n] follows as one stable sort of the
+branches of a ``parallel.fork_join``, which decides whether they run side
+by side from the smaller branch's size: classification over two halves of
+the keys, the heavy side beside the light side, the light side's hashing
+over two halves of its records and its rehash and pack over two ranges of
+buckets, and the pack of the heavy records' keys beside their payloads.
+Integer sorting for keys in [n] follows as one stable sort of the
 semisorted keys, charged as a counting pass and skipped when they already
 ascend.
 """
@@ -41,7 +36,7 @@ from .hashing import (
     universal_new,
 )
 from .meter import WorkMeter, ceil_log2
-from .parallel import can_fork, fork_join
+from .parallel import fork_join, take_into
 from .placement import (
     PlacementInstance,
     PlacementResult,
@@ -88,12 +83,8 @@ class LightArenaExceeded(ArenaExceeded):
 LIGHT_ARENA_BASE = 1 << 24
 LIGHT_ARENA_PER_RECORD = 64
 
-# Step 3 splits the keys, and the light side its records and buckets, into
-# two halves, one on the helper thread, from this many records: a split then
-# saves milliseconds, against a hand-off of about 50 us (an empty fork on a
-# 2-CPU VM).  Each classify half goes in chunks of CLASSIFY_CHUNK keys, so
+# Step 3 classifies each half of the keys in chunks of this many keys, so
 # its temporaries stay small.
-FORK_MIN = 1 << 17
 CLASSIFY_CHUNK = 1 << 16
 
 
@@ -503,7 +494,7 @@ def _semisort_once(
             meter,
             lambda m: _classify(a.keys, heavy_keys, target, is_heavy, 0, half),
             lambda m: _classify(a.keys, heavy_keys, target, is_heavy, half, n),
-            fork=n >= FORK_MIN,
+            half,
         )
     else:
         target, is_heavy = None, np.zeros(n, dtype=bool)
@@ -518,24 +509,23 @@ def _semisort_once(
     # positions, each key's contiguous, into ``heavy``; the light side packs
     # its records into the tail of the output while the heavy side runs.
     heavy = np.empty(h, np.int64)
-    fork = min(h, n - h) >= cutoff
     heavy_arena, (out, light_arena, trace.max_bucket_size, trace.bucket_attempts) = fork_join(
         meter,
         lambda m: _heavy_side(
             a.keys, is_heavy, target, sigma_heavy, params, cutoff, derive(run_seed, 2), heavy, m,
         ),
         lambda m: _light_side(a, is_heavy, sample_mask, params, cutoff, run_seed, m),
-        fork,
+        min(h, n - h),
     )
     trace.allocated_space = heavy_arena + light_arena
 
     # Step 7: the heavy records fill the head of the output, keys beside
-    # payloads when the sides ran side by side.
+    # payloads.
     fork_join(
         meter,
-        lambda m: _take_into(a.keys, heavy, out.keys[:h]),
-        lambda m: _take_into(a.payloads, heavy, out.payloads[:h]),
-        fork,
+        lambda m: take_into(a.keys, heavy, out.keys[:h]),
+        lambda m: take_into(a.payloads, heavy, out.payloads[:h]),
+        h,
     )
     meter.charge("final_pack", n, lg)
     return out, trace
@@ -555,7 +545,7 @@ def _heavy_side(
     target = target[heavy]
     counts = np.bincount(target, minlength=len(sigma))
     res, _ = _place_and_pack(target, counts, sigma, params, len(keys), seed, meter, "heavy_pack")
-    _take_into(heavy, res.order, out)
+    take_into(heavy, res.order, out)
     return res.arena_size
 
 
@@ -570,20 +560,20 @@ def _light_side(
     bucket (0 and none when sorted).  ``fork_join`` runs this side on the
     caller, so the output comes from the caller's malloc arena.
 
-    From FORK_MIN light records, when ``fork_join`` would fork
-    (``can_fork``: two CPUs, and this side not running beside the heavy
-    side), two steps split in two, one half on the helper thread beside the
-    other on the caller: bucket hashing, over two halves of the records;
-    and after placement, which runs alone on the caller, the local
-    semisorts, over two ranges of buckets split where half of the records
-    lie before.  Each range sorts its own span of the placement, gathers
-    its keys, rehashes its buckets under their own ids on its own branch
-    meter and packs its records into its slice of the output.  Hashing is
-    charged after its join; the join of the ranges adds their rehash work
-    and the rounds of the deeper range, which are the rounds of one range,
-    the maximum over all buckets.  Bucket sizes are checked for
-    BucketTooLarge once, before the ranges start, so either way raises the
-    same error having rehashed nothing.
+    Three steps are ``fork_join``s of two halves, each of about half the
+    light records: bucket hashing, over two halves of the records; then,
+    after placement, the local semisorts, over two ranges of buckets split
+    where half of the records lie before; then the packs of those ranges
+    into their slices of the output.  Each range sorts its own span of the
+    placement, gathers its keys and rehashes its buckets under their own
+    ids on its own branch meter, so the join adds their rehash work and the
+    rounds of the deeper range, the maximum over all buckets, as one range
+    would.  Hashing is charged after its join.  Bucket sizes are checked
+    for BucketTooLarge once, before the ranges start, so the error names
+    the largest of all buckets having rehashed nothing.  The output is
+    allocated after the rehash: allocated before it, it pushes the
+    rehash's temporaries onto pages that are faulted in afresh on every
+    call (about 7,000 a call on 2^20 zipf keys).
 
     Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
     before it allocates anything per bucket it raises LightArenaExceeded
@@ -596,8 +586,8 @@ def _light_side(
     if len(light) < cutoff:
         light = _sort_segment(light, a.keys, meter, "light_sort")
         out = Records.empty(n)
-        _take_into(a.keys, light, out.keys[h:])
-        _take_into(a.payloads, light, out.payloads[h:])
+        take_into(a.keys, light, out.keys[h:])
+        take_into(a.payloads, light, out.payloads[h:])
         return out, 0, 0, np.empty(0, np.int64)
     B = params.B
     floor = light_arena_floor(params, n)
@@ -607,7 +597,7 @@ def _light_side(
             f"B={B} light buckets need at least {floor:.3g} arena slots, "
             f"over the budget of {budget} for n={n}; lower B"
         )
-    fork = len(light) >= FORK_MIN and can_fork()
+    mid = len(light) // 2
     th = tab_new(derive(run_seed, 3), ceil_log2(B))
     buckets = np.empty(len(light), np.int64)
 
@@ -619,13 +609,9 @@ def _light_side(
         b[:] = tab_bucket(th, a.keys[part], B)
         return np.bincount(b[sample_mask[part]], minlength=B), np.bincount(b, minlength=B)
 
-    if fork:
-        mid = len(light) // 2
-        counts = fork_join(
-            meter, lambda m: hash_records(0, mid), lambda m: hash_records(mid, len(light)), True
-        )
-    else:
-        counts = [hash_records(0, len(light))]
+    counts = fork_join(
+        meter, lambda m: hash_records(0, mid), lambda m: hash_records(mid, len(light)), mid
+    )
     sigma_b, sizes = np.sum(counts, axis=0)
     meter.charge("light_hash", len(light), 1)
     res, offsets = _place_and_pack(
@@ -647,37 +633,19 @@ def _light_side(
         order, attempts[lo:hi] = rehash_buckets(keys, sizes[lo:hi], params.K, seed, m, lo)
         return pos, keys, order
 
-    def pack(out: Records, lo: int, pos: np.ndarray, keys: np.ndarray, order: np.ndarray) -> None:
+    def pack(lo: int, pos: np.ndarray, keys: np.ndarray, order: np.ndarray) -> None:
         # Buckets from lo fill the output from h + ends[lo - 1].
         start = h + (int(ends[lo - 1]) if lo else 0)
-        _take_into(keys, order, out.keys[start : start + len(pos)])
-        _take_into(a.payloads, pos[order], out.payloads[start : start + len(pos)])
+        take_into(keys, order, out.keys[start : start + len(pos)])
+        take_into(a.payloads, pos[order], out.payloads[start : start + len(pos)])
 
-    if fork:
-        out = Records.empty(n)
-
-        def sort_and_pack(m: WorkMeter, lo: int, hi: int) -> None:
-            pack(out, lo, *sort_buckets(m, lo, hi))
-
-        b_mid = int(np.searchsorted(ends, len(light) // 2))
-        fork_join(
-            meter, lambda m: sort_and_pack(m, 0, b_mid), lambda m: sort_and_pack(m, b_mid, B), True
-        )
-    else:
-        # The output comes after the rehash: allocated before it, it pushes
-        # the rehash's temporaries onto pages that are faulted in afresh on
-        # every call (about 7,000 a call on 2^20 zipf keys).
-        pos, keys, order = sort_buckets(meter, 0, B)
-        out = Records.empty(n)
-        pack(out, 0, pos, keys, order)
+    b_mid = int(np.searchsorted(ends, mid))
+    first, second = fork_join(
+        meter, lambda m: sort_buckets(m, 0, b_mid), lambda m: sort_buckets(m, b_mid, B), mid
+    )
+    out = Records.empty(n)
+    fork_join(meter, lambda m: pack(0, *first), lambda m: pack(b_mid, *second), mid)
     return out, res.arena_size, int(sizes.max()), attempts
-
-
-def _take_into(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    """``x[idx]`` written into ``out``.  Mode "clip" lets ``np.take`` write in
-    place (mode "raise" buffers ``out``); every index is in range, so it
-    clips nothing."""
-    np.take(x, idx, out=out, mode="clip")
 
 
 def integer_sort(

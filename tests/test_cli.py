@@ -346,10 +346,16 @@ def test_exit_code_config_error(capsys, monkeypatch):
         # Sizes past the 32-bit vertex ids or the placement record limit.
         ["partition", "--n", str(1 << 32), "--graph", "gnm", "--m", "0", "--k", "1"],
         ["placement", "--n", "20"],
+        # Past the default B and d of 2^32, which only a sort reads: the
+        # line names n, not a --param that was never given.
+        ["partition", "--n", str(1 << 50)],
+        ["semisort", "--n", str(1 << 50)],
     ):
         assert run_cli(args) == EXIT_CONFIG, args
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+        if "--param" not in args:
+            assert "--param" not in err, err
 
 
 @pytest.mark.parametrize(
@@ -411,6 +417,20 @@ def test_runner_errors_follow_the_library_contract(exc, code, prefix, capsys, mo
     assert run_cli(["semisort", "--n", "1024"]) == code
     err = capsys.readouterr().err
     assert err == f"{prefix}{exc}\n", err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 22.4 GiB for an array", ""])
+def test_memory_error_exits_config(message, capsys, monkeypatch):
+    # A request too large for the host's memory is a rejected request; the
+    # generator raises instead of allocating, since whether a huge
+    # allocation fails depends on the host's overcommit setting.
+    def gen_keys(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "gen_keys", gen_keys)
+    assert run_cli(["semisort", "--n", "1024"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: out of memory: {message or 'allocation failed'}\n", err
 
 
 def test_exit_code_io_error(tmp_path):

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -638,9 +639,11 @@ def test_semisort_outputs_pinned(case, n, out_digest, total_ops, rounds, work_di
 
 
 def _both_paths(monkeypatch, run):
-    """``run(meter)`` inline (one CPU), then side by side (two CPUs), each on
-    a fresh meter.  Per path: what ``run`` returned, or the type of what it
-    raised; the meter; and how many tasks went to the helper thread."""
+    """``run(meter)`` inline (one CPU), then side by side (two CPUs, with
+    FORK_MIN lowered to 1, so every fork whose smaller branch has an item
+    goes to the helper unless a fork is in flight), each on a fresh meter.  Per path: what
+    ``run`` returned, or the type of what it raised; the meter; and how many
+    tasks went to the helper thread."""
     real_submit = ThreadPoolExecutor.submit
     paths = []
     for cpus in (1, 2):
@@ -651,6 +654,8 @@ def _both_paths(monkeypatch, run):
             return real_submit(self, *args, **kwargs)
 
         monkeypatch.setattr(parallel, "_cpus", lambda cpus=cpus: cpus)
+        if cpus == 2:
+            monkeypatch.setattr(parallel, "FORK_MIN", 1)
         monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
         meter = WorkMeter()
         try:
@@ -668,12 +673,13 @@ def _digests(data, seed, meter):
 
 @pytest.mark.parametrize("n", [1 << 12, 1 << 14, 1 << 16])
 def test_semisort_side_by_side_matches_inline(n, monkeypatch):
-    # Zipf keys place both sides, so the second path uses the helper thread,
-    # once for the sides and once for the final pack; output bytes, trace and
-    # the meter (label order included) must not tell.
+    # Zipf keys place both sides, so the second path uses the helper thread
+    # for classification, the sides and the final pack; the light side's
+    # forks run in turn beside the heavy side.  Output bytes, trace and the
+    # meter (label order included) must not tell.
     data = gen_keys("zipf", n, 31, 1.2)
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
-    assert (s1, s2) == (0, 2)
+    assert (s1, s2) == (0, 3)
     assert inline == forked
     assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
     assert m1.rounds == m2.rounds
@@ -712,7 +718,7 @@ def test_semisort_rounds_take_the_deeper_side(monkeypatch):
         return sides["_heavy_side"], sides["_light_side"], forks
 
     paths = _both_paths(monkeypatch, run)
-    assert [submits for _, _, submits in paths] == [0, 2]
+    assert [submits for _, _, submits in paths] == [0, 3]
     for (heavy, light, forks), meter, _ in paths:
         # The forks: classification, the sides, the final pack's gathers.
         _, (prefix, joined), (pack, packed) = forks
@@ -729,7 +735,8 @@ def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypat
     # run only, so semisort restarts once, or on every run, so it raises
     # RestartExceeded.  A sequential run never starts the light side after a
     # heavy timeout, so its work must not reach the meter either.  Each run
-    # forks its sides, and the run that succeeds forks its final pack too.
+    # forks its classification and its sides, and the run that succeeds
+    # forks its final pack too.
     n, seed = 1 << 14, 32
     runs = SemisortParams.for_n(n).max_restarts + 1 if every_run else 1
     timed_out = {derive(derive(seed, r), stream) for r in range(runs)}
@@ -744,7 +751,7 @@ def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypat
     monkeypatch.setattr(semisort_mod, "place", timing_out)
     data = gen_keys("zipf", n, 31, 1.2)
     (inline, m1, _), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, seed, m))
-    assert s2 == runs + (0 if every_run else 2)
+    assert s2 == 2 * runs + (0 if every_run else 3)
     assert inline == forked
     assert inline is RestartExceeded if every_run else inline[3] == 1
     assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
@@ -753,11 +760,12 @@ def test_semisort_side_timeout_matches_inline(side, stream, every_run, monkeypat
 
 @pytest.mark.parametrize("case", ["zipf", "all-heavy-intsort"])
 def test_classify_halves_match_inline(case, monkeypatch):
-    # From FORK_MIN records the helper thread classifies the first
-    # half of the keys.  Zipf keys then fork three times (classify, sides,
-    # final pack); an integer sort of a few keys has no light side, so only
-    # its classify forks.  No byte, label, work count or round may tell.
-    n = semisort_mod.FORK_MIN
+    # The helper thread classifies the first half of the keys, each half in
+    # two chunks.  Zipf keys then fork three times (classify, sides, final
+    # pack); an integer sort of a few keys has no light side, so its sides
+    # run in turn and only its classify and its final pack fork.  No byte,
+    # label, work count or round may tell.
+    n = 1 << 17
     if case == "zipf":
         data = gen_keys("zipf", n, 31, 1.2)
         run, submits = (lambda m: _digests(data, 32, m)), 3
@@ -767,7 +775,7 @@ def test_classify_halves_match_inline(case, monkeypatch):
         def run(m):
             return _records_digest(integer_sort(Records.from_keys(keys), None, 4, m))
 
-        submits = 1
+        submits = 2
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
     assert (s1, s2) == (0, submits)
     assert inline == forked
@@ -776,48 +784,26 @@ def test_classify_halves_match_inline(case, monkeypatch):
 
 
 def test_uniform_light_side_halves_match_inline(monkeypatch):
-    # From FORK_MIN light records the helper thread hashes the first half of
-    # the records, then semisorts the first range of buckets: uniform keys
-    # have no heavy side, so these are the only two submits.  Neither the
-    # split nor the thread may tell: no byte, attempt, label, work count or
-    # round differs from a run as one range.
-    n = semisort_mod.FORK_MIN
+    # The helper thread hashes the first half of the light records, then
+    # semisorts the first range of buckets, then packs it: uniform keys have
+    # no heavy side, so these are the only three submits.  Neither the split
+    # nor the thread may tell: no byte, attempt, label, work count or round
+    # differs from the pinned run, which rehashed all buckets as one range.
+    n = 1 << 14
     data = gen_keys("uniform", n, 31)
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
-    assert (s1, s2) == (0, 2)
-    monkeypatch.setattr(semisort_mod, "FORK_MIN", n + 1)
-    m3 = WorkMeter()
-    assert inline == forked == _digests(data, 32, m3)
-    assert inline[2] == n
-    for m in (m1, m2):
-        assert list(m.phase_breakdown.items()) == list(m3.phase_breakdown.items())
-        assert m.rounds == m3.rounds
-
-
-def test_light_side_splits_only_when_it_can_fork(monkeypatch):
-    # Run inline, two ranges would cost two span sorts and two rehash passes
-    # where one range does one, so the light side splits only when
-    # fork_join would fork: on two CPUs, with no fork in flight.
-    n = semisort_mod.FORK_MIN
-    data = gen_keys("uniform", n, 31)
-    B = SemisortParams.for_n(n).B
-    real_rehash = semisort_mod.rehash_buckets
-    ranges = []
-
-    def counting(keys, sizes, *args):
-        ranges.append(len(sizes))
-        return real_rehash(keys, sizes, *args)
-
-    monkeypatch.setattr(semisort_mod, "rehash_buckets", counting)
-    (inline, _, _), (forked, _, _) = _both_paths(monkeypatch, lambda m: _digests(data, 32, m))
+    assert (s1, s2) == (0, 3)
     assert inline == forked
-    assert ranges[0] == B and len(ranges) == 3 and sum(ranges[1:]) == B
-    ranges.clear()
-    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
-    in_branch, _ = parallel.fork_join(
-        WorkMeter(), lambda m: _digests(data, 32, m), lambda m: None, True
+    assert inline[2] == n
+    assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
+    assert m1.rounds == m2.rounds
+    (_, _, out_digest, total_ops, rounds, work_digest, trace_digest), = (
+        row for row in PINNED_SEMISORT if row[:2] == ("uniform", n)
     )
-    assert in_branch == inline and ranges == [B]
+    assert inline[:2] == (out_digest, trace_digest)
+    for m in (m1, m2):
+        assert (m.total_ops, m.rounds) == (total_ops, rounds)
+        assert _sha(json.dumps(m.phase_breakdown, sort_keys=True).encode()) == work_digest
 
 
 def test_light_side_bucket_too_large_matches_inline(monkeypatch):
@@ -825,7 +811,7 @@ def test_light_side_bucket_too_large_matches_inline(monkeypatch):
     # sizes are checked once, before the ranges start, so a forked run
     # raises the inline run's error, naming the largest of all buckets,
     # having charged the same and rehashed nothing.
-    n = semisort_mod.FORK_MIN
+    n = 1 << 14
     data = gen_keys("uniform", n, 31)
     params = SemisortParams.for_n(n, K=62)
 
@@ -856,10 +842,10 @@ def test_fork_inside_a_branch_runs_inline(monkeypatch):
         return branch
 
     def nested(tag):
-        return lambda m: parallel.fork_join(m, leaf(tag + "1"), leaf(tag + "2"), True)
+        return lambda m: parallel.fork_join(m, leaf(tag + "1"), leaf(tag + "2"), 1)
 
     def run(m):
-        return parallel.fork_join(m, nested("helper"), nested("caller"), True)
+        return parallel.fork_join(m, nested("helper"), nested("caller"), 1)
 
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
     assert (s1, s2) == (0, 1)
@@ -873,8 +859,9 @@ def test_fork_inside_a_branch_runs_inline(monkeypatch):
 
 def test_caller_threads_share_the_helper_without_queueing(monkeypatch):
     # More caller threads than CPUs semisort at once, with a short switch
-    # interval: only the caller holding the fork lock may hand the helper a
-    # task, so it never holds two, and every answer and meter equals a
+    # interval and every fork whose smaller branch has an item asking for
+    # the helper: only the caller holding the fork lock may hand the helper
+    # a task, so it never holds two, and every answer and meter equals a
     # sequential run's.
     data = gen_keys("zipf", 1 << 14, 31, 1.2)
 
@@ -884,6 +871,7 @@ def test_caller_threads_share_the_helper_without_queueing(monkeypatch):
 
     expect = [run(seed) for seed in range(6)]
     monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "FORK_MIN", 1)
     real_submit, lock, held, most = ThreadPoolExecutor.submit, threading.Lock(), [0], [0]
 
     def counting_submit(self, fn, *args):
@@ -921,10 +909,10 @@ def test_caller_threads_share_the_helper_without_queueing(monkeypatch):
 
 
 def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
-    # Below FORK_MIN records, uniform keys (no heavy side) and an integer
-    # sort of a few distinct keys (no light side) fork nothing: each must run
-    # with the helper thread unavailable, and each must still place its one
-    # side.
+    # Where every branch is below FORK_MIN items, uniform keys (no heavy
+    # side) and an integer sort of a few distinct keys (no light side) fork
+    # nothing: each must run with the helper thread unavailable, and each
+    # must still place its one side.
     def no_helper(self, *args, **kwargs):
         raise AssertionError("helper thread used")
 
@@ -943,9 +931,11 @@ def test_one_sided_inputs_never_use_the_helper_thread(monkeypatch):
     keys = generator(5, 5).integers(0, 5, size=n, dtype=np.uint64)
     assert verify_semisort(keys, integer_sort(Records.from_keys(keys), seed=2), sort=True)
     assert len(placed) >= 2
-    # Both sides placed: the helper thread is asked for.
-    with pytest.raises(AssertionError, match="helper thread used"):
-        semisort(gen_keys("zipf", n, 31, 1.2), seed=32)
+    # With FORK_MIN lowered, the same sizes ask for the helper thread.
+    monkeypatch.setattr(parallel, "FORK_MIN", 1)
+    for keys in (data, gen_keys("zipf", n, 31, 1.2)):
+        with pytest.raises(AssertionError, match="helper thread used"):
+            semisort(keys, seed=32)
 
 
 def _reorganized_bytes(ro):
@@ -983,7 +973,11 @@ def test_reorganize_side_by_side_matches_inline(kind, n, m, k, monkeypatch):
 
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
     assert s1 == 0
-    assert s2 >= 1 if 2 * g.m >= SemisortParams.small_n_cutoff else s2 == 0
+    # Each of reorganize's two forks submits once, and the integer sort
+    # inside the first runs in turn; an edgeless graph forks only in its
+    # integer sort.
+    if g.m:
+        assert s2 == 2
     assert inline == forked
     assert list(m1.phase_breakdown.items()) == list(m2.phase_breakdown.items())
     assert m1.rounds == m2.rounds
@@ -1012,14 +1006,26 @@ def test_import_starts_no_thread():
 
 def _semisort_zipf_in_child():
     data = gen_keys("zipf", 1 << 14, 31, 1.2)
-    sys.exit(0 if verify_semisort(data.keys, semisort(data, seed=32)[0]) else 1)
+    ok = verify_semisort(data.keys, semisort(data, seed=32)[0])
+    sys.exit(0 if ok and parallel._helper[0] == os.getpid() else 1)
 
 
 def test_forked_child_starts_its_own_helper(monkeypatch):
     # A forked child inherits the parent's executor but not its thread; a
-    # task submitted to that executor would never run.
+    # task submitted to that executor would never run.  The parent must
+    # have used its helper, and the child (which inherits the lowered
+    # FORK_MIN) must start its own.
     monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "FORK_MIN", 1)
+    real_submit, submits = ThreadPoolExecutor.submit, []
+
+    def counting_submit(self, *args):
+        submits.append(1)
+        return real_submit(self, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
     semisort(gen_keys("zipf", 1 << 14, 31, 1.2), seed=32)
+    assert submits
     child = multiprocessing.get_context("fork").Process(target=_semisort_zipf_in_child)
     child.start()
     child.join(30)
