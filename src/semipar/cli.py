@@ -143,9 +143,14 @@ class ExperimentConfig:
             try:
                 self.semisort_params()
             except ValueError as exc:
-                # Without a --param, the defaults for n are what failed.
-                source = "--param" if self.params else f"n={self.n}"
-                raise ConfigError(f"{source}: {exc}") from None
+                try:
+                    SemisortParams.for_n(self.n)
+                except ValueError as own:
+                    # The defaults for n fail alone, for the same reason, so
+                    # n is to blame, not a --param given beside it.
+                    if str(own) == str(exc):
+                        raise ConfigError(f"n={self.n}: {exc}") from None
+                raise ConfigError(f"--param: {exc}") from None
 
 
 @dataclass
@@ -161,11 +166,15 @@ class TrialRecord:
     restarts: int = 0
     max_bucket_size: int = 0
     max_attempts: int = 0
+    allocated_space: int = 0
+    min_alloc_slack: float = math.inf  # inf (written empty) when nothing was placed
     verified: bool = True
 
     def row(self) -> dict:
         d = dataclasses.asdict(self)
         d["verified"] = int(self.verified)
+        if not math.isfinite(self.min_alloc_slack):
+            d["min_alloc_slack"] = None
         return d
 
 
@@ -230,6 +239,7 @@ def _run_semisort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         charged_work=meter.total_ops, rounds=meter.rounds,
         restarts=trace.restarts, max_bucket_size=trace.max_bucket_size,
         max_attempts=int(trace.bucket_attempts.max(initial=1)),
+        allocated_space=trace.allocated_space, min_alloc_slack=trace.min_alloc_slack,
         verified=verify_semisort(data.keys, out),
     )
 
@@ -238,10 +248,13 @@ def _run_intsort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive(cfg.seed, trial)
     keys = gen_keys(cfg.dist, cfg.n, seed, cfg.theta).keys % np.uint64(max(cfg.n, 1))
     meter = WorkMeter()
-    out = integer_sort(Records.from_keys(keys), cfg.semisort_params(), seed, meter)
+    traces = []
+    out = integer_sort(Records.from_keys(keys), cfg.semisort_params(), seed, meter, traces)
+    (trace,) = traces
     return TrialRecord(
         trial=trial, seed=seed, n=cfg.n, dist=cfg.dist,
         charged_work=meter.total_ops, rounds=meter.rounds,
+        allocated_space=trace.allocated_space, min_alloc_slack=trace.min_alloc_slack,
         verified=verify_semisort(keys, out, sort=True),
     )
 
@@ -332,7 +345,7 @@ def emit_csv(cfg: ExperimentConfig, records: list[TrialRecord]) -> str:
     lines.append(",".join(CSV_COLUMNS))
     for r in records:
         row = r.row()
-        lines.append(",".join(str(row[c]) for c in CSV_COLUMNS))
+        lines.append(",".join("" if row[c] is None else str(row[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -79,7 +79,7 @@ class LightArenaExceeded(ArenaExceeded):
 
 # The arena budget for n records: the slots one placement arena may hold
 # (``_place_and_pack``), and the B light buckets' floors in all
-# (``_light_side``).  The defaults use about 16n slots.
+# (``_light_side``).  The defaults use about 9n slots.
 LIGHT_ARENA_BASE = 1 << 24
 LIGHT_ARENA_PER_RECORD = 64
 
@@ -90,12 +90,21 @@ CLASSIFY_CHUNK = 1 << 16
 
 @dataclass
 class SemisortParams:
-    """Resolved constants of one semisort run; log means log2 throughout."""
+    """Resolved constants of one semisort run; log means log2 throughout.
+
+    ``c_alloc`` is chosen from a failure target.  A target t (a heavy key
+    or a light bucket) with m_t records and sample count sigma_t gets
+    f_alloc(sigma_t) as its size estimate, which inverts the Chernoff lower
+    tail so that P[m_t > f_alloc(sigma_t)] <= e^(-c lg n) = n^(-c / ln 2)
+    (see ``f_alloc``).  The default c = 2 ln 2 makes that n^-2 per target;
+    the defaults give at most n targets, so by a union bound every target's
+    estimate holds except with probability at most n^-1.
+    """
 
     p_s: float            # sampling probability
     tau: int              # heavy threshold on sample counts
     alpha: float = 2.0    # destination slack factor
-    c_alloc: float = 3.0  # constant c of the allocation function
+    c_alloc: float = 2 * math.log(2)  # constant c of the allocation function
     K: int = 3            # hash-range exponent of the rehash loop
     B: int = 1            # light bucket count
     d: int = 1            # placement block size
@@ -159,7 +168,10 @@ class SemisortTrace:
     """Phase statistics of one successful semisort run.
 
     Work and rounds are counted only in the caller's WorkMeter, which may
-    also hold work done before the call.
+    also hold work done before the call.  ``min_alloc_slack`` is the least
+    f_alloc(sigma_t) / m_t over the targets that got records in either
+    placement, inf when neither side placed: below 1, some target had more
+    records than its size estimate.
     """
 
     n: int
@@ -171,6 +183,7 @@ class SemisortTrace:
     max_bucket_size: int = 0
     bucket_attempts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     allocated_space: int = 0
+    min_alloc_slack: float = math.inf
 
 
 def run_heads(x: np.ndarray) -> np.ndarray:
@@ -227,6 +240,12 @@ def f_alloc(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np
     Inverts the Chernoff lower tail so that a key (or bucket) with true
     multiplicity above f(s) would have produced a sample count above s
     except with polynomially small probability.  Non-decreasing in s.
+
+    With l = c_alloc * lg n, f(s) = (s + l + sqrt(l^2 + 2 s l)) / p_s.  A
+    target of f(s) records has mean sample count mu = p_s f(s), and
+    (mu - s)^2 = 2 l mu, so ``chernoff_lower(mu, 1 - s / mu)``, which is
+    exp(-(mu - s)^2 / (2 mu)), is exactly e^-l = n^(-c_alloc / ln 2) for
+    every s: n^-2 at the default c_alloc = 2 ln 2.
     """
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 0):
@@ -408,15 +427,16 @@ def _sort_segment(pos: np.ndarray, keys: np.ndarray, meter: WorkMeter, label: st
 def _place_and_pack(
     targets: np.ndarray, counts: np.ndarray, sigma: np.ndarray, params: SemisortParams,
     n: int, seed: int, meter: WorkMeter, label: str,
-) -> tuple[PlacementResult, np.ndarray]:
+) -> tuple[PlacementResult, np.ndarray, float]:
     """Place records at random into targets sized from their sample counts.
 
     Target t, which ``counts[t]`` records name, gets ceil(alpha *
     f_alloc(sigma[t])) slots, which ``PlacementInstance`` rejects when one
     overflows int64; an arena over the budget raises ArenaExceeded before
-    ``place`` allocates it.  Returns the placement and the targets' slot
-    offsets (one more than the targets): in arena order, from its ``order``
-    or a ``span`` of targets, each target's records (indices into
+    ``place`` allocates it.  Returns the placement, the targets' slot
+    offsets (one more than the targets) and the least f_alloc(sigma[t]) /
+    counts[t] over the targets with records: in arena order, from its
+    ``order`` or a ``span`` of targets, each target's records (indices into
     ``targets``) are contiguous and the targets appear in id order.
     Packing charges one op per arena slot.  A target with fewer
     slots than records never fills, so its placement could only time out at
@@ -436,7 +456,9 @@ def _place_and_pack(
         raise PlacementTimeout(0, 0, len(targets))
     res = place(inst, params.round_cap, seed, meter, validate=False)
     meter.charge(label, inst.arena_size, ceil_log2(inst.arena_size))
-    return res, inst.offsets
+    used = counts > 0
+    slack = np.min(f_alloc(sigma[used], params, n) / counts[used], initial=math.inf)
+    return res, inst.offsets, float(slack)
 
 
 def _classify(
@@ -509,7 +531,7 @@ def _semisort_once(
     # positions, each key's contiguous, into ``heavy``; the light side packs
     # its records into the tail of the output while the heavy side runs.
     heavy = np.empty(h, np.int64)
-    heavy_arena, (out, light_arena, trace.max_bucket_size, trace.bucket_attempts) = fork_join(
+    (heavy_arena, heavy_slack), light = fork_join(
         meter,
         lambda m: _heavy_side(
             a.keys, is_heavy, target, sigma_heavy, params, cutoff, derive(run_seed, 2), heavy, m,
@@ -517,7 +539,9 @@ def _semisort_once(
         lambda m: _light_side(a, is_heavy, sample_mask, params, cutoff, run_seed, m),
         min(h, n - h),
     )
+    out, light_arena, light_slack, trace.max_bucket_size, trace.bucket_attempts = light
     trace.allocated_space = heavy_arena + light_arena
+    trace.min_alloc_slack = min(heavy_slack, light_slack)
 
     # Step 7: the heavy records fill the head of the output, keys beside
     # payloads.
@@ -534,31 +558,35 @@ def _semisort_once(
 def _heavy_side(
     keys: np.ndarray, is_heavy: np.ndarray, target: np.ndarray | None, sigma: np.ndarray,
     params: SemisortParams, cutoff: float, seed: int, out: np.ndarray, meter: WorkMeter,
-) -> int:
+) -> tuple[int, float]:
     """Step 4: one target per heavy key.  Writes the positions of the heavy
     records (where ``is_heavy``, with heavy-key ranks ``target``) into
-    ``out``, each key's records contiguous; returns the arena size."""
+    ``out``, each key's records contiguous; returns the arena size and the
+    least allocation slack (0 and inf when sorted)."""
     heavy = np.flatnonzero(is_heavy)
     if len(heavy) < cutoff:
         out[:] = _sort_segment(heavy, keys, meter, "heavy_sort")
-        return 0
+        return 0, math.inf
     target = target[heavy]
     counts = np.bincount(target, minlength=len(sigma))
-    res, _ = _place_and_pack(target, counts, sigma, params, len(keys), seed, meter, "heavy_pack")
+    res, _, slack = _place_and_pack(
+        target, counts, sigma, params, len(keys), seed, meter, "heavy_pack"
+    )
     take_into(heavy, res.order, out)
-    return res.arena_size
+    return res.arena_size, slack
 
 
 def _light_side(
     a: Records, is_heavy: np.ndarray, sample_mask: np.ndarray, params: SemisortParams,
     cutoff: float, run_seed: int, meter: WorkMeter,
-) -> tuple[Records, int, int, np.ndarray]:
+) -> tuple[Records, int, float, int, np.ndarray]:
     """Steps 5 and 6: one target per hashed bucket, then a local semisort of
     every bucket.  Returns the output records with the light records of
     ``a`` (where not ``is_heavy``) packed into its tail, each key's records
-    contiguous, then the arena size, the largest bucket and the attempts per
-    bucket (0 and none when sorted).  ``fork_join`` runs this side on the
-    caller, so the output comes from the caller's malloc arena.
+    contiguous, then the arena size, the least allocation slack, the
+    largest bucket and the attempts per bucket (0, inf, 0 and none when
+    sorted).  ``fork_join`` runs this side on the caller, so the output
+    comes from the caller's malloc arena.
 
     Three steps are ``fork_join``s of two halves, each of about half the
     light records: bucket hashing, over two halves of the records; then,
@@ -578,7 +606,7 @@ def _light_side(
     Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
     before it allocates anything per bucket it raises LightArenaExceeded
     when those floors sum past LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
-    slots; the defaults (B = ceil(n / lg^2 n)) sum to about 12n.
+    slots; the defaults (B = ceil(n / lg^2 n)) sum to about 5.5n.
     """
     n = len(a)
     light = np.flatnonzero(~is_heavy)
@@ -588,7 +616,7 @@ def _light_side(
         out = Records.empty(n)
         take_into(a.keys, light, out.keys[h:])
         take_into(a.payloads, light, out.payloads[h:])
-        return out, 0, 0, np.empty(0, np.int64)
+        return out, 0, math.inf, 0, np.empty(0, np.int64)
     B = params.B
     floor = light_arena_floor(params, n)
     budget = LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
@@ -614,7 +642,7 @@ def _light_side(
     )
     sigma_b, sizes = np.sum(counts, axis=0)
     meter.charge("light_hash", len(light), 1)
-    res, offsets = _place_and_pack(
+    res, offsets, slack = _place_and_pack(
         buckets, sizes, sigma_b, params, n, derive(run_seed, 4), meter, "light_pack"
     )
     del buckets
@@ -645,7 +673,7 @@ def _light_side(
     )
     out = Records.empty(n)
     fork_join(meter, lambda m: pack(0, *first), lambda m: pack(b_mid, *second), mid)
-    return out, res.arena_size, int(sizes.max()), attempts
+    return out, res.arena_size, slack, int(sizes.max()), attempts
 
 
 def integer_sort(
@@ -653,6 +681,7 @@ def integer_sort(
     params: SemisortParams | None = None,
     seed: int = 0,
     meter: WorkMeter | None = None,
+    traces: list[SemisortTrace] | None = None,
 ) -> Records:
     """Unstable sort of records with keys in [n] via semisort + one pass.
 
@@ -660,6 +689,7 @@ def integer_sort(
     runs as a stable sort of their keys, so each key's run keeps its order,
     and is skipped when the semisorted keys already ascend (as they do
     whenever every key is heavy, since heavy keys are placed in key order).
+    When ``traces`` is a list, the semisort's trace is appended to it.
     """
     n = len(a)
     if meter is None:
@@ -668,7 +698,9 @@ def integer_sort(
         return a.copy()
     if int(a.keys.max()) >= n:
         raise KeyOutOfRange(f"keys must lie in [0, {n})")
-    semi, _ = semisort(a, params, seed, meter)
+    semi, trace = semisort(a, params, seed, meter)
+    if traces is not None:
+        traces.append(trace)
     meter.charge("integer_sort_pass", 4 * n, ceil_log2(n))
     if (semi.keys[1:] >= semi.keys[:-1]).all():
         return semi

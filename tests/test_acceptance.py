@@ -1,17 +1,18 @@
-"""Acceptance gate: ten quantitative criteria, one pass/fail line each.
+"""Acceptance gate: quantitative criteria, one pass/fail line each.
 
 Each test prints its verdict directly to the terminal (bypassing capture)
 so a full run reads as a ten-line scoreboard.  Criteria 3-5 share one
 50-seed semisort sweep, computed once per session.
 """
 
+import importlib
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from semipar.bounds import bound_eval
+from semipar.bounds import bound_eval, chernoff_lower, weighted_geom
 from semipar.cli import gen_keys
 from semipar.graph import cull_partition, cull_threshold, generate, piece_edge_counts
 from semipar.graph_algos import boosted_coloring, boosted_mis, extend_palettes, verify_coloring, verify_mis
@@ -19,7 +20,9 @@ from semipar.meter import WorkMeter
 from semipar.placement import PlacementInstance, default_round_cap, place, verify_placement
 from semipar.prng import derive, generator
 from semipar.records import Records
-from semipar.semisort import integer_sort, semisort, verify_semisort
+from semipar.semisort import SemisortParams, f_alloc, integer_sort, semisort, verify_semisort
+
+semisort_mod = importlib.import_module("semipar.semisort")
 
 
 def _verdict(capsys, num, name, ok, detail=""):
@@ -292,3 +295,94 @@ def test_criterion_10_bound_evaluators(capsys):
         checks += 5
     _verdict(capsys, 10, "tail bound evaluators", worst <= 1e-12,
              f"{checks} evaluations, worst rel err {worst:.2e}")
+
+
+def _weighted_geom_t(weights, p):
+    """The least t with weighted_geom(weights, t) <= p: the bound is
+    exp(-min(t^2 / (16 W2), t / (8 Winf))), so t = max(4 sqrt(W2 ln(1/p)),
+    8 Winf ln(1/p))."""
+    w = np.asarray(weights, dtype=np.float64)
+    if not len(w):
+        return 0.0
+    ln = math.log(1 / p)
+    t = max(4 * math.sqrt(float(np.dot(w, w)) * ln), 8 * float(w.max()) * ln)
+    assert weighted_geom(w.tolist(), t) <= p * (1 + 1e-9)
+    return t
+
+
+def test_criterion_14_whp_tails(capsys, monkeypatch):
+    """Tails at the default constants: 1,000 seeds each on uniform and zipf
+    (theta 1.2) keys at n = 2^12, each observed rate next to its bound.
+    Budget: about 8 s of tier-1 (3-5 ms a run).
+
+    The defaults are chosen for failure at most 1/n.  Per family:
+      - restarts per run, against 1/n;
+      - the rate of runs where some target's count m_t exceeds its size
+        estimate f_alloc(sigma_t) (``min_alloc_slack`` < 1), against
+        n * chernoff_lower(p_s f_alloc(0), 1), the union over at most n
+        targets of f_alloc's per-target bound, which must itself be at most
+        1/n;
+      - the rate of runs whose rehash work, the sum of (2K+2) m_b attempts_b
+        over buckets of two or more records, exceeds 2 W1 + t, where W1 is
+        the sum of the weights (2K+2) m_b and t the least value with
+        ``weighted_geom`` <= 1/n (each bucket's attempts are dominated by a
+        geometric of mean 2), against 1/n;
+      - the smallest slack, and the p99 and max of work/n, without a bound.
+    Every run must place at least one side (finite slack), so that 0
+    restarts cannot pass without placements.
+    """
+    n, seeds = 1 << 12, 1000
+    target = 1.0 / n
+    params = SemisortParams.for_n(n)
+    slack_bound = min(1.0, n * chernoff_lower(params.p_s * float(f_alloc(0, params, n)), 1.0))
+    real_rehash = semisort_mod.rehash_buckets
+    calls = []
+
+    def rehash_spy(keys, sizes, K, seed, meter, first_id=0):
+        order, attempts = real_rehash(keys, sizes, K, seed, meter, first_id)
+        multi = sizes >= 2
+        calls.append((
+            (2 * K + 2) * sizes[multi],
+            (2 * K + 2) * int(np.dot(sizes[multi], attempts[multi])),
+            int(np.count_nonzero(sizes == 1)),
+        ))
+        return order, attempts
+
+    monkeypatch.setattr(semisort_mod, "rehash_buckets", rehash_spy)
+    ok = slack_bound <= target * (1 + 1e-9)
+    details = [f"n={n}, {seeds} seeds, target 1/n={target:.2e}, slack bound {slack_bound:.2e}"]
+    for fi, dist in enumerate(("uniform", "zipf")):
+        restarts = slack_misses = rehash_misses = unplaced = 0
+        min_slack = math.inf
+        rehash_ratio = 0.0
+        work = []
+        for s in range(seeds):
+            seed = derive(0xC14, fi, s)
+            data = gen_keys(dist, n, seed, 1.2)
+            meter = WorkMeter()
+            calls.clear()
+            out, trace = semisort(data, None, seed, meter)
+            assert verify_semisort(data.keys, out)
+            restarts += trace.restarts
+            unplaced += not math.isfinite(trace.min_alloc_slack)
+            slack_misses += trace.min_alloc_slack < 1
+            min_slack = min(min_slack, trace.min_alloc_slack)
+            weights = np.concatenate([c[0] for c in calls] or [np.empty(0)])
+            rehash_work = sum(c[1] for c in calls)
+            # The spy saw every rehash the meter charged.
+            assert rehash_work + sum(c[2] for c in calls) == meter.phase_breakdown.get(
+                "local_semisort", 0
+            )
+            bound = 2 * float(weights.sum()) + _weighted_geom_t(weights, target)
+            rehash_misses += rehash_work > bound
+            rehash_ratio = max(rehash_ratio, rehash_work / bound if bound else 0.0)
+            work.append(meter.total_ops / n)
+        rates = [restarts / seeds, slack_misses / seeds, rehash_misses / seeds]
+        ok = ok and unplaced == 0 and max(rates) <= target
+        details.append(
+            f"{dist}: restarts {rates[0]:.4f}<={target:.2e}, "
+            f"slack<1 {rates[1]:.4f}<={slack_bound:.2e}, min slack {min_slack:.2f}, "
+            f"rehash>2W1+t {rates[2]:.4f}<={target:.2e} (max {rehash_ratio:.2f} of 2W1+t), "
+            f"unplaced {unplaced}, work/n p99 {np.quantile(work, 0.99):.2f} max {max(work):.2f}"
+        )
+    _verdict(capsys, 14, "whp tails", ok, "; ".join(details))

@@ -103,6 +103,23 @@ def test_semisort_csv_roundtrip(tmp_path, capsys):
     assert all(row.endswith(",1") for row in lines[2:])  # verified column
 
 
+@pytest.mark.parametrize(
+    "cmd,n,placed", [("semisort", 4096, True), ("intsort", 4096, True), ("intsort", 1000, False)]
+)
+def test_sort_rows_report_the_arena(cmd, n, placed, tmp_path):
+    # A sort row gives its arena and least allocation slack; below
+    # small_n_cutoff nothing is placed, so the slack is left empty.
+    out = tmp_path / "a.csv"
+    assert run_cli([cmd, "--n", str(n), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    if placed:
+        assert 0 < int(row["allocated_space"]) <= 11 * n
+        assert float(row["min_alloc_slack"]) > 1
+    else:
+        assert (row["allocated_space"], row["min_alloc_slack"]) == ("0", "")
+
+
 def test_csv_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):
@@ -350,12 +367,16 @@ def test_exit_code_config_error(capsys, monkeypatch):
         # line names n, not a --param that was never given.
         ["partition", "--n", str(1 << 50)],
         ["semisort", "--n", str(1 << 50)],
+        # A valid --param beside them: the line still names n.
+        ["intsort", "--n", str(1 << 50), "--param", "K=4"],
     ):
         assert run_cli(args) == EXIT_CONFIG, args
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         if "--param" not in args:
             assert "--param" not in err, err
+        if str(1 << 50) in args and args[0] in ("semisort", "intsort"):
+            assert err.startswith(f"config error: n={1 << 50}: "), err
 
 
 @pytest.mark.parametrize(

@@ -391,14 +391,14 @@ def test_boosted_small_graphs(kind, n, k, density, seed):
 # int64 output; work digest: sha256 of the sorted-key JSON of the meter's
 # per-label work.
 PINNED_BOOSTED = [
-    ("gnm", 2000, 16000, 2, "color", "b05b7b4348a42a1ccbd325d49413c6844117a4d403ea98c9bcb5a964d59149f7", 189994, 104, "b3f0e4fed42b9d804800bcaf5f143e5877f51057b572647d903134721c52edfe"),
-    ("gnm", 2000, 16000, 2, "mis", "48f2e324cf253abb9f7dfd2e1bb339b82e722c470d7a5bc59f22e83b1030195e", 156273, 103, "1efcf281b6ddd1316ab97378600fe8f0e439bffb8cff3d62ef4ddbbdada5e99e"),
-    ("gnm", 2000, 16000, 4, "color", "03660af8abe05db5abd62f78df78304ae341e4892d3b357089aed28fa0bc766e", 219455, 99, "b49ef9d48ad31ba85b253ca974eea2c015b42e5b23c5c547db71625966a93cdc"),
-    ("gnm", 2000, 16000, 4, "mis", "7b377879edc8e82e8a76dc0ef898f3e288635e1055e9fd08237e197027b7a8b7", 199691, 99, "46db8d64045026fc659e8cb52c726fc0f9f19cad9bbc8a912a49050e5280eb1f"),
-    ("power_law", 2000, 12000, 2, "color", "16f279451a95a31264d08f53f6714597e4c644bf2ec92da808ad457d3a6b84b7", 162485, 108, "886cd41815823c0b6d0eb052b0fa6963dbca7780ab16ca44892ef88303c68b46"),
-    ("power_law", 2000, 12000, 2, "mis", "538644b234e103d8d62216d8f92b85776d4c2f990207e885698fac64bf3bba4a", 152680, 108, "b165a6d70cab6495fe3cf78b7e521f69e294c44e59431c80c09f73ce75fc12cc"),
-    ("power_law", 2000, 12000, 4, "color", "8e8d8d3845afdf4695ac1b007b9cbd6f74fe9ee97386afa543c54aed27be1662", 185802, 102, "e09380b256aea27183c13dc9487f04921776e96a07ba49e81bbe0262b1c074f2"),
-    ("power_law", 2000, 12000, 4, "mis", "6871f8da44a3638efcea97adbf04419d43f8ca2d84695ff6b982f45319238a12", 169756, 104, "500367bdbed984e9e0600d924cf052f2483276d7fb7043e59cb72d30a25934cb"),
+    ("gnm", 2000, 16000, 2, "color", "95e2f44c3d18fe42f5006cc9e6503012aa5cf561cd1ad22935d99cfcd04a04af", 181505, 102, "4e44d10be8c60d305b26b8b3a1106df836fe071bdfaeae4ad48eebef541ab2a4"),
+    ("gnm", 2000, 16000, 2, "mis", "b950387f613c95f6097824b6717555ff5e0cc8c7422402639fc4705ec0ab89bf", 153748, 102, "bb4caf4ede6044eab95f057c5d1b255db565c89fd437452cdb06b6f47a36c994"),
+    ("gnm", 2000, 16000, 4, "color", "6ad5d6456fb5bb9b56aa050c6aa85bf5e493438ff464e8dfd4db5a87a1686a06", 218470, 99, "de15c378df732f6b03d2ff397bda5e06a193e6df31e20f3121adbefde785bf3a"),
+    ("gnm", 2000, 16000, 4, "mis", "14b4d3e34995261e3af4a2da0db5611e8983709c933966da6221de46b78f79ff", 198615, 100, "8a8dc17862c70ecd5790b1105a22681aeb6822fbb29dfdaa682f998ef08a8935"),
+    ("power_law", 2000, 12000, 2, "color", "9bbd1bf4cf1f90ebd3c367fb1867257d7b89e8dffcb6ab19f95cf4db2c1d6436", 163078, 103, "cf7287baf21ef28de2cc43f79bcb065f7dddd7b91fa250a1e4149ea083f79060"),
+    ("power_law", 2000, 12000, 2, "mis", "4e39aee25998bd8e923f446b633becf2403f8791d02a7ae53053d3d943d7d971", 150714, 102, "b38df3018d4ba2d8e39834bbef6bbc7940baab80a4a507ab0a8cfd9cee5cb1d8"),
+    ("power_law", 2000, 12000, 4, "color", "191212cb7ae3d8c283070ddee2a562e9448232ee143be0b8d7973983aec9fac8", 186047, 106, "9d6603fc88020f680dcd503ed6ab419f8daa9b7073bdd48db5174074aabea2a1"),
+    ("power_law", 2000, 12000, 4, "mis", "57d1cad583018a2778becc54938822ac577b8cee09d4a72a1f418d9fefe9e545", 168549, 107, "80fe6928b38f9aa2e79fd5a59fa33378a4a247804e250bd5076b22ea84975f1a"),
     ("star", 500, 0, 2, "color", "c4d38b6f6513b4caf3af3ce49c8b9b29355a0285110d0cf0f54e87983a0ee14b", 13301, 37, "04b0cf9a451f58c26cac625ef350fae491ecf990979bb3d328c18e7297961a9c"),
     ("star", 500, 0, 2, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 13489, 36, "59917984e372afaa8ea84b9c3bce4dd037cd1203885a1db442261cf52d4065c7"),
     ("star", 500, 0, 4, "color", "f2bb6073b06e5d5eec6cd70807a3bcf9677748a19b4e5cfe6bbcb3b11a5c854b", 13490, 33, "4bdbfc2ef70a3a1dbaae63b7b358fb4b34598617fd324f57279cc5956fb98662"),
@@ -412,8 +412,8 @@ PINNED_BOOSTED = [
 PINNED_BOOSTED_EDGE_CASES = {
     "rank-color": ("gnm", 40, 300, 64, "color", "41595f0ff8394a82d85eec4e2f3340c65086327a9d3e2317e365492799f11e62", 4468, 35, "e115e3d07f45d6f5ef4efc7002066b292f312a5e82ae9ec392ab17cbdcaf3870"),
     "rank-mis": ("gnm", 40, 300, 64, "mis", "d5080b6c0dd601f837ab5e97b30c834b8eed2b899f395ad67eca32015fd7a24b", 4077, 35, "85c96cddc73a7ca9c24b58d212f26fe8a8bde10f53cfdd49193f7933a94532d7"),
-    "culls-color": ("power_law", 3000, 30000, 2, "color", "40dd57e4a557314667f6206f5f663c1240d4c54f2bc8b2d870adb6e4535c06b3", 360757, 103, "8828ce5d12700cb77e18f991adcf6abe95857a5f21e4fd38078d4d977b19dc85"),
-    "culls-mis": ("power_law", 3000, 30000, 2, "mis", "721dd68801d3f61a4522c1dd2e6a49f1ef84bd38da0acb8ef1f0eea36bc95867", 344205, 104, "910dc79de950e3a295658eeec49af347d840d1ffb50447650c7cdaf9edb39055"),
+    "culls-color": ("power_law", 3000, 30000, 2, "color", "6a19a9339e0fcdaa9ceb2b87a0bd64a03cbc601d32fb0628713cfc4bda37046c", 370009, 108, "4694ec03453734f89857a07642761ae4428bc8ec64be02c4002c8a2ce50df227"),
+    "culls-mis": ("power_law", 3000, 30000, 2, "mis", "6042649c76b3b0c69e93aa2b931ec522f67a251badbed8307e570b8aa663ca27", 341649, 107, "2d72a38a481cd9f7f25185f430a81377f2bb436040c5b9df4ddb28471b725fb3"),
     "edgeless-color": ("gnm", 50, 0, 3, "color", "7a12e561363385e9dfeeab326368731c030ed4b374e7f5897ac819159d2884c5", 650, 21, "c3e3ce6899275d33a8a6e095fdd0c28b17dff70c332fdf00708355aab45cb595"),
     "edgeless-mis": ("gnm", 50, 0, 3, "mis", "f33daf5fc5cddc53a4edc108cc7617823eba7f63958f7e79379335d6a0f6eae7", 650, 21, "e6c5f953c48a05b0011ba418a33a2a1571402763b318d52ee64d9c8e27a0b6cd"),
 }

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from semipar import parallel
 from semipar.cli import gen_keys
 from semipar.graph import Graph, cull_partition, generate, reorganize
+from semipar.bounds import chernoff_lower
 from semipar.graph_algos import boosted_mis, verify_mis
 from semipar.meter import WorkMeter, ceil_log2
 from semipar.placement import InvalidInstance, PlacementTimeout
@@ -149,8 +150,19 @@ def test_any_valid_params_answer_or_fail_by_name(params, n, dist):
 
 def test_f_alloc_value():
     # Closed form: s=16, c*log2(n)=48, p_s=1/16 gives 16*(64 + sqrt(3840)).
-    p = SemisortParams.for_n(1 << 16)
+    p = SemisortParams.for_n(1 << 16, c_alloc=3)
     assert f_alloc(16, p, 1 << 16) == pytest.approx(16 * (64 + math.sqrt(3840)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1 << 10, 1 << 16, 1 << 20, 1 << 30])
+def test_default_f_alloc_meets_the_failure_target(n):
+    # f_alloc inverts the Chernoff lower tail: a target of f(s) records
+    # yields a sample count of at most s with probability exactly n^-2 at
+    # the default c_alloc, for every s, so n targets fail w.p. <= 1/n.
+    p = SemisortParams.for_n(n)
+    for s in (0, 1, 16, 1000):
+        mu = p.p_s * f_alloc(s, p, n)
+        assert chernoff_lower(mu, 1 - s / mu) == pytest.approx(float(n) ** -2, rel=1e-9, abs=0)
 
 
 def test_f_alloc_monotone_and_oversized():
@@ -460,6 +472,32 @@ def test_semisort_trace_accounting():
     assert trace.restarts == 0
 
 
+@pytest.mark.parametrize("n", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("dist", ["uniform", "zipf"])
+def test_default_arena_stays_small(dist, n):
+    # The default c_alloc sizes the arenas for failure <= 1/n, not more:
+    # about 9n slots in all (15.7n at c_alloc = 3).
+    data = gen_keys(dist, n, 11, 1.2)
+    out, trace = semisort(data, seed=12)
+    assert verify_semisort(data.keys, out)
+    assert 0 < trace.allocated_space <= 11 * n
+
+
+def test_min_alloc_slack_is_the_heavy_key_estimate_over_its_count():
+    # Every record carries one key, so only the heavy side places, one
+    # target of n records whose sample count is the sample's size.
+    n, seed = 1 << 14, 5
+    data = Records.from_keys(np.full(n, 9, np.uint64))
+    out, trace = semisort(data, seed=seed)
+    p = SemisortParams.for_n(n)
+    sampled = int(np.count_nonzero(generator(derive(seed, 0), 1).random(n) < p.p_s))
+    assert (trace.heavy_count, trace.restarts) == (n, 0)
+    assert trace.min_alloc_slack == pytest.approx(f_alloc(sampled, p, n) / n, rel=1e-12)
+    assert trace.min_alloc_slack > 1
+    # Below small_n_cutoff nothing is placed.
+    assert semisort(_random_records(1000, 50, 1))[1].min_alloc_slack == math.inf
+
+
 def test_semisort_restart_on_timeout():
     # A round cap of 1 forces placement timeouts; the restart budget must trip.
     data = _random_records(20_000, 20_000, seed=7)
@@ -580,16 +618,16 @@ def test_stable_argsort_empty_and_signed():
 # order of records within each key, not on the order semisort gives the
 # keys, which below small_n_cutoff (the n = 1000 case) is a comparison sort's.
 PINNED_SEMISORT = [
-    ("uniform", 4096, "0fdc71becc7c251f2bb1269f876705f31b5b4ce15243b30d450963dfa34d961c", 124839, 70, "0d66d861183e7d3c6aaf0bb8e76ccd79ea672ee84ac6e686e0ca51c9dabed6cb", "215ac58ffd7bd4d48ab53f0b868b5c3d1cf55f60cc35953aacd9a60e52574d2b"),
-    ("zipf", 4096, "3f6bbc3029ab33fe76f5a409b7a0380bdbd53ead0daf9b15d8587342c5f54bd1", 116324, 75, "5573c2ee148c995c74e065f41385490b83536a9f4f427f7b707d9c228058e2dc", "c3bec17e6bcbbfa9ca2078994306ef7c15814b467354b6c9d269a332a136d8eb"),
-    ("all_equal", 4096, "f58f596f446250e08dc32f0b30362f7ffea5d43cd3300779ac9149b7a0f5e22f", 36528, 67, "94c5cfe8af384ea47fbe387a392d4f2c342df75d1da72c750b8452c4f603c4c5", "459f576b6d60ff60609be229bf5f2f08d9f90d1b3038f591369f9463bcbc1078"),
-    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 124877, 69, "eaf23ece50b9ec2f51e4ac0fa3c36004e5fd8d6d68b29bdac10d02d2f6ba029f", "01d7f23905fbd60cf578305d6c17fe200f1c3f3caf3ef3ac9b97949a6d82e56e"),
-    ("uniform", 16384, "c276beb59c4de263b049f592a302b24019aa1ea8391f3deec5da2e08eda7aa56", 500161, 79, "960f54f25b8ef9f3838de9e8b41d65db70d4b4129fe2086687634df0778907ee", "dd0b3f04503f654c07cbcb39c8ebef7db555a40bdb2d4f5737df52059bdd1803"),
-    ("zipf", 16384, "30233ec5f64dc2524902648bfe810a6a18ad9bad6303141085d94d299b30b52b", 447718, 88, "606f6456d068c87f28cec2247616c5233226f577649a8ac8f83b26788b7d4694", "8459aed746317f8125106004dce948e273e79bd897913f02478e090889852e95"),
-    ("all_equal", 16384, "6ddb58425123e570e3eab71faf5a583666380190670cd1c112e96e2c83009527", 140999, 82, "a5652d98bca4bcf0abb2b14339e885593f27c70a3d23b62c660678417cf8a2ec", "8606c17d69ed0270665a344d0ff7eadc44191cd33bce15a24c731fcc5660b023"),
-    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 500169, 80, "7ddd0f045fe5b53cb3230ceab19d7fba57041df1f933acaa03b0a0205b1e2ed4", "d1fff5fc5ddc1a7c4cbfd71e846634d117afd005a9d4856ae3cde1aed13da96a"),
-    ("heavy_below_cutoff", 16384, "0dd5009c458d81afde56efe952853b8a332c2f1c7294ed4ed7e935279fd8d60e", 497934, 85, "ac72525ee9dc7873ac574d32ea4c8e9660f567e1af4b747b96d258da478c7e92", "76fee19459bcf114d9ea7d213b1cd099f4b84b0ef15776a110241a6254ac6fe5"),
-    ("intsort", 16384, "1c3499f0ccde366a27d1afdce0c623e47d6dda2a3f2677e59af9840fbca963aa", 565697, 93, "7783f48393b22b4af89b2b4cd85aaf056add846de7867fdc4aef06a5b8334356", None),
+    ("uniform", 4096, "dc55ab69c9f2e009ea69125ffde4584253631a2792f6cc59bcec3ff62e7baca8", 97313, 71, "c33bbc881ddc6a21ae3076eda89def66d5b5c553a14b71576bc089902fc75c6e", "2b631fa0a19001448453e3abbc6c6da6e92dccd38327ccc34dad22d62e480e26"),
+    ("zipf", 4096, "c3209d446e0897f72ea83a5628e1ddc72c3fd41f38d2addf58f8d8dd4bd9222c", 86859, 75, "0d6463e78e3e1c04b35930a69238be65246e8033148fdf6de8c89dd2e8305336", "ef1db8d7ad2ae2745e01aba6e9346c2c45f4521caa627cc269cbd6e74fb4e5d8"),
+    ("all_equal", 4096, "2489bcebe7118dc6bcf54c4622b2772fb2e1af8edcf459d85b80c6a66a9b1ffb", 35074, 70, "1c209ecab70b99da91c7a669465c24fdfcd7bce37c8b588f7e89612e92beb65c", "0a03772287013ae27c8ff9742144cc7bf9c8c63f2424ea0012c179bf34356551"),
+    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 97324, 71, "58688d91b3f6a1b94881cc5048d50eea6f1a5246ffe14189373abdd19e0e0785", "f7e7803840003a042fdb5696e6043fa5fe3215d815ebe3ae8856e61e0f5f41fb"),
+    ("uniform", 16384, "8427e9f89f9beb13de818c9b4fda62425fc7b8b75b1e956b48e00736c2bd3d92", 391247, 82, "2f05dbd3204afe2c8a29167f1e4e55ab6e72b29992155177b9d025d72b976f97", "88403c7a2c5c32bb9fe1f33087d5e61be67affa711a814f1b8947f29092bcad6"),
+    ("zipf", 16384, "f27fe6581299b47e44b5e5760e59c3fa50810cfe94323502d797466fc9b6afec", 332517, 89, "095e7cb93a41f421663df9af8811dee92fc7b08ac06fbf02212dc9aa92244269", "ea269c04b1ff3dd789d4246a997799bb1e12b41b558c0bef2fec22c92c9947be"),
+    ("all_equal", 16384, "6ba69498a8844954ab8ae38f57591c3d64cd30bd538719a5c85823ba41744c35", 138081, 84, "55293a9db33b02881813cfe9cc41431c924ad26e8743562683fb0c79b3ca6817", "d130d81087dafadbad9e21f04812c6ed3b7da537de4725441294dd0ef597de1a"),
+    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 391398, 81, "8b07826ec15ac7480fd0dba64eb2e0786ba2b43f33b7eefbbe87d21ea23fbe4d", "211dcbeab3e09327210b7ad4f797c65e23481a3a2db2a847489c3377ce9fb04a"),
+    ("heavy_below_cutoff", 16384, "4a7d428e6ab49b8b097fcee49f07aa435d6c76724b58e170f5ee9fdb150533ad", 389147, 87, "a2f96cc23fbee69fd75cf57d046998ba2d0262013b833c4e12c31b04b145e6be", "9e1f5879eec6b20d26059ee296cd32d5f61abc017bb1b676a4c786240210559b"),
+    ("intsort", 16384, "56b376669c366eb80aecc2c63c4f9a8376278d1cedcdf9a3d6d27245c249964b", 456783, 96, "4854c071012800d80a4b64bd9c67c0ccabfbbcea1b4df990ea3a45937ecf25c2", None),
     ("intsort", 1000, "29257b74f8bbed78e2374f55c2c1961d7bf0e0d0cdf3d32dca475d1d55885bf6", 14000, 20, "40e2e8c737f01f0599465dfb9d775588ae9afaa2b06f17c356896757303e449a", None),
 ]
 
