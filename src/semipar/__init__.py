@@ -9,6 +9,7 @@ from .bounds import (
     HypothesisViolated,
     bound_eval,
     chernoff_lower,
+    chernoff_lower_mean,
     chernoff_upper,
     geom_sum,
     mcdiarmid,

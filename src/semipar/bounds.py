@@ -2,13 +2,17 @@
 
 Each evaluator computes the literal bound expression, clamped to [0, 1],
 and rejects parameters outside the hypotheses of the underlying inequality
-or for which the expression is undefined (NaN).
+or for which the expression is undefined (NaN).  ``chernoff_lower_mean``
+inverts the lower Chernoff tail: the arena sizes of ``semisort.f_alloc``
+and the round cap of ``placement.default_round_cap`` both come from it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 
 class HypothesisViolated(ValueError):
@@ -31,6 +35,23 @@ def chernoff_lower(mu: float, delta: float) -> float:
     if not 0.0 <= delta <= 1.0:
         raise HypothesisViolated("delta must lie in [0, 1]")
     return _clamp(math.exp(-(delta * delta * mu) / 2.0))
+
+
+def chernoff_lower_mean(s: float | np.ndarray, ell: float) -> float | np.ndarray:
+    """The least mean mu >= s with chernoff_lower(mu, 1 - s/mu) <= e^-ell.
+
+    That bound is exp(-(mu - s)^2 / (2 mu)), so mu solves (mu - s)^2 =
+    2 ell mu: mu = s + ell + sqrt(ell^2 + 2 s ell).  A sum of independent
+    0/1 variables whose mean is at least mu is at most s with probability
+    at most e^-ell.  ``s`` may be an array of non-negative counts; an
+    infinite ``ell`` gives inf for every s.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if np.any(s < 0) or not ell >= 0:
+        raise HypothesisViolated("s and ell must be non-negative")
+    if math.isinf(ell):  # 0 * ell would give NaN
+        return s + math.inf
+    return s + ell + np.sqrt(ell * ell + 2.0 * s * ell)
 
 
 def geom_sum(lam: float, r: int) -> float:

@@ -168,6 +168,7 @@ class TrialRecord:
     max_attempts: int = 0
     allocated_space: int = 0
     min_alloc_slack: float = math.inf  # inf (written empty) when nothing was placed
+    placement_rounds: int = 0          # 0 (written empty) when nothing was placed
     verified: bool = True
 
     def row(self) -> dict:
@@ -175,6 +176,8 @@ class TrialRecord:
         d["verified"] = int(self.verified)
         if not math.isfinite(self.min_alloc_slack):
             d["min_alloc_slack"] = None
+        if not self.placement_rounds:
+            d["placement_rounds"] = None
         return d
 
 
@@ -240,7 +243,7 @@ def _run_semisort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         restarts=trace.restarts, max_bucket_size=trace.max_bucket_size,
         max_attempts=int(trace.bucket_attempts.max(initial=1)),
         allocated_space=trace.allocated_space, min_alloc_slack=trace.min_alloc_slack,
-        verified=verify_semisort(data.keys, out),
+        placement_rounds=trace.placement_rounds, verified=verify_semisort(data.keys, out),
     )
 
 
@@ -255,7 +258,7 @@ def _run_intsort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         trial=trial, seed=seed, n=cfg.n, dist=cfg.dist,
         charged_work=meter.total_ops, rounds=meter.rounds,
         allocated_space=trace.allocated_space, min_alloc_slack=trace.min_alloc_slack,
-        verified=verify_semisort(keys, out, sort=True),
+        placement_rounds=trace.placement_rounds, verified=verify_semisort(keys, out, sort=True),
     )
 
 
@@ -274,7 +277,7 @@ def _run_placement(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     ok = False
     rounds = 0
     try:
-        res = place(inst, default_round_cap(n), seed, meter)
+        res = place(inst, default_round_cap(n, d), seed, meter)
         rounds = res.rounds_used
         ok = verify_placement(inst, res)
     except PlacementTimeout:

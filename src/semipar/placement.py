@@ -2,10 +2,12 @@
 
 Records carry a target id; each target owns a contiguous range of a shared
 slot arena with capacity at least alpha >= 2 times its record count.  The
-record array is split into size-d blocks; every round, each block with an
-unplaced record probes one uniformly random slot of that record's target
-and claims it if empty.  Claims are linearizable: when several blocks probe
-the same slot in a round, exactly one wins, the last in block order.
+record array is split into ceil(n/d) blocks of d records, the last one
+shorter when d does not divide n; every round, each block with an unplaced
+record probes one uniformly random slot of that record's target and claims
+it if empty.  ``default_round_cap`` derives the round cap from a tail bound
+on how long a block takes.  Claims are linearizable: when several blocks
+probe the same slot in a round, exactly one wins, the last in block order.
 
 A round sorts its probes by slot, so equal slots sit side by side and the
 winner of each is the last of its run (the priority write of deterministic
@@ -21,12 +23,14 @@ bits(arena_size - 1) + bits(n - 1) <= 64, and an instance holds fewer than
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .meter import WorkMeter, ceil_log2
+from .bounds import chernoff_lower_mean
+from .meter import WorkMeter
 from .prng import derive, mix64_array
 
 # An instance holds fewer records than this, so every record index, and
@@ -187,7 +191,7 @@ def place(
         return PlacementResult(0, 0, [], 0, inst.arena_size)
 
     d = inst.d
-    n_blocks = max(1, n // d)                 # final block absorbs the remainder
+    n_blocks = -(-n // d)                     # the last block may be shorter
     # Live blocks only, compacted as blocks finish: next unplaced record,
     # block end, and the block's stream key.
     positions = np.arange(n_blocks, dtype=np.uint64)
@@ -263,6 +267,37 @@ def verify_placement(inst: PlacementInstance, res: PlacementResult) -> bool:
     )
 
 
-def default_round_cap(n: int) -> int:
-    """8 * ceil(log2 n); 8 is the hidden constant of the Theta(log n) cap."""
-    return 8 * ceil_log2(n)
+def default_round_cap(n: int, d: int = 1, alpha: float = 2.0, p: float | None = None) -> int:
+    """The least round count r at which every block of a placement of n
+    records in blocks of d (``PlacementInstance``'s defaults) is done,
+    except with probability at most p, 1/n by default, by a Chernoff bound.
+
+    While each target's capacity is at least alpha times its record count,
+    a probe fails with probability at most 1/alpha given the history: it
+    is uniform over the target's slots, and fails only on a slot that was
+    claimed before its round or is claimed in it by a later block, and both
+    kinds hold the target's records at the round's end.  So a block of at
+    most d records is unfinished after r rounds with probability at most
+    P[Bin(r, 1 - 1/alpha) <= d - 1], which ``chernoff_lower`` bounds by
+    e^-l once the mean r (1 - 1/alpha) reaches
+    ``chernoff_lower_mean(d - 1, l)``.  With l = ln(ceil(n/d) / p), a union
+    over the ceil(n/d) blocks gives p: at alpha = 2 and p = 1/n, 118 rounds
+    at n = 2^20 and d = 4, 167 at d = 20.  An n below 2 counts as 2.
+    Raises ValueError unless d is finite and >= 1, alpha >= 2 and p in
+    (0, 1], or when the cap would not be finite.
+    """
+    if not (d >= 1 and math.isfinite(d)):
+        raise ValueError(f"block size d must be finite and >= 1, got {d}")
+    if not alpha >= 2:  # NaN fails this too
+        raise ValueError(f"slack factor alpha must be >= 2, got {alpha}")
+    n = max(n, 2)
+    if p is None:
+        p = 1.0 / n
+    if not 0 < p <= 1:
+        raise ValueError(f"failure target p must lie in (0, 1], got {p}")
+    ell = math.log(-(-n // d)) - math.log(p)
+    with np.errstate(over="ignore"):  # a d near the float limit gives inf
+        r = chernoff_lower_mean(d - 1, ell) / (1.0 - 1.0 / alpha)
+    if not math.isfinite(r):
+        raise ValueError(f"the round cap for d={d} and alpha={alpha} is not finite")
+    return math.ceil(r)

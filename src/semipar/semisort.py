@@ -28,6 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .bounds import chernoff_lower_mean
 from .hashing import (
     detect_collision,
     tab_bucket,
@@ -99,6 +100,17 @@ class SemisortParams:
     (see ``f_alloc``).  The default c = 2 ln 2 makes that n^-2 per target;
     the defaults give at most n targets, so by a union bound every target's
     estimate holds except with probability at most n^-1.
+
+    A run fails when an estimate falls short (the arena side) or when a
+    placement times out although every estimate held (the round side).
+    The arena side fails with probability at most 1/n, and so does the
+    round side, up to one block: ``for_n`` sets ``round_cap`` to
+    ``default_round_cap`` of n and of d and alpha as resolved after
+    overrides, the least cap at which ceil(n/d) blocks all finish except
+    with probability at most 1/n, and the two sides place at most
+    ceil(n/d) + 1 blocks between them.  So a run restarts with probability
+    about 2/n at most.  The default d = 4 keeps placement's depth near
+    d + 7 rounds; its charged probes do not depend on d.
     """
 
     p_s: float            # sampling probability
@@ -156,10 +168,13 @@ class SemisortParams:
             p_s=1.0 / lg,
             tau=2 * lg,
             B=max(1, math.ceil(n / lg**2)),
-            d=lg,
-            round_cap=default_round_cap(n),
+            d=4,
         )
         defaults.update(overrides)
+        if "round_cap" not in overrides:
+            defaults["round_cap"] = default_round_cap(
+                n, defaults["d"], defaults.get("alpha", cls.alpha)
+            )
         return cls(**defaults)
 
 
@@ -171,7 +186,8 @@ class SemisortTrace:
     also hold work done before the call.  ``min_alloc_slack`` is the least
     f_alloc(sigma_t) / m_t over the targets that got records in either
     placement, inf when neither side placed: below 1, some target had more
-    records than its size estimate.
+    records than its size estimate.  ``placement_rounds`` is the larger of
+    the two placements' round counts, 0 when neither side placed.
     """
 
     n: int
@@ -184,6 +200,7 @@ class SemisortTrace:
     bucket_attempts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     allocated_space: int = 0
     min_alloc_slack: float = math.inf
+    placement_rounds: int = 0
 
 
 def run_heads(x: np.ndarray) -> np.ndarray:
@@ -245,15 +262,10 @@ def f_alloc(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np
     target of f(s) records has mean sample count mu = p_s f(s), and
     (mu - s)^2 = 2 l mu, so ``chernoff_lower(mu, 1 - s / mu)``, which is
     exp(-(mu - s)^2 / (2 mu)), is exactly e^-l = n^(-c_alloc / ln 2) for
-    every s: n^-2 at the default c_alloc = 2 ln 2.
+    every s: n^-2 at the default c_alloc = 2 ln 2.  That mu is
+    ``chernoff_lower_mean(s, l)``, which rejects a negative s.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("sample count must be non-negative")
-    cl = params.c_alloc * math.log2(max(n, 2))
-    if math.isinf(cl):  # past the float range, where 0 * cl would give NaN
-        return s + math.inf
-    return (s + cl + np.sqrt(cl * cl + 2.0 * s * cl)) / params.p_s
+    return chernoff_lower_mean(s, params.c_alloc * math.log2(max(n, 2))) / params.p_s
 
 
 def _slots(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np.ndarray:
@@ -531,7 +543,7 @@ def _semisort_once(
     # positions, each key's contiguous, into ``heavy``; the light side packs
     # its records into the tail of the output while the heavy side runs.
     heavy = np.empty(h, np.int64)
-    (heavy_arena, heavy_slack), light = fork_join(
+    (heavy_arena, heavy_slack, heavy_rounds), light = fork_join(
         meter,
         lambda m: _heavy_side(
             a.keys, is_heavy, target, sigma_heavy, params, cutoff, derive(run_seed, 2), heavy, m,
@@ -539,9 +551,11 @@ def _semisort_once(
         lambda m: _light_side(a, is_heavy, sample_mask, params, cutoff, run_seed, m),
         min(h, n - h),
     )
-    out, light_arena, light_slack, trace.max_bucket_size, trace.bucket_attempts = light
+    out, light_arena, light_slack, light_rounds, trace.max_bucket_size, attempts = light
+    trace.bucket_attempts = attempts
     trace.allocated_space = heavy_arena + light_arena
     trace.min_alloc_slack = min(heavy_slack, light_slack)
+    trace.placement_rounds = max(heavy_rounds, light_rounds)
 
     # Step 7: the heavy records fill the head of the output, keys beside
     # payloads.
@@ -558,35 +572,36 @@ def _semisort_once(
 def _heavy_side(
     keys: np.ndarray, is_heavy: np.ndarray, target: np.ndarray | None, sigma: np.ndarray,
     params: SemisortParams, cutoff: float, seed: int, out: np.ndarray, meter: WorkMeter,
-) -> tuple[int, float]:
+) -> tuple[int, float, int]:
     """Step 4: one target per heavy key.  Writes the positions of the heavy
     records (where ``is_heavy``, with heavy-key ranks ``target``) into
-    ``out``, each key's records contiguous; returns the arena size and the
-    least allocation slack (0 and inf when sorted)."""
+    ``out``, each key's records contiguous; returns the arena size, the
+    least allocation slack and the placement rounds (0, inf and 0 when
+    sorted)."""
     heavy = np.flatnonzero(is_heavy)
     if len(heavy) < cutoff:
         out[:] = _sort_segment(heavy, keys, meter, "heavy_sort")
-        return 0, math.inf
+        return 0, math.inf, 0
     target = target[heavy]
     counts = np.bincount(target, minlength=len(sigma))
     res, _, slack = _place_and_pack(
         target, counts, sigma, params, len(keys), seed, meter, "heavy_pack"
     )
     take_into(heavy, res.order, out)
-    return res.arena_size, slack
+    return res.arena_size, slack, res.rounds_used
 
 
 def _light_side(
     a: Records, is_heavy: np.ndarray, sample_mask: np.ndarray, params: SemisortParams,
     cutoff: float, run_seed: int, meter: WorkMeter,
-) -> tuple[Records, int, float, int, np.ndarray]:
+) -> tuple[Records, int, float, int, int, np.ndarray]:
     """Steps 5 and 6: one target per hashed bucket, then a local semisort of
     every bucket.  Returns the output records with the light records of
     ``a`` (where not ``is_heavy``) packed into its tail, each key's records
     contiguous, then the arena size, the least allocation slack, the
-    largest bucket and the attempts per bucket (0, inf, 0 and none when
-    sorted).  ``fork_join`` runs this side on the caller, so the output
-    comes from the caller's malloc arena.
+    placement rounds, the largest bucket and the attempts per bucket (0,
+    inf, 0, 0 and none when sorted).  ``fork_join`` runs this side on the
+    caller, so the output comes from the caller's malloc arena.
 
     Three steps are ``fork_join``s of two halves, each of about half the
     light records: bucket hashing, over two halves of the records; then,
@@ -616,7 +631,7 @@ def _light_side(
         out = Records.empty(n)
         take_into(a.keys, light, out.keys[h:])
         take_into(a.payloads, light, out.payloads[h:])
-        return out, 0, math.inf, 0, np.empty(0, np.int64)
+        return out, 0, math.inf, 0, 0, np.empty(0, np.int64)
     B = params.B
     floor = light_arena_floor(params, n)
     budget = LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
@@ -673,7 +688,7 @@ def _light_side(
     )
     out = Records.empty(n)
     fork_join(meter, lambda m: pack(0, *first), lambda m: pack(b_mid, *second), mid)
-    return out, res.arena_size, slack, int(sizes.max()), attempts
+    return out, res.arena_size, slack, res.rounds_used, int(sizes.max()), attempts
 
 
 def integer_sort(

@@ -154,7 +154,7 @@ def test_criterion_6_placement(capsys):
         counts = np.bincount(targets, minlength=n_targets)
         caps = np.maximum(1, np.ceil(2.0 * counts).astype(np.int64))
         inst = PlacementInstance(targets=targets, capacities=caps, alpha=2.0, d=d)
-        res = place(inst, default_round_cap(n), seed)
+        res = place(inst, default_round_cap(n, d, 2.0), seed)
         ok = (
             res.rounds_used <= 8 * 16
             and res.probes <= 4 * n
@@ -327,7 +327,14 @@ def test_criterion_14_whp_tails(capsys, monkeypatch):
         the sum of the weights (2K+2) m_b and t the least value with
         ``weighted_geom`` <= 1/n (each bucket's attempts are dominated by a
         geometric of mean 2), against 1/n;
-      - the smallest slack, and the p99 and max of work/n, without a bound.
+      - for p = 1/n and p = 1/10, the rate of runs whose placement rounds
+        exceed r(p) = ``default_round_cap(n, d, alpha, p)``, the rounds
+        within which all ceil(n/d) blocks finish except with probability
+        at most p, against p.  A run that restarted counts as over: a
+        placement that timed out ran past round_cap = r(1/n).  The line at
+        1/10 is the one 1,000 seeds can fail;
+      - the smallest slack, the most placement rounds, and the p99 and max
+        of work/n, without a bound.
     Every run must place at least one side (finite slack), so that 0
     restarts cannot pass without placements.
     """
@@ -350,9 +357,17 @@ def test_criterion_14_whp_tails(capsys, monkeypatch):
 
     monkeypatch.setattr(semisort_mod, "rehash_buckets", rehash_spy)
     ok = slack_bound <= target * (1 + 1e-9)
-    details = [f"n={n}, {seeds} seeds, target 1/n={target:.2e}, slack bound {slack_bound:.2e}"]
+    round_targets = (target, 0.1)
+    round_caps = [default_round_cap(n, params.d, params.alpha, p) for p in round_targets]
+    ok = ok and round_caps[0] == params.round_cap
+    details = [
+        f"n={n}, {seeds} seeds, target 1/n={target:.2e}, slack bound {slack_bound:.2e}, "
+        f"r(1/n)={round_caps[0]}, r(1/10)={round_caps[1]}"
+    ]
     for fi, dist in enumerate(("uniform", "zipf")):
         restarts = slack_misses = rehash_misses = unplaced = 0
+        round_misses = [0] * len(round_targets)
+        max_rounds = 0
         min_slack = math.inf
         rehash_ratio = 0.0
         work = []
@@ -367,6 +382,9 @@ def test_criterion_14_whp_tails(capsys, monkeypatch):
             unplaced += not math.isfinite(trace.min_alloc_slack)
             slack_misses += trace.min_alloc_slack < 1
             min_slack = min(min_slack, trace.min_alloc_slack)
+            max_rounds = max(max_rounds, trace.placement_rounds)
+            for i, cap in enumerate(round_caps):
+                round_misses[i] += trace.restarts > 0 or trace.placement_rounds > cap
             weights = np.concatenate([c[0] for c in calls] or [np.empty(0)])
             rehash_work = sum(c[1] for c in calls)
             # The spy saw every rehash the meter charged.
@@ -378,11 +396,15 @@ def test_criterion_14_whp_tails(capsys, monkeypatch):
             rehash_ratio = max(rehash_ratio, rehash_work / bound if bound else 0.0)
             work.append(meter.total_ops / n)
         rates = [restarts / seeds, slack_misses / seeds, rehash_misses / seeds]
+        round_rates = [m / seeds for m in round_misses]
         ok = ok and unplaced == 0 and max(rates) <= target
+        ok = ok and all(rate <= p for rate, p in zip(round_rates, round_targets))
         details.append(
             f"{dist}: restarts {rates[0]:.4f}<={target:.2e}, "
             f"slack<1 {rates[1]:.4f}<={slack_bound:.2e}, min slack {min_slack:.2f}, "
             f"rehash>2W1+t {rates[2]:.4f}<={target:.2e} (max {rehash_ratio:.2f} of 2W1+t), "
+            f"rounds>r(1/n) {round_rates[0]:.4f}<={target:.2e}, "
+            f"rounds>r(1/10) {round_rates[1]:.4f}<=0.1 (max {max_rounds}), "
             f"unplaced {unplaced}, work/n p99 {np.quantile(work, 0.99):.2f} max {max(work):.2f}"
         )
     _verdict(capsys, 14, "whp tails", ok, "; ".join(details))

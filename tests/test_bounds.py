@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from semipar.bounds import (
     HypothesisViolated,
     bound_eval,
     chernoff_lower,
+    chernoff_lower_mean,
     chernoff_upper,
     geom_sum,
     mcdiarmid,
@@ -25,7 +27,25 @@ def test_chernoff_upper_formula():
 
 def test_chernoff_lower_formula():
     assert chernoff_lower(100, 0.5) == pytest.approx(math.exp(-0.25 * 100 / 2))
-    assert chernoff_lower(100, 1.0) == pytest.approx(math.exp(-50.0))
+    assert chernoff_lower(100, 1.0) == pytest.approx(math.exp(-50.0), abs=0)
+
+
+def test_chernoff_lower_mean_inverts_the_lower_tail():
+    # At mu = chernoff_lower_mean(s, l), P[X <= s] <= exp(-(mu - s)^2 / (2 mu))
+    # is exactly e^-l, for an array of counts as for one.
+    s = np.array([0.0, 1.0, 3.0, 15.0, 1000.0])
+    for ell in (0.5, 8.3, 41.6):
+        mu = chernoff_lower_mean(s, ell)
+        assert mu.shape == s.shape
+        for si, mi in zip(s, mu):
+            assert chernoff_lower(mi, 1 - si / mi) == pytest.approx(math.exp(-ell), rel=1e-9, abs=0)
+            assert mi == chernoff_lower_mean(si, ell)
+    assert chernoff_lower_mean(0, 2.0) == 4.0
+    assert chernoff_lower_mean(5, 0.0) == 5.0
+    assert np.all(np.isinf(chernoff_lower_mean(np.array([0.0, 7.0]), math.inf)))
+    for bad in ((-1, 1.0), (np.array([1.0, -0.5]), 1.0), (1, -1.0), (1, math.nan)):
+        with pytest.raises(HypothesisViolated):
+            chernoff_lower_mean(*bad)
 
 
 def test_chernoff_hypotheses():

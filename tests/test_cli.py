@@ -21,6 +21,7 @@ from semipar.cli import (
     tail_report,
 )
 from semipar.graph_algos import InvalidPalette
+from semipar.semisort import SemisortParams
 
 
 def run_cli(args):
@@ -107,8 +108,9 @@ def test_semisort_csv_roundtrip(tmp_path, capsys):
     "cmd,n,placed", [("semisort", 4096, True), ("intsort", 4096, True), ("intsort", 1000, False)]
 )
 def test_sort_rows_report_the_arena(cmd, n, placed, tmp_path):
-    # A sort row gives its arena and least allocation slack; below
-    # small_n_cutoff nothing is placed, so the slack is left empty.
+    # A sort row gives its arena, least allocation slack and the rounds of
+    # its deeper placement, at least d = 4 and at most the round cap; below
+    # small_n_cutoff nothing is placed, so the slack and rounds are empty.
     out = tmp_path / "a.csv"
     assert run_cli([cmd, "--n", str(n), "--out", str(out)]) == EXIT_OK
     lines = out.read_text().splitlines()
@@ -116,8 +118,10 @@ def test_sort_rows_report_the_arena(cmd, n, placed, tmp_path):
     if placed:
         assert 0 < int(row["allocated_space"]) <= 11 * n
         assert float(row["min_alloc_slack"]) > 1
+        assert 4 <= int(row["placement_rounds"]) <= SemisortParams.for_n(n).round_cap
     else:
         assert (row["allocated_space"], row["min_alloc_slack"]) == ("0", "")
+        assert row["placement_rounds"] == ""
 
 
 def test_csv_byte_identical(tmp_path):
@@ -351,9 +355,13 @@ def test_exit_code_config_error(capsys, monkeypatch):
         # Values that would break placement.
         ["semisort", "--n", "4096", "--param", "d=0"],
         ["semisort", "--n", "4096", "--param", "round_cap=0"],
-        ["semisort", "--n", "4096", "--param", "d=100000"],  # d > round_cap
+        # d > round_cap
+        ["semisort", "--n", "4096", "--param", "d=100000", "--param", "round_cap=8"],
         ["semisort", "--n", "4096", "--param", "c_alloc=-1"],
         ["semisort", "--n", "4096", "--param", "alpha=inf"],
+        # No round cap can be derived from these.
+        ["semisort", "--n", "4096", "--param", "d=inf"],
+        ["semisort", "--n", "4096", "--param", "alpha=nan"],
         # Finite, but the capacities they size overflow int64.
         ["semisort", "--n", "4096", "--param", "p_s=1e-300"],
         ["semisort", "--n", "4096", "--param", "c_alloc=1e300"],

@@ -391,14 +391,14 @@ def test_boosted_small_graphs(kind, n, k, density, seed):
 # int64 output; work digest: sha256 of the sorted-key JSON of the meter's
 # per-label work.
 PINNED_BOOSTED = [
-    ("gnm", 2000, 16000, 2, "color", "95e2f44c3d18fe42f5006cc9e6503012aa5cf561cd1ad22935d99cfcd04a04af", 181505, 102, "4e44d10be8c60d305b26b8b3a1106df836fe071bdfaeae4ad48eebef541ab2a4"),
-    ("gnm", 2000, 16000, 2, "mis", "b950387f613c95f6097824b6717555ff5e0cc8c7422402639fc4705ec0ab89bf", 153748, 102, "bb4caf4ede6044eab95f057c5d1b255db565c89fd437452cdb06b6f47a36c994"),
-    ("gnm", 2000, 16000, 4, "color", "6ad5d6456fb5bb9b56aa050c6aa85bf5e493438ff464e8dfd4db5a87a1686a06", 218470, 99, "de15c378df732f6b03d2ff397bda5e06a193e6df31e20f3121adbefde785bf3a"),
-    ("gnm", 2000, 16000, 4, "mis", "14b4d3e34995261e3af4a2da0db5611e8983709c933966da6221de46b78f79ff", 198615, 100, "8a8dc17862c70ecd5790b1105a22681aeb6822fbb29dfdaa682f998ef08a8935"),
-    ("power_law", 2000, 12000, 2, "color", "9bbd1bf4cf1f90ebd3c367fb1867257d7b89e8dffcb6ab19f95cf4db2c1d6436", 163078, 103, "cf7287baf21ef28de2cc43f79bcb065f7dddd7b91fa250a1e4149ea083f79060"),
-    ("power_law", 2000, 12000, 2, "mis", "4e39aee25998bd8e923f446b633becf2403f8791d02a7ae53053d3d943d7d971", 150714, 102, "b38df3018d4ba2d8e39834bbef6bbc7940baab80a4a507ab0a8cfd9cee5cb1d8"),
-    ("power_law", 2000, 12000, 4, "color", "191212cb7ae3d8c283070ddee2a562e9448232ee143be0b8d7973983aec9fac8", 186047, 106, "9d6603fc88020f680dcd503ed6ab419f8daa9b7073bdd48db5174074aabea2a1"),
-    ("power_law", 2000, 12000, 4, "mis", "57d1cad583018a2778becc54938822ac577b8cee09d4a72a1f418d9fefe9e545", 168549, 107, "80fe6928b38f9aa2e79fd5a59fa33378a4a247804e250bd5076b22ea84975f1a"),
+    ("gnm", 2000, 16000, 2, "color", "9d7da128ccfa8b5de3a0a14527de332f80a388760e61168a01ad298c2bac3d7c", 188160, 90, "c21f3d549c16f89fbbf4c57d9b4a551f3d9ed9b8672bd3baa16bbcdf78353a90"),
+    ("gnm", 2000, 16000, 2, "mis", "d0deb0424040b9a3b21032595bb01238a5bd2efeee8c2c63acaab26c4140425c", 154001, 88, "61725e1e6a0427677f4fb99ea167db6179728bfbab76a3d7910c0bd04b522490"),
+    ("gnm", 2000, 16000, 4, "color", "9a07848c6c1166f6393f3e1001a1291d4ef81aa72e6da26c598ece6afe2f8c7b", 216447, 91, "48af6c94c7c82d823478813937790cc344c0128769326b6a7031a3991a49be17"),
+    ("gnm", 2000, 16000, 4, "mis", "6fbd66cb783b8e421ce9fd89ca19b78481e93fcdec511cf2530b5ff3c7049e8a", 198998, 91, "098107fd22311af9bf3d8978aeafee65c59004f7c6c3466aaeacfbd0ba44254e"),
+    ("power_law", 2000, 12000, 2, "color", "7971898d549431d7ea7be66377e6b0fb1204268893d504fb9909a5a860e8ca11", 162822, 91, "1191623b38ac0720f4a736f650dfe11a00935137d3caa833ce60d2dd9a2b6c89"),
+    ("power_law", 2000, 12000, 2, "mis", "f4f599be1eb0e1d3f3c29543e782f91daafefc1c9dff87b2b31b6a7316d8f263", 150619, 90, "480ba7dc12aa64948f19ca1928a05cfbea23731a3a6f97fa186ead0c333ffcfd"),
+    ("power_law", 2000, 12000, 4, "color", "455fd3c17a8d5897ac2a1e25ebb7bfce744da0445268563cc5e6d2db516f0e55", 183685, 92, "da61375fab54a7ea11b2a20ce9d3958f8c0bfac602c66eb8e20a14a78ee5d840"),
+    ("power_law", 2000, 12000, 4, "mis", "ab43737efe223669c5dda2d5a5212a7c28cd0b6dc943b4be08ac8b7e1902bc88", 168457, 94, "d7b3c2cfd22f7109b407077009b089b4d063b0e0c435c4ff74ba42e2a615b060"),
     ("star", 500, 0, 2, "color", "c4d38b6f6513b4caf3af3ce49c8b9b29355a0285110d0cf0f54e87983a0ee14b", 13301, 37, "04b0cf9a451f58c26cac625ef350fae491ecf990979bb3d328c18e7297961a9c"),
     ("star", 500, 0, 2, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 13489, 36, "59917984e372afaa8ea84b9c3bce4dd037cd1203885a1db442261cf52d4065c7"),
     ("star", 500, 0, 4, "color", "f2bb6073b06e5d5eec6cd70807a3bcf9677748a19b4e5cfe6bbcb3b11a5c854b", 13490, 33, "4bdbfc2ef70a3a1dbaae63b7b358fb4b34598617fd324f57279cc5956fb98662"),
@@ -412,8 +412,8 @@ PINNED_BOOSTED = [
 PINNED_BOOSTED_EDGE_CASES = {
     "rank-color": ("gnm", 40, 300, 64, "color", "41595f0ff8394a82d85eec4e2f3340c65086327a9d3e2317e365492799f11e62", 4468, 35, "e115e3d07f45d6f5ef4efc7002066b292f312a5e82ae9ec392ab17cbdcaf3870"),
     "rank-mis": ("gnm", 40, 300, 64, "mis", "d5080b6c0dd601f837ab5e97b30c834b8eed2b899f395ad67eca32015fd7a24b", 4077, 35, "85c96cddc73a7ca9c24b58d212f26fe8a8bde10f53cfdd49193f7933a94532d7"),
-    "culls-color": ("power_law", 3000, 30000, 2, "color", "6a19a9339e0fcdaa9ceb2b87a0bd64a03cbc601d32fb0628713cfc4bda37046c", 370009, 108, "4694ec03453734f89857a07642761ae4428bc8ec64be02c4002c8a2ce50df227"),
-    "culls-mis": ("power_law", 3000, 30000, 2, "mis", "6042649c76b3b0c69e93aa2b931ec522f67a251badbed8307e570b8aa663ca27", 341649, 107, "2d72a38a481cd9f7f25185f430a81377f2bb436040c5b9df4ddb28471b725fb3"),
+    "culls-color": ("power_law", 3000, 30000, 2, "color", "68229d2d3886150df7deec37e1bbe62f63a5faaf5881654118fffed7e8130a9e", 370211, 93, "b1dfc204a99cecb840b0fac9f1f94c05e7619e560f1142691733728a9de49189"),
+    "culls-mis": ("power_law", 3000, 30000, 2, "mis", "3c23eaa32d2e481f11edbd995bd8f6b27458cc3ab0ccbd2b24bd00604dc57661", 341921, 93, "fb88102b40743ed3c66b6b36fa294a6781bd519bf47e995e376e8b65c319235e"),
     "edgeless-color": ("gnm", 50, 0, 3, "color", "7a12e561363385e9dfeeab326368731c030ed4b374e7f5897ac819159d2884c5", 650, 21, "c3e3ce6899275d33a8a6e095fdd0c28b17dff70c332fdf00708355aab45cb595"),
     "edgeless-mis": ("gnm", 50, 0, 3, "mis", "f33daf5fc5cddc53a4edc108cc7617823eba7f63958f7e79379335d6a0f6eae7", 650, 21, "e6c5f953c48a05b0011ba418a33a2a1571402763b318d52ee64d9c8e27a0b6cd"),
 }

@@ -6,12 +6,16 @@ import re
 import tracemalloc
 from types import SimpleNamespace
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semipar import placement
+from semipar.bounds import chernoff_lower
 from semipar.meter import WorkMeter
 from semipar.placement import (
     InvalidInstance,
@@ -175,7 +179,7 @@ def _reference_place(inst, round_cap, seed):
     n = len(inst.targets)
     arena = np.full(inst.arena_size, -1, dtype=np.int64)
     slot_of = np.empty(n, dtype=np.int64)
-    n_blocks = max(1, n // inst.d)
+    n_blocks = -(-n // inst.d)
     ptr = np.arange(n_blocks, dtype=np.int64) * inst.d
     end = ptr + inst.d
     end[-1] = n
@@ -350,8 +354,51 @@ def test_probe_charges_match_meter():
 
 
 def test_default_round_cap():
-    assert default_round_cap(2) == 8
-    assert default_round_cap(1 << 16) == 8 * 16
+    # ceil(chernoff_lower_mean(d - 1, ln(ceil(n/d) n)) / (1 - 1/alpha)), as a
+    # search over r finds it.
+    assert default_round_cap(1 << 20, 4) == 118
+    assert default_round_cap(1 << 12, 4) == 73
+    assert default_round_cap(1 << 20, 20) == 167
+    assert default_round_cap(1 << 16, 16) == 131
+    # A looser failure target needs fewer rounds; so does a larger alpha.
+    assert default_round_cap(1 << 12, 4, p=0.1) < 73
+    assert default_round_cap(1 << 12, 4, alpha=3.0) < 73
+    # A block of d records needs at least d rounds.
+    assert all(default_round_cap(n, d) >= d for n in (0, 1, 2, 40) for d in (1, 2, 4, 100))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(d=math.inf), dict(d=math.nan), dict(d=0), dict(d=1e308), dict(alpha=math.nan),
+     dict(alpha=1.5), dict(p=0.0), dict(p=1.5), dict(p=math.nan)],
+)
+def test_default_round_cap_rejects_by_value_error(kwargs):
+    # Never an OverflowError or a hang: d = 1e308 makes the cap overflow.
+    with pytest.raises(ValueError):
+        default_round_cap(4096, **kwargs)
+
+
+def _unfinished_blocks(n, d, alpha, r):
+    # ceil(n/d) P[Bin(r, 1 - 1/alpha) <= d - 1], at 60 digits.
+    with mpmath.workdps(60):
+        fail = 1 / mpmath.mpf(alpha)
+        tail = mpmath.fsum(
+            mpmath.binomial(r, i) * (1 - fail) ** i * fail ** (r - i) for i in range(d)
+        )
+        return -(-n // d) * tail
+
+
+@pytest.mark.parametrize("n", [1 << 10, 1 << 16, 1 << 20, 1 << 30])
+@pytest.mark.parametrize("d", [1, 4, 16])
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_default_round_cap_meets_the_failure_target(n, d, alpha):
+    # At the cap, the exact union over the ceil(n/d) blocks of a block's
+    # chance to be unfinished is at most 1/n; one round less, the Chernoff
+    # bound the cap inverts is above 1/n, so the cap is the least it certifies.
+    r = default_round_cap(n, d, alpha)
+    assert _unfinished_blocks(n, d, alpha, r) * n <= 1
+    mu = (r - 1) * (1 - 1 / alpha)
+    assert -(-n // d) * chernoff_lower(mu, 1 - (d - 1) / mu) > 1 / n
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +421,15 @@ PIN_INSTANCES = {
 # meter's per-label work.
 PINNED_PLACEMENT = [
     ("d1", "afee3be3d0dd6faf04432830477d3a698e9084557a9c9e6c77783da9f3b5047e", "9ecd60e8d4e9f32a8e5e391f2b9f2b8465f1549958e3ba2399a43c8f3210b3fb", 9, 4129, "943885875055082590efbce888fc332eec539eca33297658f2da453a3fa003dc"),
-    ("d_lg", "a127d217d12316a264e572cfae8c2cc046cab4b1b72232626cbbcbda8d3650bb", "4fd57f7e988b48e400d0d7bcf73ace034f61878b01f25c0b7c0fc18c70f2d20a", 30, 5631, "dab60b0488d8f28a0fc6a2fa924afc52a7b33204b4993a8b6ada0a586a15c6c0"),
+    ("d_lg", "7ebc5f93dfb59b6bba99ed596f8def4642a6f90a769facf4fa87f5a4501d6ff9", "e6d86c50fc94325db003af253772aa578465576afcd50c3ea55bebf92039d025", 30, 5630, "cc43d768e5c3cee778a34c9a48f4fdb899b16a3916e920a38c4fccf18b5b436e"),
     ("d_above_n", "3b4ffb58182a9aaceb7e096e0818211569160f0b5c3aa3bb33cd307f30151218", "a93cb049a8f49529c3fdc1b7638c0a54860ec12a0a1c0006fa4b02b159f2ce4b", 54, 54, "c6924c4ac50326b32988b6a33ac948bec0affb080927addda1bf31e9a936abd8"),
     ("one_target", "442717e650f9c94fa72835550c94e2859c1f564349d4361e209805f828c58ece", "5acca9bed428f4ba718ee9bd9f8c531d4879fbd3ff963325e27c5540e9b0da8b", 26, 1415, "eaed18f0c624265bc39a265960e33a86f23bfcffb99120dc634b4ea4b740bb25"),
-    ("alpha3", "17669c69f217b5a5b9238038816e8c37f0e5f5ffd023a0680446f614d410f2b6", "622fbf8c309d789d5ed6cd9551395f459b242ac5360ef97ac07c6fae161dccf7", 25, 2438, "6a34e7b53028c995708070729f4906ba95e1bef9f461e1486de75a6357faacf0"),
-    ("tight_unvalidated", "27b759a98174f0b6a394f80ba455a877c489c9b487828dbf28eeb7cc79473ae3", "f30cdb67a612466e11caf37dfd5a66a744e82f330a556330100f7ba3d2751753", 47, 2875, "09e3c5a21a60b2270d8ffe8f63d659f535737ed4a46de5bedc095c313a46c911"),
+    ("alpha3", "6b29f50c874bc867ca0323efcc76cefea4acbdaadfdc000e636fbc63fd3a7a51", "3658ed4a3708c4536a48e87e1758297edfd55ad5937142391ec9e4b8cd6400e1", 22, 2434, "e666ff7b4df7b4aa710f85eb57cc198e1be3318b4ec399f2b1edba47033d8024"),
+    ("tight_unvalidated", "9f81991064fea63a06273c304a85d512249d8f1ee7a7426a63046402ef175705", "d38ee6d842f7ece9e7575422b81e89fe37c911737e850de957cae892e1f6d240", 53, 2890, "3eabebd2d487ae27e4f7d696a1903d3bf81f6873f03de15d4c751c8fe0399d64"),
 ]
 
 # case, round cap -> records placed when PlacementTimeout is raised.
-PINNED_TIMEOUTS = [("d1", 3, 2880), ("d_lg", 10, 2795), ("d_above_n", 5, 5)]
+PINNED_TIMEOUTS = [("d1", 3, 2880), ("d_lg", 10, 2805), ("d_above_n", 5, 5)]
 
 
 def _sha(a: np.ndarray) -> str:

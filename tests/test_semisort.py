@@ -71,8 +71,8 @@ def test_params_defaults():
     assert p.p_s == 1 / 16
     assert p.tau == 32
     assert p.B == (1 << 16) // 256
-    assert p.d == 16
-    assert p.round_cap == 128
+    assert p.d == 4
+    assert p.round_cap == 95
     assert p.K == 3
 
 
@@ -498,6 +498,25 @@ def test_min_alloc_slack_is_the_heavy_key_estimate_over_its_count():
     assert semisort(_random_records(1000, 50, 1))[1].min_alloc_slack == math.inf
 
 
+def test_placement_rounds_is_the_deeper_side(monkeypatch):
+    # Zipf keys place a heavy and a light side; the trace keeps the larger
+    # of their round counts, at least d, and 0 when nothing is placed.
+    real_place = semisort_mod.place
+    rounds = []
+
+    def spy(*args, **kwargs):
+        res = real_place(*args, **kwargs)
+        rounds.append(res.rounds_used)
+        return res
+
+    monkeypatch.setattr(semisort_mod, "place", spy)
+    n = 1 << 14
+    _, trace = semisort(gen_keys("zipf", n, 31, 1.2), seed=32)
+    assert len(rounds) == 2 and trace.heavy_count and trace.light_count
+    assert trace.placement_rounds == max(rounds) >= SemisortParams.for_n(n).d
+    assert semisort(_random_records(1000, 50, 1))[1].placement_rounds == 0
+
+
 def test_semisort_restart_on_timeout():
     # A round cap of 1 forces placement timeouts; the restart budget must trip.
     data = _random_records(20_000, 20_000, seed=7)
@@ -618,16 +637,16 @@ def test_stable_argsort_empty_and_signed():
 # order of records within each key, not on the order semisort gives the
 # keys, which below small_n_cutoff (the n = 1000 case) is a comparison sort's.
 PINNED_SEMISORT = [
-    ("uniform", 4096, "dc55ab69c9f2e009ea69125ffde4584253631a2792f6cc59bcec3ff62e7baca8", 97313, 71, "c33bbc881ddc6a21ae3076eda89def66d5b5c553a14b71576bc089902fc75c6e", "2b631fa0a19001448453e3abbc6c6da6e92dccd38327ccc34dad22d62e480e26"),
-    ("zipf", 4096, "c3209d446e0897f72ea83a5628e1ddc72c3fd41f38d2addf58f8d8dd4bd9222c", 86859, 75, "0d6463e78e3e1c04b35930a69238be65246e8033148fdf6de8c89dd2e8305336", "ef1db8d7ad2ae2745e01aba6e9346c2c45f4521caa627cc269cbd6e74fb4e5d8"),
-    ("all_equal", 4096, "2489bcebe7118dc6bcf54c4622b2772fb2e1af8edcf459d85b80c6a66a9b1ffb", 35074, 70, "1c209ecab70b99da91c7a669465c24fdfcd7bce37c8b588f7e89612e92beb65c", "0a03772287013ae27c8ff9742144cc7bf9c8c63f2424ea0012c179bf34356551"),
-    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 97324, 71, "58688d91b3f6a1b94881cc5048d50eea6f1a5246ffe14189373abdd19e0e0785", "f7e7803840003a042fdb5696e6043fa5fe3215d815ebe3ae8856e61e0f5f41fb"),
-    ("uniform", 16384, "8427e9f89f9beb13de818c9b4fda62425fc7b8b75b1e956b48e00736c2bd3d92", 391247, 82, "2f05dbd3204afe2c8a29167f1e4e55ab6e72b29992155177b9d025d72b976f97", "88403c7a2c5c32bb9fe1f33087d5e61be67affa711a814f1b8947f29092bcad6"),
-    ("zipf", 16384, "f27fe6581299b47e44b5e5760e59c3fa50810cfe94323502d797466fc9b6afec", 332517, 89, "095e7cb93a41f421663df9af8811dee92fc7b08ac06fbf02212dc9aa92244269", "ea269c04b1ff3dd789d4246a997799bb1e12b41b558c0bef2fec22c92c9947be"),
-    ("all_equal", 16384, "6ba69498a8844954ab8ae38f57591c3d64cd30bd538719a5c85823ba41744c35", 138081, 84, "55293a9db33b02881813cfe9cc41431c924ad26e8743562683fb0c79b3ca6817", "d130d81087dafadbad9e21f04812c6ed3b7da537de4725441294dd0ef597de1a"),
-    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 391398, 81, "8b07826ec15ac7480fd0dba64eb2e0786ba2b43f33b7eefbbe87d21ea23fbe4d", "211dcbeab3e09327210b7ad4f797c65e23481a3a2db2a847489c3377ce9fb04a"),
-    ("heavy_below_cutoff", 16384, "4a7d428e6ab49b8b097fcee49f07aa435d6c76724b58e170f5ee9fdb150533ad", 389147, 87, "a2f96cc23fbee69fd75cf57d046998ba2d0262013b833c4e12c31b04b145e6be", "9e1f5879eec6b20d26059ee296cd32d5f61abc017bb1b676a4c786240210559b"),
-    ("intsort", 16384, "56b376669c366eb80aecc2c63c4f9a8376278d1cedcdf9a3d6d27245c249964b", 456783, 96, "4854c071012800d80a4b64bd9c67c0ccabfbbcea1b4df990ea3a45937ecf25c2", None),
+    ("uniform", 4096, "8b681242aae2b5052398c29b6a2abc7aead6139a0be63a60717d6f95008db12d", 97311, 61, "18d8d8ba119b0cba86843898a3dbcca909032833613f7209f7b40d9c058643d3", "2b631fa0a19001448453e3abbc6c6da6e92dccd38327ccc34dad22d62e480e26"),
+    ("zipf", 4096, "4d115462514a08dd74accf1bcfbcc3d5ede69c482228b0a41dc2f05e88d57a4e", 86852, 60, "b8fa421c0ad2c7131ae7eb602b86c205681a476b08505a644c38ea86cec93081", "ef1db8d7ad2ae2745e01aba6e9346c2c45f4521caa627cc269cbd6e74fb4e5d8"),
+    ("all_equal", 4096, "9626f8c29cd1627ef2da1490346ca55dde523e7661dd44ca6cd1aba9b6a197b3", 35057, 60, "4390384b931aff299f2481106b631d4f8599622dc3ddd58997545cbefaa2a435", "0a03772287013ae27c8ff9742144cc7bf9c8c63f2424ea0012c179bf34356551"),
+    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 97319, 61, "fb0605560331941e7b56cde35225ce6e337de3603ef1111ff11568e320997628", "f7e7803840003a042fdb5696e6043fa5fe3215d815ebe3ae8856e61e0f5f41fb"),
+    ("uniform", 16384, "5174d17135db2748816240f2ed29239c3bcd3d437d1172e4d02b24225add1ae9", 391216, 70, "70ba21f13fd36c50273e6c8235d4d1b3978228cd3f2ee3ecb7443a160100ddf2", "88403c7a2c5c32bb9fe1f33087d5e61be67affa711a814f1b8947f29092bcad6"),
+    ("zipf", 16384, "02b664da213a44dda9e9b9e0ca7dfef7af17ae9d6850418c70b687905af3741e", 332506, 69, "0015df2e58728851f96c4cb9b8dd152910fc5277b2ef761e45e7e606786dc825", "ea269c04b1ff3dd789d4246a997799bb1e12b41b558c0bef2fec22c92c9947be"),
+    ("all_equal", 16384, "ae21ebd5c5025af7ac9aca26fe6032457a5dfc10cb7044ffd2376cce520f643f", 138170, 73, "4156cac1ab67b8235dd6738eff63eaf79c77e27518642189cdd17b112dbc3e04", "d130d81087dafadbad9e21f04812c6ed3b7da537de4725441294dd0ef597de1a"),
+    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 391367, 70, "f14ffca6a6fcc2c88ec95394036f76a7e5fc929c83f0256cd08049f7a2c684e7", "211dcbeab3e09327210b7ad4f797c65e23481a3a2db2a847489c3377ce9fb04a"),
+    ("heavy_below_cutoff", 16384, "bf407c3365b6b1e648c838b07745bdc2eb1c4b12f25ed83dc82908c36b796463", 389169, 69, "d803707da9504ec2329f26845f85dd5475276b13fdfa4b685a54a92a5594500c", "9e1f5879eec6b20d26059ee296cd32d5f61abc017bb1b676a4c786240210559b"),
+    ("intsort", 16384, "64b15c9fdff0dfdc3a7e47978016a0d52d0842795f896ec25f0a3d65cbe85904", 456752, 84, "d5ffbf6b4206e9fc5ef019ac54a746820e830d8dd1d59cb1e51f190e4cb5d5a9", None),
     ("intsort", 1000, "29257b74f8bbed78e2374f55c2c1961d7bf0e0d0cdf3d32dca475d1d55885bf6", 14000, 20, "40e2e8c737f01f0599465dfb9d775588ae9afaa2b06f17c356896757303e449a", None),
 ]
 
