@@ -68,20 +68,22 @@ def _tab_xor(h: TabulationHash, keys: np.ndarray) -> np.ndarray:
 
 
 def tab_bucket(h: TabulationHash, keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Map keys into [0, n_buckets) by multiply-shift on the w-bit hash value.
+    """Map keys into [0, n_buckets) by multiply-shift on the w-bit hash
+    value v: bucket (v * n_buckets) >> w, the product formed in uint64.
 
     Multiply-shift keeps the map monotone in the hash value (the identity
-    at 2^w buckets) and avoids the low-bucket bias of a modulo reduction.
-    Requires n_buckets <= 2^w, so the product needs 2w bits: it is formed
-    in uint32 when 2w <= 32 and in uint64 otherwise.
+    at 2^w buckets) and needs n_buckets <= 2^w.  Each bucket gets a run of
+    floor(2^w / n_buckets) or ceil(2^w / n_buckets) hash values, so uniform
+    hash values give it an expected load in proportion to that count.  At
+    w = ceil(log2 n_buckets) a bucket gets 1 or 2 values when n_buckets is
+    not a power of two, a 2:1 skew; at w = 32, which the light side uses,
+    the counts differ by at most one part in 2^32 / n_buckets.
     """
     if n_buckets < 1:
         raise ValueError("bucket count must be positive")
-    hv = _tab_xor(h, keys)
-    prod = np.uint32 if 2 * h.w <= 32 else np.uint64
-    hv = hv.astype(prod, copy=False)
-    hv *= prod(n_buckets)
-    hv >>= prod(h.w)
+    hv = _tab_xor(h, keys).astype(np.uint64)
+    hv *= np.uint64(n_buckets)
+    hv >>= np.uint64(h.w)
     return hv.astype(np.int64)
 
 

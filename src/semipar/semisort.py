@@ -80,9 +80,14 @@ class LightArenaExceeded(ArenaExceeded):
 
 # The arena budget for n records: the slots one placement arena may hold
 # (``_place_and_pack``), and the B light buckets' floors in all
-# (``_light_side``).  The defaults use about 9n slots.
+# (``_light_side``).  At the defaults the light arena holds about 6n slots.
 LIGHT_ARENA_BASE = 1 << 24
 LIGHT_ARENA_PER_RECORD = 64
+
+# The default light bucket count is ceil(n / (LIGHT_LOAD_LG_SQUARED * lg^2
+# n)), so a bucket expects LIGHT_LOAD_LG_SQUARED * lg^2 n records (see
+# ``SemisortParams``).
+LIGHT_LOAD_LG_SQUARED = 2
 
 # Step 3 classifies each half of the keys in chunks of this many keys, so
 # its temporaries stay small.
@@ -111,6 +116,23 @@ class SemisortParams:
     ceil(n/d) + 1 blocks between them.  So a run restarts with probability
     about 2/n at most.  The default d = 4 keeps placement's depth near
     d + 7 rounds; its charged probes do not depend on d.
+
+    ``B`` is chosen from the light arena, as c is from the failure target.
+    Tabulation hashing concentrates bucket loads for any B = Theta(n /
+    lg^2 n) (Patrascu and Thorup, STOC 2011), so the constant c_B of the
+    default B = ceil(n / (c_B lg^2 n)) is free; it is
+    ``LIGHT_LOAD_LG_SQUARED`` = 2.  ``_light_side`` hashes to 32 bits, so
+    the buckets share the hash range evenly and each expects c_B lg^2 n
+    records, c_B lg n samples at p_s = 1 / lg n.  f_alloc of that is (1 +
+    (c + sqrt(c^2 + 2 c c_B)) / c_B) times the load; times alpha, it is the
+    light arena per record: 9.1 at c_B = 1, 6.1 at 2 and 5.1 at 3.  The
+    floors ceil(alpha * f_alloc(0)) make 2 alpha c / c_B of it, 5.5 at
+    c_B = 1 and 2.8 at 2.  What c_B costs is the width of the rehash sort's
+    packed word, bits(sum of m_b^K) plus bits(range length): the sum grows
+    like n (c_B lg^2 n)^(K-1), so by 2 bits per doubling of c_B at K = 3.
+    At c_B = 2 the word fits 64 bits through n = 2^22 (42 + 22); at c_B = 3
+    it does not (43 + 22), and ``stable_argsort`` falls back to its slower
+    sort.
     """
 
     p_s: float            # sampling probability
@@ -167,7 +189,7 @@ class SemisortParams:
         defaults = dict(
             p_s=1.0 / lg,
             tau=2 * lg,
-            B=max(1, math.ceil(n / lg**2)),
+            B=max(1, math.ceil(n / (LIGHT_LOAD_LG_SQUARED * lg**2))),
             d=4,
         )
         defaults.update(overrides)
@@ -621,7 +643,9 @@ def _light_side(
     Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
     before it allocates anything per bucket it raises LightArenaExceeded
     when those floors sum past LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
-    slots; the defaults (B = ceil(n / lg^2 n)) sum to about 5.5n.
+    slots; at the default B they sum to about 2.8n.  Buckets come from
+    32-bit tabulation values, so the buckets' shares of the hash range, and
+    so their expected loads, differ by at most one part in 2^32 / B.
     """
     n = len(a)
     light = np.flatnonzero(~is_heavy)
@@ -641,7 +665,7 @@ def _light_side(
             f"over the budget of {budget} for n={n}; lower B"
         )
     mid = len(light) // 2
-    th = tab_new(derive(run_seed, 3), ceil_log2(B))
+    th = tab_new(derive(run_seed, 3), 32)
     buckets = np.empty(len(light), np.int64)
 
     def hash_records(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

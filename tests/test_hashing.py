@@ -86,14 +86,18 @@ def test_tab_xor_structure():
 
 
 def test_tab_bucket_range_and_balance():
+    # At the 32 bits the light side hashes to, the buckets' shares of the
+    # hash range differ by one value in 2^32 / 37.  At w = ceil(lg 37) = 6,
+    # 27 buckets would get two of the 64 hash values and 10 buckets one, and
+    # both bounds fail.
     n_buckets = 37
-    h = tab_new(2, ceil_log2(n_buckets))
+    h = tab_new(2, 32)
     keys = np.arange(100_000, dtype=np.uint64)
     b = tab_bucket(h, keys, n_buckets)
     assert b.min() >= 0 and b.max() < n_buckets
     counts = np.bincount(b, minlength=n_buckets)
     mean = len(keys) / n_buckets
-    assert counts.max() < 2 * mean  # concentration at this load
+    assert counts.max() <= 1.1 * mean and counts.min() >= 0.9 * mean
 
 
 @pytest.mark.parametrize("n_buckets", [1, 2, 3, 255, 256, 257, 2600, 65536, 65537, 1 << 20, (1 << 32) - 5])

@@ -70,7 +70,7 @@ def test_params_defaults():
     p = SemisortParams.for_n(1 << 16)
     assert p.p_s == 1 / 16
     assert p.tau == 32
-    assert p.B == (1 << 16) // 256
+    assert p.B == (1 << 16) // 512
     assert p.d == 4
     assert p.round_cap == 95
     assert p.K == 3
@@ -384,6 +384,29 @@ def test_sort_by_bucket_and_hash_splits_overflowing_ranges(monkeypatch):
     assert packed == [64]
 
 
+def test_default_rehash_sort_fits_the_packed_word(monkeypatch):
+    # The default B leaves the rehash sort's (bucket, hash) sums, packed
+    # above their index, inside 64 bits at 2^21 keys, so it never takes
+    # the lexsort or the stable argsort fallback.
+    widths = []
+
+    def recording_argsort(v):
+        if len(v):
+            widths.append(int(v.max()).bit_length() + (len(v) - 1).bit_length())
+        return stable_argsort(v)
+
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("the rehash sort took the lexsort branch")
+
+    data = gen_keys("uniform", 1 << 21, 5)
+    with monkeypatch.context() as m:
+        m.setattr(semisort_mod, "stable_argsort", recording_argsort)
+        m.setattr(semisort_mod.np, "lexsort", no_lexsort)
+        out, trace = semisort(data, seed=6)
+    assert verify_semisort(data.keys, out) and trace.light_count == len(data)
+    assert widths and max(widths) <= 64, widths
+
+
 def test_segment_index_matches_loop():
     rng = generator(6, 6)
     starts = rng.permutation(200)[:40]  # out of order
@@ -637,16 +660,16 @@ def test_stable_argsort_empty_and_signed():
 # order of records within each key, not on the order semisort gives the
 # keys, which below small_n_cutoff (the n = 1000 case) is a comparison sort's.
 PINNED_SEMISORT = [
-    ("uniform", 4096, "8b681242aae2b5052398c29b6a2abc7aead6139a0be63a60717d6f95008db12d", 97311, 61, "18d8d8ba119b0cba86843898a3dbcca909032833613f7209f7b40d9c058643d3", "2b631fa0a19001448453e3abbc6c6da6e92dccd38327ccc34dad22d62e480e26"),
-    ("zipf", 4096, "4d115462514a08dd74accf1bcfbcc3d5ede69c482228b0a41dc2f05e88d57a4e", 86852, 60, "b8fa421c0ad2c7131ae7eb602b86c205681a476b08505a644c38ea86cec93081", "ef1db8d7ad2ae2745e01aba6e9346c2c45f4521caa627cc269cbd6e74fb4e5d8"),
+    ("uniform", 4096, "73e7de3a5e52654207b9a0e0d79258ec764e4e8fb441d91076bcf4eef940b5d4", 85556, 61, "4bf419fde9e4059c71af59359884f713a7de52e3d55ec04e895473776564ef9b", "a08129c22a318265542f956d38009614fe528c486a90037d975e2cc73c62f92f"),
+    ("zipf", 4096, "0ef1a09e2a91078f8c15ee65434dc3455d8c634cd65f866cac1656d3011d010d", 75450, 61, "621f7e074afbcb499c0317a66bdc0b178ffcc5d718ec2a9a20beefffb5f09102", "2b92069c968c467af6d21addec35807767cc4a08346300a830d689749825c5e2"),
     ("all_equal", 4096, "9626f8c29cd1627ef2da1490346ca55dde523e7661dd44ca6cd1aba9b6a197b3", 35057, 60, "4390384b931aff299f2481106b631d4f8599622dc3ddd58997545cbefaa2a435", "0a03772287013ae27c8ff9742144cc7bf9c8c63f2424ea0012c179bf34356551"),
-    ("all_distinct", 4096, "10bcd71ad1ca92da58a66bb41ee415ec76fc4c0aec60f7b12fbf93418f36e812", 97319, 61, "fb0605560331941e7b56cde35225ce6e337de3603ef1111ff11568e320997628", "f7e7803840003a042fdb5696e6043fa5fe3215d815ebe3ae8856e61e0f5f41fb"),
-    ("uniform", 16384, "5174d17135db2748816240f2ed29239c3bcd3d437d1172e4d02b24225add1ae9", 391216, 70, "70ba21f13fd36c50273e6c8235d4d1b3978228cd3f2ee3ecb7443a160100ddf2", "88403c7a2c5c32bb9fe1f33087d5e61be67affa711a814f1b8947f29092bcad6"),
-    ("zipf", 16384, "02b664da213a44dda9e9b9e0ca7dfef7af17ae9d6850418c70b687905af3741e", 332506, 69, "0015df2e58728851f96c4cb9b8dd152910fc5277b2ef761e45e7e606786dc825", "ea269c04b1ff3dd789d4246a997799bb1e12b41b558c0bef2fec22c92c9947be"),
+    ("all_distinct", 4096, "f928c15e4af2377977d62feb0a1852fddce12b748d9eedf1406f21f6eff3a0cf", 85516, 61, "85419a0da236288936e76a112e9241329d20033984b3dfc0a3e8610183d78450", "ffe65f2bf395db84eda96c64bfbd13268337815ff9e30515445c5dc3f2470a00"),
+    ("uniform", 16384, "19f221ce9b2ece8cc6576b2f81570c4ad64b808d560cb5d29497b1e7364b7417", 343102, 69, "32e34e8f13d023888a73f7ee1fd429dc4a4d4a520099c5bc78dbc7e737bd4728", "519d29b792ab45508e19b69e6f6432bb4a6616c8dc5949f997b503ebe515b63e"),
+    ("zipf", 16384, "d8e58f99df96dc6a1008529c3df98389e128120576b749ec587c32f1d5c7e5ce", 286013, 68, "d18de64200e436a67c96c3dc5d6fd1d1f12f3463c9596a7d19faa8823d3065fc", "025dd985adc72528c630c5b7699f7c68ea223bcbbf85d2ff551aa593cb25d8a8"),
     ("all_equal", 16384, "ae21ebd5c5025af7ac9aca26fe6032457a5dfc10cb7044ffd2376cce520f643f", 138170, 73, "4156cac1ab67b8235dd6738eff63eaf79c77e27518642189cdd17b112dbc3e04", "d130d81087dafadbad9e21f04812c6ed3b7da537de4725441294dd0ef597de1a"),
-    ("all_distinct", 16384, "da39ffe6e6b194b3732346a6df294e4bdb7c97bdd3f75bf68cd7bdd0261203cb", 391367, 70, "f14ffca6a6fcc2c88ec95394036f76a7e5fc929c83f0256cd08049f7a2c684e7", "211dcbeab3e09327210b7ad4f797c65e23481a3a2db2a847489c3377ce9fb04a"),
-    ("heavy_below_cutoff", 16384, "bf407c3365b6b1e648c838b07745bdc2eb1c4b12f25ed83dc82908c36b796463", 389169, 69, "d803707da9504ec2329f26845f85dd5475276b13fdfa4b685a54a92a5594500c", "9e1f5879eec6b20d26059ee296cd32d5f61abc017bb1b676a4c786240210559b"),
-    ("intsort", 16384, "64b15c9fdff0dfdc3a7e47978016a0d52d0842795f896ec25f0a3d65cbe85904", 456752, 84, "d5ffbf6b4206e9fc5ef019ac54a746820e830d8dd1d59cb1e51f190e4cb5d5a9", None),
+    ("all_distinct", 16384, "4df3e6e08e2a95e62634fd4391e577071ebaffb75bfc37b8439b3d51cad6ad65", 343080, 69, "6b92b226493234c5b505a5de0d96ac2e3af8e40b4263f181f5cc0f0df1860e50", "009ff1e2d1261cd67764be7052bade65774d4540252d74c30865bdcd5fa18689"),
+    ("heavy_below_cutoff", 16384, "5db58a56ba7e3d597f07fd212d984f0c1b08ee4964a655669bf07580467001e9", 341096, 72, "9b9b72455a48b9a9348493c720f24a496b3956528bf0b7288f4cdd5abb0207e9", "b185b4aee40a5fdb8d8bca830e46a95961845c6ad831b8c0e635f764605d0502"),
+    ("intsort", 16384, "bfe9fa4c4a187785cad1439450fc06aecfa7eb5edde01076731a59b61d61a241", 408638, 83, "6f8b74b701a85988282a3ac44ec63063d620ba2ae413ceb491436879acb97047", None),
     ("intsort", 1000, "29257b74f8bbed78e2374f55c2c1961d7bf0e0d0cdf3d32dca475d1d55885bf6", 14000, 20, "40e2e8c737f01f0599465dfb9d775588ae9afaa2b06f17c356896757303e449a", None),
 ]
 
