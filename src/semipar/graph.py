@@ -4,11 +4,13 @@ Graphs are undirected simple graphs in compressed adjacency form (both
 directions stored).  The culled balanced partition removes high-degree
 vertices in barrier-separated phases until the max degree drops below
 e(H)/(k^4 * ceil(log2 n)), then assigns survivors independently and
-uniformly to k pieces.  Reorganization groups vertices by piece, splits each
-adjacency row into internal and cut neighbors and moves both parts to the
-row's new position once: the internal edges form a graph on the new vertex
-positions, block-diagonal by piece, and the cut entries keep original ids,
-so each piece is a slice of both.  A vertex pair packs as the uint64
+uniformly to k pieces.  Reorganization groups vertices by piece: a counting
+sort on up to ceil(log2 n) + 1 piece keys, which keeps ascending ids within
+a piece, or the integer sort on more.  It splits each adjacency row into
+internal and cut neighbors and moves both parts to the row's new position
+once: the internal edges form a graph on the new vertex positions,
+block-diagonal by piece, and the cut entries keep original ids, so each
+piece is a slice of both.  A vertex pair packs as the uint64
 src * 2^32 + dst.
 """
 
@@ -436,25 +438,57 @@ class ReorganizedGraph:
         return self.perm[lo:hi], local, cut_rows, self.cut[cut_off[0] : cut_off[-1]]
 
 
+def _counting_order(keys: np.ndarray, key_count: int, meter: WorkMeter) -> np.ndarray:
+    """The stable order of ``keys``, each in [0, K) for K = ``key_count``,
+    by a blocked counting sort (Rajasekaran and Reif, SIAM J. Comput.
+    1989), charged as the one phase ``reorganize.group``.
+
+    With B = ceil(n/K), the n keys are cut into B blocks of K.  Each block
+    counts its keys one at a time into its column of a K x B table: n ops,
+    K rounds.  An exclusive prefix sum over the table in key-major order
+    (key, then block) gives each block its first slot for each key: KB ops,
+    ceil(lg KB) rounds.  Each block then scatters its keys one at a time,
+    each to the next slot of its key: n ops, K rounds.  So the phase charges
+    2n + KB ops, below 3n + K, and 2K + ceil(lg KB) rounds: linear work and
+    O(lg n) depth for K <= ceil(lg n) + 1, with no coins.  Blocks of K keys
+    keep the table near n cells while the sequential steps stay K.
+
+    Blocks scatter in input order and each block in turn, so equal keys keep
+    their input order: the result is a stable sort's, and a stable sort's
+    output is unique.  numpy's stable argsort computes it, by radix sort on
+    keys of 16 bits or fewer, so ``keys`` come in their narrowest unsigned
+    dtype.  An empty input (K = 0) charges no ops and one round.
+    """
+    n = len(keys)
+    cells = key_count * -(-n // key_count) if key_count else 0
+    meter.charge("reorganize.group", 2 * n + cells, 2 * key_count + ceil_log2(cells))
+    return np.argsort(keys, kind="stable")
+
+
 def reorganize(
     g: Graph, p: CulledPartition, seed: int = 0, meter: WorkMeter | None = None
 ) -> ReorganizedGraph:
     """Group vertices by piece id and split adjacency lists at the cut.
 
-    The vertex permutation comes from the linear-work integer sort (culled
-    vertices keyed as piece k).  Whether an entry is internal or cut depends
-    only on the partition, so two branches of a ``parallel.fork_join`` do
-    the two: the helper thread compacts the internal and the cut
-    neighbours, each in original entry order, and counts each vertex's
-    internal entries, while the caller integer-sorts the vertices.  After
-    the join, segmented gathers move both streams into the new row order,
-    the internal one mapped to new positions, again as two branches: the
-    helper takes the first rows of the cut stream, the caller the internal
-    stream and the other cut rows.  Both forks give ``fork_join`` the
-    smaller of n and the adjacency length, from which it decides whether
-    they run side by side.  Only the integer sort charges inside a branch,
-    so each join adds the sort's work and rounds and the meter sees the
-    same charges either way.  Nothing sorts the adjacency entries.
+    The vertex permutation groups the vertices by piece key (culled
+    vertices keyed as piece k).  With K keys, K <= ceil(lg n) + 1 (every k
+    up to the default ceil(lg n)), a blocked counting sort does it
+    deterministically (``_counting_order``), so vertices within a piece
+    keep ascending id order and ``seed`` is not used; above that bound the
+    linear-work integer sort does, and within a piece the order is its
+    placement's.  Whether an entry is internal or cut depends only on the
+    partition, so two branches of a ``parallel.fork_join`` do the two: the
+    helper thread compacts the internal and the cut neighbours, each in
+    original entry order, and counts each vertex's internal entries, while
+    the caller sorts the vertices.  After the join, segmented gathers move
+    both streams into the new row order, the internal one mapped to new
+    positions, again as two branches: the helper takes the first rows of
+    the cut stream, the caller the internal stream and the other cut rows.
+    Both forks give ``fork_join`` the smaller of n and the adjacency length,
+    from which it decides whether they run side by side.  Only the vertex
+    sort charges inside a branch, so each join adds the sort's work and
+    rounds and the meter sees the same charges either way.  Nothing sorts
+    the adjacency entries.
     """
     if meter is None:
         meter = WorkMeter()
@@ -464,19 +498,26 @@ def reorganize(
     if piece_of.max(initial=0) > p.k:
         raise InconsistentPartition("bucket id out of range")
 
-    # Vertex permutation: integer-sort vertex ids keyed by piece.  Integer
-    # sort needs keys below n; when piece ids can reach n, key each vertex by
-    # its piece id's rank among the ids present, which keeps the order.
+    # Vertex permutation: sort vertex ids keyed by piece.  Integer sort
+    # needs keys below n; when piece ids can reach n, key each vertex by its
+    # piece id's rank among the ids present, which keeps the order.
     if p.k < g.n:
         keys, piece_ids = piece_of, np.arange(p.k + 1)
     else:
         piece_ids = sorted_distinct(piece_of)
         keys = np.searchsorted(piece_ids, piece_of)
         meter.charge("reorganize.rank", g.n * ceil_log2(g.n), ceil_log2(g.n))
+    key_count = len(piece_ids)
+    # The narrowest dtype: the split compares a key per adjacency entry, and
+    # numpy's stable argsort is a radix sort on keys of 16 bits or fewer.
+    piece = keys.astype(np.min_scalar_type(max(key_count - 1, 0)))
 
     def sort_vertices(m: WorkMeter) -> tuple[np.ndarray, np.ndarray]:
-        recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
-        perm = integer_sort(recs, None, seed, m).payloads.astype(np.int64)
+        if key_count <= ceil_log2(g.n) + 1:
+            perm = _counting_order(piece, key_count, m)
+        else:
+            recs = Records(keys.astype(np.uint64), np.arange(g.n, dtype=np.uint64))
+            perm = integer_sort(recs, None, seed, m).payloads.astype(np.int64)
         inv = np.empty(g.n, dtype=np.int64)
         inv[perm] = np.arange(g.n)
         return perm, inv
@@ -490,7 +531,7 @@ def reorganize(
     internal_start = np.empty(g.n + 1, dtype=np.int64)
     internal_count, (perm, inv) = fork_join(
         meter,
-        lambda m: _split_at_cut(g, keys, len(piece_ids), streams, internal_start),
+        lambda m: _split_at_cut(g, piece, streams, internal_start),
         sort_vertices,
         size,
     )
@@ -537,18 +578,17 @@ def reorganize(
 
 
 def _split_at_cut(
-    g: Graph, keys: np.ndarray, key_count: int, streams: np.ndarray, internal_start: np.ndarray
+    g: Graph, piece: np.ndarray, streams: np.ndarray, internal_start: np.ndarray
 ) -> int:
-    """Split every adjacency row at the cut of the piece keys ``keys``.
+    """Split every adjacency row at the cut of ``piece``, each vertex's
+    piece key.
 
     Writes the internal neighbours, then the cut neighbours (original ids),
     each in original entry order, into ``streams`` (one slot per entry), and
     for each vertex v where its internal entries start in the internal
     stream into ``internal_start`` (n + 1 entries, the last the stream
-    length); returns the internal stream's length.  Keys are compared in
-    their narrowest dtype.
+    length); returns the internal stream's length.
     """
-    piece = keys.astype(np.min_scalar_type(max(key_count - 1, 0)))
     internal = piece[g.neighbors] == np.repeat(piece, g.degrees())
     at = np.flatnonzero(internal)
     internal_start[:] = np.searchsorted(at, g.offsets)

@@ -4,8 +4,9 @@
 subroutines; ``extend_palettes`` and ``mis_extend_prune`` are the
 deterministic extenders that carry a partial solution across a cut in work
 linear in the cut size.  The boosted algorithms run cull-partition +
-reorganize, process pieces sequentially with the extender + subroutine, and
-finish on the culled set.
+reorganize (whose counting sort over the k + 1 piece keys keeps each piece's
+vertices in ascending id order for k <= ceil(lg n)), process pieces
+sequentially with the extender + subroutine, and finish on the culled set.
 """
 
 from __future__ import annotations

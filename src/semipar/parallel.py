@@ -61,8 +61,8 @@ def fork_join(
     in order, the deeper branch's rounds) and raises ``second``'s exception
     if there is one.  A fork requested inside either branch, or by another
     thread meanwhile, runs in turn, so no branch ever waits for the helper
-    thread (``reorganize`` integer-sorts in a branch, and the sort's
-    semisort asks to fork).
+    thread (``reorganize`` integer-sorts in a branch when there are many
+    pieces, and the sort's semisort asks to fork).
     """
     m1, m2 = WorkMeter(), WorkMeter()
     in_flight = _claim_helper() if size >= FORK_MIN and _cpus() >= 2 else None

@@ -440,3 +440,85 @@ def test_piece_vertices():
     ro = reorganize(g, part, seed=11)
     seen = np.concatenate([ro.perm[slice(*ro.piece_range(i))] for i in range(part.k + 1)])
     assert np.array_equal(np.sort(seen), np.arange(g.n))
+
+
+# ---------------------------------------------------------------------------
+# The vertex sort: a counting sort for K <= ceil(lg n) + 1 piece keys
+
+
+def _piece_keys(part):
+    return np.where(part.assignment == CULLED, part.k, part.assignment)
+
+
+def _uniform_partition(g, k, seed):
+    # Every vertex culled or in a uniform piece of [k].
+    assignment = np.random.default_rng(seed).integers(CULLED, k, size=g.n)
+    return CulledPartition(
+        culled=np.flatnonzero(assignment == CULLED), assignment=assignment, k=k, phases=1
+    )
+
+
+def _fields_bytes(ro):
+    """Every field of a ReorganizedGraph as (dtype, bytes)."""
+    arrays = [ro.perm, ro.inv, ro.internal.offsets, ro.internal.neighbors, ro.cut_offsets,
+              ro.cut, ro.piece_ids, ro.piece_boundaries]
+    return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("k", [4, 10])
+def test_counting_path_is_the_stable_order_and_ignores_the_seed(k):
+    # k = 4: culled vertices and an empty piece (K = 5); k = 10 = ceil(lg n),
+    # the default piece count (K = 11).
+    g = generate("power_law", 1000, 5000, seed=2)
+    part = _random_partition(g, 3) if k == 4 else _uniform_partition(g, k, 3)
+    ro = reorganize(g, part, seed=5)
+    assert np.array_equal(ro.perm, np.argsort(_piece_keys(part), kind="stable"))
+    assert _fields_bytes(reorganize(g, part, seed=6)) == _fields_bytes(ro)
+
+
+@pytest.mark.parametrize("n,m,k", [(1000, 2000, 6), (4096, 8192, 12), (300, 600, 1), (7, 10, 7)])
+def test_counting_path_charge(n, m, k):
+    # K = k + 1 keys when k < n; at k = n = 7 the ids present are ranked.
+    g = generate("gnm", n, m, seed=1)
+    part = cull_partition(g, k, seed=3)
+    meter = WorkMeter()
+    reorganize(g, part, seed=4, meter=meter)
+    K = k + 1 if k < n else len(np.unique(_piece_keys(part)))
+    cells = K * -(-n // K)
+    assert meter.phase_breakdown["reorganize.group"] == 2 * n + cells
+    rest = math.ceil(math.log2(2 * m))  # the adjacency gathers
+    if k >= n:
+        rest += math.ceil(math.log2(n))  # the ranking of the ids present
+    assert meter.rounds == 2 * K + math.ceil(math.log2(cells)) + rest
+    assert "integer_sort_pass" not in meter.phase_breakdown
+
+
+@pytest.mark.parametrize("k, integer_sorted", [(12, False), (13, True)])
+def test_counting_path_bound_is_lg_n_plus_one_keys(k, integer_sorted, monkeypatch):
+    # n = 4096: ceil(lg n) + 1 = 13 keys, so k = 12 (K = 13) counts and
+    # k = 13 (K = 14) integer-sorts.
+    g = generate("gnm", 4096, 1 << 14, seed=1)
+    part = _uniform_partition(g, k, 2)
+    calls, real = [], graph_mod.integer_sort
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(graph_mod, "integer_sort", spy)
+    ro = reorganize(g, part, seed=3)
+    _check_reorganized(g, part, ro)
+    assert calls == ([g.n] if integer_sorted else [])
+
+
+def test_reorganize_empty_and_single_vertex_graphs():
+    empty = from_edges(0, np.empty(0, np.int64), np.empty(0, np.int64))
+    ro = reorganize(empty, cull_partition(empty, 3, seed=1))
+    assert len(ro.perm) == len(ro.inv) == len(ro.cut) == len(ro.piece_ids) == 0
+    assert ro.piece_boundaries.tolist() == [0] and ro.internal.n == 0
+    one = generate("path", 1)
+    for k in (1, 2):
+        part = cull_partition(one, k, seed=1)
+        ro = reorganize(one, part, seed=2)
+        _check_reorganized(one, part, ro)
+        assert ro.perm.tolist() == [0] and ro.piece_boundaries.tolist() == [0, 1]

@@ -391,18 +391,18 @@ def test_boosted_small_graphs(kind, n, k, density, seed):
 # int64 output; work digest: sha256 of the sorted-key JSON of the meter's
 # per-label work.
 PINNED_BOOSTED = [
-    ("gnm", 2000, 16000, 2, "color", "9d7da128ccfa8b5de3a0a14527de332f80a388760e61168a01ad298c2bac3d7c", 188160, 90, "c21f3d549c16f89fbbf4c57d9b4a551f3d9ed9b8672bd3baa16bbcdf78353a90"),
-    ("gnm", 2000, 16000, 2, "mis", "d0deb0424040b9a3b21032595bb01238a5bd2efeee8c2c63acaab26c4140425c", 154001, 88, "61725e1e6a0427677f4fb99ea167db6179728bfbab76a3d7910c0bd04b522490"),
-    ("gnm", 2000, 16000, 4, "color", "9a07848c6c1166f6393f3e1001a1291d4ef81aa72e6da26c598ece6afe2f8c7b", 216447, 91, "48af6c94c7c82d823478813937790cc344c0128769326b6a7031a3991a49be17"),
-    ("gnm", 2000, 16000, 4, "mis", "6fbd66cb783b8e421ce9fd89ca19b78481e93fcdec511cf2530b5ff3c7049e8a", 198998, 91, "098107fd22311af9bf3d8978aeafee65c59004f7c6c3466aaeacfbd0ba44254e"),
-    ("power_law", 2000, 12000, 2, "color", "7971898d549431d7ea7be66377e6b0fb1204268893d504fb9909a5a860e8ca11", 162822, 91, "1191623b38ac0720f4a736f650dfe11a00935137d3caa833ce60d2dd9a2b6c89"),
-    ("power_law", 2000, 12000, 2, "mis", "f4f599be1eb0e1d3f3c29543e782f91daafefc1c9dff87b2b31b6a7316d8f263", 150619, 90, "480ba7dc12aa64948f19ca1928a05cfbea23731a3a6f97fa186ead0c333ffcfd"),
-    ("power_law", 2000, 12000, 4, "color", "455fd3c17a8d5897ac2a1e25ebb7bfce744da0445268563cc5e6d2db516f0e55", 183685, 92, "da61375fab54a7ea11b2a20ce9d3958f8c0bfac602c66eb8e20a14a78ee5d840"),
-    ("power_law", 2000, 12000, 4, "mis", "ab43737efe223669c5dda2d5a5212a7c28cd0b6dc943b4be08ac8b7e1902bc88", 168457, 94, "d7b3c2cfd22f7109b407077009b089b4d063b0e0c435c4ff74ba42e2a615b060"),
-    ("star", 500, 0, 2, "color", "c4d38b6f6513b4caf3af3ce49c8b9b29355a0285110d0cf0f54e87983a0ee14b", 13301, 37, "04b0cf9a451f58c26cac625ef350fae491ecf990979bb3d328c18e7297961a9c"),
-    ("star", 500, 0, 2, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 13489, 36, "59917984e372afaa8ea84b9c3bce4dd037cd1203885a1db442261cf52d4065c7"),
-    ("star", 500, 0, 4, "color", "f2bb6073b06e5d5eec6cd70807a3bcf9677748a19b4e5cfe6bbcb3b11a5c854b", 13490, 33, "4bdbfc2ef70a3a1dbaae63b7b358fb4b34598617fd324f57279cc5956fb98662"),
-    ("star", 500, 0, 4, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 13689, 34, "f9be8cc1b781ba594f34a54d88399661eb7e03d6dad0eededcf48352772f643d"),
+    ("gnm", 2000, 16000, 2, "color", "060e979f3677c78c82bf7a6d56b818c7c3e7585b3140402e7cce6b28b044658e", 159978, 42, "1c822ec916604225b7a98a19f0c29c851dbf54d32836e65b47973f1c53fe9cd5"),
+    ("gnm", 2000, 16000, 2, "mis", "1f48a01417f34341c2eb116c34c7b389af93f2c50cfc0b87238e29df1cd7d3dd", 133238, 42, "508961feda0143d903968c8c95bcdfb10ff3ab1209879c1d2abcd03d9244e247"),
+    ("gnm", 2000, 16000, 4, "color", "48398fa7ebf7c741b3c82413161749176b5ca225061395171078253ad5622388", 198722, 44, "42de8456b6db14fe82e7024d2c0794185af1f0f11506e244016224019abce862"),
+    ("gnm", 2000, 16000, 4, "mis", "0f35e7c1f05da481b1fb9897516f827c7238e5db18a8e78b00624610ec0cd056", 180530, 45, "4c3d51a401559b841683857ddafbedd21aab01eddd23fcd9f0249bfe3f3bc58a"),
+    ("power_law", 2000, 12000, 2, "color", "6856d73869c93f89a294e66aa72e2209bf28e433fef9a61fc7606106cb961151", 141506, 44, "4e1bc1c17aebef29eb28a34d0efa84024367d7a2dc67fff3d5d02bfb9edf8472"),
+    ("power_law", 2000, 12000, 2, "mis", "75ac32c7c978abab62ef6991f86810a4e8e8b4c75a86780488b533d34d6cbc99", 129297, 43, "9968e778d43f5d4af99b271ca39b377b8aaae941adba1f84c86383920cbd6a79"),
+    ("power_law", 2000, 12000, 4, "color", "7010feabafcef9ea99580d011136b8d95f5223d0ead798a25779c4618c44d03d", 164405, 51, "747d28f735a0e02e271bd2724ac043198fc44925b24b5eb3f4fc452fe8441cc0"),
+    ("power_law", 2000, 12000, 4, "mis", "53c3a16545732ff940f960c375ac165b27e7486f6fb0a68e0f020b4b437ce8a5", 147786, 52, "e297da376ee8d98ca34540b9d179f030aa744fffe797d036019f43cc89a5a9ac"),
+    ("star", 500, 0, 2, "color", "c4d38b6f6513b4caf3af3ce49c8b9b29355a0285110d0cf0f54e87983a0ee14b", 8302, 34, "b19313620f27385a309b2305d0e5e6767d27506b5aa331a5bf5d3284cb1d6762"),
+    ("star", 500, 0, 2, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 8490, 33, "48e59afe4b5b029665adf0a28e1cdf01225858b5349d07fad2d5c06fdda4c043"),
+    ("star", 500, 0, 4, "color", "f2bb6073b06e5d5eec6cd70807a3bcf9677748a19b4e5cfe6bbcb3b11a5c854b", 8490, 34, "ad337790d50e02a49548979b14bc88644ebad325791df527ea05fbe965be4a07"),
+    ("star", 500, 0, 4, "mis", "3e6a9fd3d68c14526e6d8c55a926c38eb402e7b7168988ce02662e24ca0d7ea0", 8689, 35, "424ef898a150bd3bfe925a3bbddec9d1755522149a75f5b1e225a2771ab52953"),
 ]
 
 
@@ -410,12 +410,12 @@ PINNED_BOOSTED = [
 # by its piece id's rank), a cull phase that removes vertices
 # (test_pinned_cull_case_culls), and an edgeless graph.
 PINNED_BOOSTED_EDGE_CASES = {
-    "rank-color": ("gnm", 40, 300, 64, "color", "41595f0ff8394a82d85eec4e2f3340c65086327a9d3e2317e365492799f11e62", 4468, 35, "e115e3d07f45d6f5ef4efc7002066b292f312a5e82ae9ec392ab17cbdcaf3870"),
-    "rank-mis": ("gnm", 40, 300, 64, "mis", "d5080b6c0dd601f837ab5e97b30c834b8eed2b899f395ad67eca32015fd7a24b", 4077, 35, "85c96cddc73a7ca9c24b58d212f26fe8a8bde10f53cfdd49193f7933a94532d7"),
-    "culls-color": ("power_law", 3000, 30000, 2, "color", "68229d2d3886150df7deec37e1bbe62f63a5faaf5881654118fffed7e8130a9e", 370211, 93, "b1dfc204a99cecb840b0fac9f1f94c05e7619e560f1142691733728a9de49189"),
-    "culls-mis": ("power_law", 3000, 30000, 2, "mis", "3c23eaa32d2e481f11edbd995bd8f6b27458cc3ab0ccbd2b24bd00604dc57661", 341921, 93, "fb88102b40743ed3c66b6b36fa294a6781bd519bf47e995e376e8b65c319235e"),
-    "edgeless-color": ("gnm", 50, 0, 3, "color", "7a12e561363385e9dfeeab326368731c030ed4b374e7f5897ac819159d2884c5", 650, 21, "c3e3ce6899275d33a8a6e095fdd0c28b17dff70c332fdf00708355aab45cb595"),
-    "edgeless-mis": ("gnm", 50, 0, 3, "mis", "f33daf5fc5cddc53a4edc108cc7617823eba7f63958f7e79379335d6a0f6eae7", 650, 21, "e6c5f953c48a05b0011ba418a33a2a1571402763b318d52ee64d9c8e27a0b6cd"),
+    "rank-color": ("gnm", 40, 300, 64, "color", "41595f0ff8394a82d85eec4e2f3340c65086327a9d3e2317e365492799f11e62", 4188, 31, "80e373bfdef3eaefc0c6847a9feed35ed3431e7dbe3a6f782a7a94a5a6f936be"),
+    "rank-mis": ("gnm", 40, 300, 64, "mis", "d5080b6c0dd601f837ab5e97b30c834b8eed2b899f395ad67eca32015fd7a24b", 3797, 31, "47d86f967713acd2787f025d5d24f52fed5b2ce3b8313a5fa6db5aae030f49ea"),
+    "culls-color": ("power_law", 3000, 30000, 2, "color", "196c02a6c20f520f469bfa09de3c385bf6086b79ff945fa334a1edb28bc852d2", 327225, 45, "b59cd55807977e532d6a0b07c6f1dcca302db874000d7b68c3ffcc446fc8cbe8"),
+    "culls-mis": ("power_law", 3000, 30000, 2, "mis", "b565653bd56b4eebf4294ddad8843d9d1e8bc2364d4d547d4d9be335e72ccc9b", 310975, 45, "aba2f84e30dcf108b4b8d6c9c116d33848a0750d84a7892ae771e53ad9c71d48"),
+    "edgeless-color": ("gnm", 50, 0, 3, "color", "7a12e561363385e9dfeeab326368731c030ed4b374e7f5897ac819159d2884c5", 302, 23, "1e8651ab6e2207ef2039c2b7183c1ae25c34baac0191ff0a931ab19578e60ea4"),
+    "edgeless-mis": ("gnm", 50, 0, 3, "mis", "f33daf5fc5cddc53a4edc108cc7617823eba7f63958f7e79379335d6a0f6eae7", 302, 23, "68dfe171532fab4e29fb7924915f5bc37c1fb010c43e6b8c4bb08f611405d26a"),
 }
 
 

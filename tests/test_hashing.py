@@ -102,8 +102,9 @@ def test_tab_bucket_range_and_balance():
 
 @pytest.mark.parametrize("n_buckets", [1, 2, 3, 255, 256, 257, 2600, 65536, 65537, 1 << 20, (1 << 32) - 5])
 def test_tab_bucket_matches_uint64_product(n_buckets):
-    # The product is formed in uint32 up to w = 16 and in uint64 above; both
-    # must equal the uint64 formula on the same tables, all-ones keys included.
+    # tab_bucket forms the product in uint64 at every w; it must equal the
+    # multiply-shift formula on the same tables' hash values, all-ones keys
+    # included.
     h = tab_new(n_buckets, ceil_log2(n_buckets))
     keys = generator(n_buckets, 3).integers(0, 1 << 64, size=5000, dtype=np.uint64)
     keys[:2] = [0, (1 << 64) - 1]

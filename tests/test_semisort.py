@@ -499,7 +499,7 @@ def test_semisort_trace_accounting():
 @pytest.mark.parametrize("dist", ["uniform", "zipf"])
 def test_default_arena_stays_small(dist, n):
     # The default c_alloc sizes the arenas for failure <= 1/n, not more:
-    # about 9n slots in all (15.7n at c_alloc = 3).
+    # 6.2n to 6.5n slots in all on these inputs (15.7n at c_alloc = 3).
     data = gen_keys(dist, n, 11, 1.2)
     out, trace = semisort(data, seed=12)
     assert verify_semisort(data.keys, out)
@@ -1043,8 +1043,9 @@ def _reorganized_bytes(ro):
 @pytest.mark.parametrize("k", [1, 4, None], ids=["k=1", "k=4", "k>=n"])
 def test_reorganize_side_by_side_matches_inline(kind, n, m, k, monkeypatch):
     # Above the cutoff, two CPUs classify the adjacency on the helper thread
-    # while the caller integer-sorts the vertices; no field, label, work
-    # count or round may tell which way it ran.
+    # while the caller sorts the vertices (a counting sort, or the integer
+    # sort where k >= n leaves many pieces); no field, label, work count or
+    # round may tell which way it ran.
     g = generate(kind, n, m, 7)
     k = n + 3 if k is None else k
 
@@ -1053,8 +1054,8 @@ def test_reorganize_side_by_side_matches_inline(kind, n, m, k, monkeypatch):
 
     (inline, m1, s1), (forked, m2, s2) = _both_paths(monkeypatch, run)
     assert s1 == 0
-    # Each of reorganize's two forks submits once, and the integer sort
-    # inside the first runs in turn; an edgeless graph forks only in its
+    # Each of reorganize's two forks submits once, and an integer sort
+    # inside the first runs in turn; an edgeless graph forks at most in its
     # integer sort.
     if g.m:
         assert s2 == 2
@@ -1064,8 +1065,9 @@ def test_reorganize_side_by_side_matches_inline(kind, n, m, k, monkeypatch):
 
 
 def test_boosted_mis_side_by_side_matches_inline(monkeypatch):
-    # The boosted MIS forks only inside reorganize (its integer sort has no
-    # light side), and its answer must not tell either.
+    # The boosted MIS forks only inside reorganize (its vertices are grouped
+    # by a counting sort, which never forks), and its answer must not tell
+    # either.
     g = generate("gnm", 1 << 14, 1 << 16, 3)
     (inline, m1, s1), (forked, m2, s2) = _both_paths(
         monkeypatch, lambda m: boosted_mis(g, 4, 4, m).tobytes()
