@@ -169,6 +169,7 @@ class TrialRecord:
     allocated_space: int = 0
     min_alloc_slack: float = math.inf  # inf (written empty) when nothing was placed
     placement_rounds: int = 0          # 0 (written empty) when nothing was placed
+    light_buckets: int = 0             # 0 (written empty) when no light side placed
     verified: bool = True
 
     def row(self) -> dict:
@@ -176,8 +177,9 @@ class TrialRecord:
         d["verified"] = int(self.verified)
         if not math.isfinite(self.min_alloc_slack):
             d["min_alloc_slack"] = None
-        if not self.placement_rounds:
-            d["placement_rounds"] = None
+        for name in ("placement_rounds", "light_buckets"):
+            if not d[name]:
+                d[name] = None
         return d
 
 
@@ -243,7 +245,8 @@ def _run_semisort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         restarts=trace.restarts, max_bucket_size=trace.max_bucket_size,
         max_attempts=int(trace.bucket_attempts.max(initial=1)),
         allocated_space=trace.allocated_space, min_alloc_slack=trace.min_alloc_slack,
-        placement_rounds=trace.placement_rounds, verified=verify_semisort(data.keys, out),
+        placement_rounds=trace.placement_rounds, light_buckets=trace.light_buckets,
+        verified=verify_semisort(data.keys, out),
     )
 
 
@@ -258,7 +261,8 @@ def _run_intsort(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         trial=trial, seed=seed, n=cfg.n, dist=cfg.dist,
         charged_work=meter.total_ops, rounds=meter.rounds,
         allocated_space=trace.allocated_space, min_alloc_slack=trace.min_alloc_slack,
-        placement_rounds=trace.placement_rounds, verified=verify_semisort(keys, out, sort=True),
+        placement_rounds=trace.placement_rounds, light_buckets=trace.light_buckets,
+        verified=verify_semisort(keys, out, sort=True),
     )
 
 

@@ -74,19 +74,21 @@ class ArenaExceeded(ValueError):
 
 
 class LightArenaExceeded(ArenaExceeded):
-    """The light side's B buckets would get more arena slots than the arena
-    budget even if each got only its floor."""
+    """B light buckets, the count of an all-light input, would get more arena
+    slots than the arena budget even if each got only its floor."""
 
 
 # The arena budget for n records: the slots one placement arena may hold
 # (``_place_and_pack``), and the B light buckets' floors in all
-# (``_light_side``).  At the defaults the light arena holds about 6n slots.
+# (``_light_side``).  At the defaults the light arena holds about 6 slots
+# per light record.
 LIGHT_ARENA_BASE = 1 << 24
 LIGHT_ARENA_PER_RECORD = 64
 
-# The default light bucket count is ceil(n / (LIGHT_LOAD_LG_SQUARED * lg^2
-# n)), so a bucket expects LIGHT_LOAD_LG_SQUARED * lg^2 n records (see
-# ``SemisortParams``).
+# The default light bucket count of an all-light input is ceil(n /
+# (LIGHT_LOAD_LG_SQUARED * lg^2 n)); a run scales it to its light records,
+# so a bucket expects LIGHT_LOAD_LG_SQUARED * lg^2 n records whatever share
+# is heavy (see ``SemisortParams``).
 LIGHT_LOAD_LG_SQUARED = 2
 
 # Step 3 classifies each half of the keys in chunks of this many keys, so
@@ -125,14 +127,25 @@ class SemisortParams:
     the buckets share the hash range evenly and each expects c_B lg^2 n
     records, c_B lg n samples at p_s = 1 / lg n.  f_alloc of that is (1 +
     (c + sqrt(c^2 + 2 c c_B)) / c_B) times the load; times alpha, it is the
-    light arena per record: 9.1 at c_B = 1, 6.1 at 2 and 5.1 at 3.  The
-    floors ceil(alpha * f_alloc(0)) make 2 alpha c / c_B of it, 5.5 at
+    light arena per light record: 9.1 at c_B = 1, 6.1 at 2 and 5.1 at 3.
+    The floors ceil(alpha * f_alloc(0)) make 2 alpha c / c_B of it, 5.5 at
     c_B = 1 and 2.8 at 2.  What c_B costs is the width of the rehash sort's
     packed word, bits(sum of m_b^K) plus bits(range length): the sum grows
     like n (c_B lg^2 n)^(K-1), so by 2 bits per doubling of c_B at K = 3.
     At c_B = 2 the word fits 64 bits through n = 2^22 (42 + 22); at c_B = 3
     it does not (43 + 22), and ``stable_argsort`` falls back to its slower
     sort.
+
+    ``B`` is the bucket count of an all-light input: a run with n_l light
+    records uses B_l = ceil(B n_l / n) buckets, so each expects n_l / B_l
+    records, at most n / B and, since a light side places only when n_l >=
+    n / lg n, more than n / (B + lg n).  The load per bucket, and so the
+    arena per light record, is that of an all-light run whatever share of
+    the records is heavy.  B buckets for the light records of 2^20 zipf
+    keys, 68% of them heavy, would expect about 250 records and 13 samples
+    each, and f_alloc's margin would give them about 12 slots per light
+    record.  The rehash sort's packed word can only narrow: its sum and
+    range cover n_l <= n records at the same load per bucket.
     """
 
     p_s: float            # sampling probability
@@ -140,7 +153,7 @@ class SemisortParams:
     alpha: float = 2.0    # destination slack factor
     c_alloc: float = 2 * math.log(2)  # constant c of the allocation function
     K: int = 3            # hash-range exponent of the rehash loop
-    B: int = 1            # light bucket count
+    B: int = 1            # light bucket count of an all-light input
     d: int = 1            # placement block size
     round_cap: int = 8
     max_restarts: int = 3
@@ -210,6 +223,8 @@ class SemisortTrace:
     placement, inf when neither side placed: below 1, some target had more
     records than its size estimate.  ``placement_rounds`` is the larger of
     the two placements' round counts, 0 when neither side placed.
+    ``light_buckets`` is the light side's bucket count, ceil(B n_l / n) for
+    n_l light records, 0 when it sorted.
     """
 
     n: int
@@ -223,6 +238,7 @@ class SemisortTrace:
     allocated_space: int = 0
     min_alloc_slack: float = math.inf
     placement_rounds: int = 0
+    light_buckets: int = 0
 
 
 def run_heads(x: np.ndarray) -> np.ndarray:
@@ -299,8 +315,10 @@ def _slots(s: float | np.ndarray, params: SemisortParams, n: int) -> float | np.
 
 
 def light_arena_floor(params: SemisortParams, n: int) -> float:
-    """Arena slots the B light buckets get at least: B * ceil(alpha *
-    f_alloc(0)).  A float, so a floor beyond int64 (or inf) still compares."""
+    """Arena slots the B light buckets of an all-light input get at least:
+    B * ceil(alpha * f_alloc(0)).  No run uses more buckets, so this bounds
+    every run's floors.  A float, so a floor beyond int64 (or inf) still
+    compares."""
     return params.B * float(_slots(0, params, n))
 
 
@@ -575,6 +593,7 @@ def _semisort_once(
     )
     out, light_arena, light_slack, light_rounds, trace.max_bucket_size, attempts = light
     trace.bucket_attempts = attempts
+    trace.light_buckets = len(attempts)
     trace.allocated_space = heavy_arena + light_arena
     trace.min_alloc_slack = min(heavy_slack, light_slack)
     trace.placement_rounds = max(heavy_rounds, light_rounds)
@@ -640,12 +659,16 @@ def _light_side(
     rehash's temporaries onto pages that are faulted in afresh on every
     call (about 7,000 a call on 2^20 zipf keys).
 
-    Each of the B buckets gets at least ceil(alpha * f_alloc(0)) slots, so
-    before it allocates anything per bucket it raises LightArenaExceeded
-    when those floors sum past LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
-    slots; at the default B they sum to about 2.8n.  Buckets come from
-    32-bit tabulation values, so the buckets' shares of the hash range, and
-    so their expected loads, differ by at most one part in 2^32 / B.
+    The n_l light records go to ceil(B n_l / n) buckets, so each expects
+    n / B of them, as in an all-light run (see ``SemisortParams``).  Each
+    bucket gets at least ceil(alpha * f_alloc(0)) slots, so before it
+    allocates anything per bucket it raises LightArenaExceeded when B such
+    floors, those of an all-light run and so no fewer than this run's, sum
+    past LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n slots; at the default
+    B they sum to about 2.8n, and a run's to about 2.8 per light record.
+    Buckets come from 32-bit tabulation values, so the buckets' shares of
+    the hash range, and so their expected loads, differ by at most one part
+    in 2^32 / B.
     """
     n = len(a)
     light = np.flatnonzero(~is_heavy)
@@ -656,14 +679,14 @@ def _light_side(
         take_into(a.keys, light, out.keys[h:])
         take_into(a.payloads, light, out.payloads[h:])
         return out, 0, math.inf, 0, 0, np.empty(0, np.int64)
-    B = params.B
     floor = light_arena_floor(params, n)
     budget = LIGHT_ARENA_BASE + LIGHT_ARENA_PER_RECORD * n
     if not floor <= budget:
         raise LightArenaExceeded(
-            f"B={B} light buckets need at least {floor:.3g} arena slots, "
+            f"B={params.B} light buckets need at least {floor:.3g} arena slots, "
             f"over the budget of {budget} for n={n}; lower B"
         )
+    B = -(-params.B * len(light) // n)
     mid = len(light) // 2
     th = tab_new(derive(run_seed, 3), 32)
     buckets = np.empty(len(light), np.int64)

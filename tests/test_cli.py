@@ -109,8 +109,9 @@ def test_semisort_csv_roundtrip(tmp_path, capsys):
 )
 def test_sort_rows_report_the_arena(cmd, n, placed, tmp_path):
     # A sort row gives its arena, least allocation slack and the rounds of
-    # its deeper placement, at least d = 4 and at most the round cap; below
-    # small_n_cutoff nothing is placed, so the slack and rounds are empty.
+    # its deeper placement, at least d = 4 and at most the round cap, and its
+    # light bucket count; below small_n_cutoff nothing is placed, so the
+    # slack, rounds and bucket count are empty.
     out = tmp_path / "a.csv"
     assert run_cli([cmd, "--n", str(n), "--out", str(out)]) == EXIT_OK
     lines = out.read_text().splitlines()
@@ -119,9 +120,10 @@ def test_sort_rows_report_the_arena(cmd, n, placed, tmp_path):
         assert 0 < int(row["allocated_space"]) <= 11 * n
         assert float(row["min_alloc_slack"]) > 1
         assert 4 <= int(row["placement_rounds"]) <= SemisortParams.for_n(n).round_cap
+        assert int(row["light_buckets"]) == SemisortParams.for_n(n).B  # every key is light
     else:
         assert (row["allocated_space"], row["min_alloc_slack"]) == ("0", "")
-        assert row["placement_rounds"] == ""
+        assert row["placement_rounds"] == row["light_buckets"] == ""
 
 
 def test_csv_byte_identical(tmp_path):

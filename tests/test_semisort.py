@@ -194,7 +194,8 @@ def test_light_arena_budget_raises_before_allocating():
 
 
 def test_default_params_stay_within_light_arena_budget():
-    # Defaults give about 12n slots; the budget is LIGHT_ARENA_BASE + 64n.
+    # The default B's floors come to 2.6n to 3.3n slots on these n; the
+    # budget is LIGHT_ARENA_BASE + 64n.
     ns = {e + d for e in (1 << b for b in range(10, 21)) for d in (-1, 0, 1)}
     ns |= set(range(1 << 10, (1 << 20) + 1, 4999))
     for n in sorted(ns):
@@ -540,6 +541,38 @@ def test_placement_rounds_is_the_deeper_side(monkeypatch):
     assert semisort(_random_records(1000, 50, 1))[1].placement_rounds == 0
 
 
+@pytest.mark.parametrize("B", [None, 1000])
+@pytest.mark.parametrize("dist", ["uniform", "zipf"])
+def test_light_buckets_scale_with_the_light_records(dist, B):
+    # B is the bucket count of an all-light input; a run with n_light light
+    # records uses ceil(B n_light / n) buckets, so each expects n / B of
+    # them whatever share is heavy.  A sorted light side uses none.
+    n = 1 << 16
+    params = SemisortParams.for_n(n, **({} if B is None else {"B": B}))
+    data = gen_keys(dist, n, 7, 1.2)
+    out, trace = semisort(data, params, seed=3)
+    assert verify_semisort(data.keys, out)
+    assert trace.light_buckets == len(trace.bucket_attempts)
+    assert trace.light_buckets == -(-params.B * trace.light_count // n)
+    if dist == "uniform":
+        assert (trace.light_count, trace.light_buckets) == (n, params.B)
+    else:
+        assert 0 < 2 * trace.light_count < n
+    assert semisort(gen_keys("all_equal", n, 7))[1].light_buckets == 0
+
+
+def test_light_arena_per_light_record_holds_with_heavy_keys():
+    # Zipf keys leave 30,514 of 2^16 records light.  Buckets scaled to them
+    # expect the load of an all-light run, so their arena, and light_pack's
+    # charge, stays near the 6.06 slots per record of uniform keys; B
+    # buckets for them alone gave 9.43.
+    n = 1 << 16
+    meter = WorkMeter()
+    _, trace = semisort(gen_keys("zipf", n, 7, 1.2), seed=3, meter=meter)
+    assert trace.light_count == 30514
+    assert meter.phase_breakdown["light_pack"] <= 7 * trace.light_count
+
+
 def test_semisort_restart_on_timeout():
     # A round cap of 1 forces placement timeouts; the restart budget must trip.
     data = _random_records(20_000, 20_000, seed=7)
@@ -661,14 +694,14 @@ def test_stable_argsort_empty_and_signed():
 # keys, which below small_n_cutoff (the n = 1000 case) is a comparison sort's.
 PINNED_SEMISORT = [
     ("uniform", 4096, "73e7de3a5e52654207b9a0e0d79258ec764e4e8fb441d91076bcf4eef940b5d4", 85556, 61, "4bf419fde9e4059c71af59359884f713a7de52e3d55ec04e895473776564ef9b", "a08129c22a318265542f956d38009614fe528c486a90037d975e2cc73c62f92f"),
-    ("zipf", 4096, "0ef1a09e2a91078f8c15ee65434dc3455d8c634cd65f866cac1656d3011d010d", 75450, 61, "621f7e074afbcb499c0317a66bdc0b178ffcc5d718ec2a9a20beefffb5f09102", "2b92069c968c467af6d21addec35807767cc4a08346300a830d689749825c5e2"),
+    ("zipf", 4096, "628fb682223f5b0af8bb2ed7eb52fe19cb162e1f63d8b2db7e67092f4298a5d8", 72027, 60, "19233caf579cddb3e497fad18e22a65575bab946ed209f10d64b158b31e05e1f", "1ebc630f0f0c917fd8d49c575385f2d9ffce043fe6d0681c1bd82325bf8fb4c4"),
     ("all_equal", 4096, "9626f8c29cd1627ef2da1490346ca55dde523e7661dd44ca6cd1aba9b6a197b3", 35057, 60, "4390384b931aff299f2481106b631d4f8599622dc3ddd58997545cbefaa2a435", "0a03772287013ae27c8ff9742144cc7bf9c8c63f2424ea0012c179bf34356551"),
     ("all_distinct", 4096, "f928c15e4af2377977d62feb0a1852fddce12b748d9eedf1406f21f6eff3a0cf", 85516, 61, "85419a0da236288936e76a112e9241329d20033984b3dfc0a3e8610183d78450", "ffe65f2bf395db84eda96c64bfbd13268337815ff9e30515445c5dc3f2470a00"),
     ("uniform", 16384, "19f221ce9b2ece8cc6576b2f81570c4ad64b808d560cb5d29497b1e7364b7417", 343102, 69, "32e34e8f13d023888a73f7ee1fd429dc4a4d4a520099c5bc78dbc7e737bd4728", "519d29b792ab45508e19b69e6f6432bb4a6616c8dc5949f997b503ebe515b63e"),
-    ("zipf", 16384, "d8e58f99df96dc6a1008529c3df98389e128120576b749ec587c32f1d5c7e5ce", 286013, 68, "d18de64200e436a67c96c3dc5d6fd1d1f12f3463c9596a7d19faa8823d3065fc", "025dd985adc72528c630c5b7699f7c68ea223bcbbf85d2ff551aa593cb25d8a8"),
+    ("zipf", 16384, "31702bb35af5ba859857bff69d10d2efd5062d792aed0e2d790e5e5df5628082", 266376, 68, "fc56a1b3d812940ee5dab787794ac619c9acbc576f00fa509a5c4f21ca55b58b", "ec4f6e3880634fb45ad9450ed0f0af345e1fa474e1ff908b9a781d7c87a19dda"),
     ("all_equal", 16384, "ae21ebd5c5025af7ac9aca26fe6032457a5dfc10cb7044ffd2376cce520f643f", 138170, 73, "4156cac1ab67b8235dd6738eff63eaf79c77e27518642189cdd17b112dbc3e04", "d130d81087dafadbad9e21f04812c6ed3b7da537de4725441294dd0ef597de1a"),
     ("all_distinct", 16384, "4df3e6e08e2a95e62634fd4391e577071ebaffb75bfc37b8439b3d51cad6ad65", 343080, 69, "6b92b226493234c5b505a5de0d96ac2e3af8e40b4263f181f5cc0f0df1860e50", "009ff1e2d1261cd67764be7052bade65774d4540252d74c30865bdcd5fa18689"),
-    ("heavy_below_cutoff", 16384, "5db58a56ba7e3d597f07fd212d984f0c1b08ee4964a655669bf07580467001e9", 341096, 72, "9b9b72455a48b9a9348493c720f24a496b3956528bf0b7288f4cdd5abb0207e9", "b185b4aee40a5fdb8d8bca830e46a95961845c6ad831b8c0e635f764605d0502"),
+    ("heavy_below_cutoff", 16384, "a350a26f43d9a2d2b146cac806a5d4f7c23b306b4dfdc17c394dc3d030568bfb", 340006, 71, "bc0612ee21eeb127096736c2b96bcae6ea26da058ebcc5f2a8abb1d6adbb31f3", "5d3ffa4f1ce808281d6a0c8a4c494628b00503469d86f25a314e633e48efaae4"),
     ("intsort", 16384, "bfe9fa4c4a187785cad1439450fc06aecfa7eb5edde01076731a59b61d61a241", 408638, 83, "6f8b74b701a85988282a3ac44ec63063d620ba2ae413ceb491436879acb97047", None),
     ("intsort", 1000, "29257b74f8bbed78e2374f55c2c1961d7bf0e0d0cdf3d32dca475d1d55885bf6", 14000, 20, "40e2e8c737f01f0599465dfb9d775588ae9afaa2b06f17c356896757303e449a", None),
 ]
